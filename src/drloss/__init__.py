@@ -31,7 +31,6 @@ from .hypo import (
     Threshold,
     ThresholdClass,
     enumerate_behaviors,
-    predict,
     sauer_bound,
 )
 from .learner import LearnConfig, LearnResult, draw_training_set, drerm, learn

@@ -103,14 +103,6 @@ class TableHypothesis:
         return {"classTag": "finite-table", "params": {"table": [[list(z) if isinstance(z, tuple) else z, y] for z, y in self.table]}}
 
 
-Hypothesis = object  # any of the above; all expose predict(x) and to_json()
-
-
-def predict(h, x) -> Label:
-    """Deterministic label of ``h`` at ``x``."""
-    return h.predict(x)
-
-
 class Behavior(NamedTuple):
     """One realizable labeling of a point set, with a canonical witness."""
 
@@ -233,9 +225,6 @@ class FiniteClass:
             if labels not in seen:
                 seen[labels] = h
         return [Behavior(labels, w) for labels, w in seen.items()]
-
-
-HypothesisClass = object  # any of the four class objects above
 
 
 def enumerate_behaviors(cls, points) -> list[Behavior]:

@@ -102,12 +102,6 @@ class SampleSet:
     def n(self) -> int:
         return len(self.clean)
 
-    def member_count(self, i: int) -> int:
-        j = 0
-        while (i, j) in self.perturbed:
-            j += 1
-        return j
-
     def all_points(self) -> list:
         """Distinct points of the set (clean instances and all perturbations), sorted."""
         pts = {x for x, _ in self.clean}
@@ -137,6 +131,11 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
     return total / s.n
 
 
+def member_error(h, u: FiniteDistribution, y) -> float:
+    """Exact probability that ``h`` mislabels a draw from the finite member ``u``."""
+    return math.fsum(q for z, q in zip(u.support, u.probs) if h.predict(z) != y)
+
+
 def population_dr_loss_exact(h, task: TaskInstance, view: str = "true") -> float:
     """Exact DR loss by direct summation; requires finite family members."""
     total = 0.0
@@ -145,8 +144,7 @@ def population_dr_loss_exact(h, task: TaskInstance, view: str = "true") -> float
         for u in task.members_for(x, view):
             if not isinstance(u, FiniteDistribution):
                 raise DistributionError("exact DR loss needs finite members; use the Monte Carlo estimator")
-            err = math.fsum(q for z, q in zip(u.support, u.probs) if h.predict(z) != y)
-            worst = max(worst, err)
+            worst = max(worst, member_error(h, u, y))
         total += p * worst
     return total
 

@@ -1,8 +1,9 @@
 """Deterministic stream splitting for parallel trials.
 
 All randomness in the library flows from explicit ``numpy.random.Generator``
-objects; there is no hidden global state.  Experiment suites derive one
-stream per (grid point, trial chunk) from a single master seed via
+objects; there is no hidden global state.  Experiment suites derive each
+stream from a single master seed and a short integer path, such as
+(grid point, trial chunk) or (grid point, trial), via
 ``SeedSequence(master, spawn_key=path)`` feeding a counter-based Philox
 generator.  The same (master seed, path) always yields the same stream, and
 distinct paths are independent, so results do not depend on how trials are

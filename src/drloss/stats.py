@@ -52,28 +52,8 @@ def freq_at_most(name: str, violations: int, trials: int, bound: float) -> Asser
     return Assertion(name, violations / trials, bound, "wilson95 lower <= bound", lo <= bound)
 
 
-def freq_at_least(name: str, successes: int, trials: int, bound: float) -> Assertion:
-    """Observed frequency must statistically reach ``bound`` (>= bound - slack)."""
-    _, hi = wilson_interval(successes, trials)
-    return Assertion(name, successes / trials, bound, "wilson95 upper >= bound", hi >= bound)
-
-
 def freq_within_three_sigma(name: str, violations: int, trials: int, bound: float) -> Assertion:
     """Tail-frequency check: frequency <= bound + 3*sqrt(bound(1-bound)/trials)."""
     sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
     freq = violations / trials
     return Assertion(name, freq, bound, "freq <= bound + 3 sigma(binomial at bound)", freq <= bound + 3 * sigma)
-
-
-def mean_at_least(name: str, values, bound: float) -> Assertion:
-    """Sample mean must reach ``bound`` minus three empirical standard errors."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("no values")
-    mean = sum(values) / n
-    if n == 1:
-        se = 0.0
-    else:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        se = math.sqrt(var / n)
-    return Assertion(name, mean, bound, "mean >= bound - 3 se", mean >= bound - 3 * se)

@@ -2,19 +2,7 @@
 
 from .config import KINDS, ConfigError, ExperimentConfig, load_config
 from .report import ExperimentReport, emit_report, read_csv_sections, render_csv, render_json
-from .suites import (
-    SUITES,
-    run_agnostic,
-    run_derand_certifier,
-    run_derand_classifier,
-    run_double_sampling,
-    run_hoeffding,
-    run_model1,
-    run_model2,
-    run_realizable,
-    run_smoothing,
-    run_suite,
-)
+from .suites import SUITES, run_suite
 
 __all__ = [
     "KINDS",
@@ -27,14 +15,5 @@ __all__ = [
     "read_csv_sections",
     "render_csv",
     "render_json",
-    "run_agnostic",
-    "run_derand_certifier",
-    "run_derand_classifier",
-    "run_double_sampling",
-    "run_hoeffding",
-    "run_model1",
-    "run_model2",
-    "run_realizable",
-    "run_smoothing",
     "run_suite",
 ]

@@ -25,19 +25,6 @@ from ..hypo import (
     ThresholdClass,
 )
 
-KINDS = (
-    "realizable",
-    "agnostic",
-    "model1",
-    "model2",
-    "double-sampling",
-    "hoeffding",
-    "derand-classifier",
-    "derand-certifier",
-    "smoothing",
-)
-
-
 class ConfigError(ValueError):
     """Bad configuration or input file; maps to exit code 2."""
 
@@ -168,6 +155,9 @@ DEFAULTS: dict = {
 }
 
 
+KINDS = tuple(DEFAULTS)
+
+
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -209,6 +199,16 @@ def _validate_grid(kind: str, grid: list) -> None:
                 raise ConfigError(f"{key} must be >= 1")
 
 
+def _int_at_least(name: str, value, low: int) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
+    return number
+
+
 def load_config(kind: str, path: str | None = None, seed: int | None = None,
                 jobs: int | None = None, env: dict | None = None) -> ExperimentConfig:
     """Merge defaults, optional file, environment, and CLI overrides."""
@@ -228,26 +228,24 @@ def load_config(kind: str, path: str | None = None, seed: int | None = None,
                 merged[key] = value
     env = os.environ if env is None else env
     if env.get("DRLOSS_SEED"):
-        merged["master_seed"] = int(env["DRLOSS_SEED"])
+        merged["master_seed"] = env["DRLOSS_SEED"]
     if env.get("DRLOSS_JOBS"):
-        merged["jobs"] = int(env["DRLOSS_JOBS"])
+        merged["jobs"] = env["DRLOSS_JOBS"]
     if seed is not None:
-        merged["master_seed"] = int(seed)
+        merged["master_seed"] = seed
     if jobs is not None:
-        merged["jobs"] = int(jobs)
+        merged["jobs"] = jobs
 
-    trials = int(merged.get("trials", 0))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if merged["jobs"] < 1:
-        raise ConfigError("jobs must be >= 1")
+    trials = _int_at_least("trials", merged.get("trials", 0), 1)
+    master_seed = _int_at_least("master seed", merged["master_seed"], 0)
+    jobs = _int_at_least("jobs", merged["jobs"], 1)
     _validate_grid(kind, merged["grid"])
     return ExperimentConfig(
         kind=kind,
         trials=trials,
-        master_seed=int(merged["master_seed"]),
+        master_seed=master_seed,
         grid=merged["grid"],
-        jobs=int(merged["jobs"]),
+        jobs=jobs,
         task=merged.get("task"),
         hypothesis_class=merged.get("hypothesis_class"),
         params=merged.get("params", {}),

@@ -49,9 +49,6 @@ class FiniteView:
             self._members[view] = (probs, valid)
         self.max_k = {view: self._members[view][0].shape[1] for view in self.views}
 
-    def member_probs(self, view: str) -> np.ndarray:
-        return self._members[view][0]
-
     def behaviors(self, hclass):
         """All behaviors on the full domain point set: (labels (B, D), witnesses)."""
         bs = enumerate_behaviors(hclass, self.points)

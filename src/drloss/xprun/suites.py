@@ -2,8 +2,11 @@
 
 Each suite turns one guarantee into a violation frequency over many seeded
 trials and checks it against its probability budget with explicit slack.
-Trials are split into fixed-size chunks, each owning its own derived
-random stream, so reports are identical regardless of worker count.
+A suite is one row of ``SUITES``: a setup, a chunk function that runs the
+trials of one work unit, the grid keys it reads and a per-grid aggregate.
+``run_suite`` drives every row the same way.  Each work unit derives its
+own random streams from its address, so reports are identical regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from operator import itemgetter
+from statistics import median
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,6 +25,7 @@ from .. import seeding
 from ..derand import encode_seeds, epsilon_eta, required_trials, worst_point_errors
 from ..hypo import ThresholdClass
 from ..learner import LearnConfig, draw_training_set, drerm
+from ..loss import member_error
 from ..perturb import gaussian_shift_tv, pointwise_cover_violation, sample, tv_distance
 from ..stats import (
     Assertion,
@@ -40,160 +48,46 @@ EXACT_ZERO_TOL = 1e-12
 SEED_DUMP_LIMIT = 100_000  # max trials * t for verbatim hex seed dumps
 
 
-def _chunk_ranges(trials: int) -> list:
-    return [(c, lo, min(lo + CHUNK, trials))
-            for c, lo in enumerate(range(0, trials, CHUNK))]
+class Tally(NamedTuple):
+    """A grid point's violation count, checked by ``test`` where the entry asserts."""
 
-
-def _collect(jobs: int, fn, jobspecs: list) -> list:
-    if jobs == 1:
-        return [fn(*spec) for spec in jobspecs]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, *zip(*jobspecs)))
-
-
-def _median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+    test: Callable      # freq_at_most or freq_within_three_sigma
+    name: str
+    freq_key: str       # aggregate column of the observed frequency
+    count: int
+    bound: float
 
 
 # ---------------------------------------------------------------------------
-# ERM-style suites: realizable / agnostic / model1 / model2
+# ERM-style suites: realizable / agnostic / model1 / model2, and the
+# double-sampling lemma, which shares their setup
 
 
-def _erm_views(flavor: str):
-    if flavor in ("model1", "model2"):
-        return ("true", "rep"), "rep"
-    return ("true",), "true"
-
-
-def _erm_setup(cfg: ExperimentConfig, flavor: str):
+def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
+    """Task, view and full-domain behaviors, plus each grid entry's loss level."""
     task = build_task(cfg.task)
     hclass = build_hypothesis_class(cfg.hypothesis_class)
-    views, train_view = _erm_views(flavor)
-    if train_view == "rep":
+    model = cfg.kind in ("model1", "model2")
+    train_view = "rep" if model else "true"
+    if model:
         cover_k = cfg.params.get("cover_k")
         if cover_k:
             task = with_constructed_cover(task, int(cover_k))
         for x, _, _ in task.atoms():
             if task.family_of[x].rep_set is None:
-                raise ConfigError(f"{flavor} requires representative sets; x={x!r} has none")
-    view = FiniteView(task, views=views)
+                raise ConfigError(f"{cfg.kind} requires representative sets; x={x!r} has none")
+    view = FiniteView(task, views=("true", "rep") if model else ("true",))
     labels, witnesses = view.behaviors(hclass)
     dr_true = view.dr_exact(labels, "true")
-    return task, hclass, view, labels, witnesses, dr_true, train_view
 
-
-def _model_bound(cfg: ExperimentConfig, flavor: str, task, epsilon: float) -> tuple:
-    """(bound, eps_prime) for the cover models; eps_prime is NaN for model2."""
-    if flavor == "model1":
-        eps_prime = 0.0
-        for x, _, _ in task.atoms():
-            fam = task.family_of[x]
-            for u in fam.true_set:
-                eps_prime = max(eps_prime, min(tv_distance(u, r) for r in fam.rep_set))
-        return epsilon + eps_prime, eps_prime
-    k = max(task.family_of[x].k for x, _, _ in task.atoms())
-    return k * epsilon, float("nan")
-
-
-def _erm_chunk(cfg: ExperimentConfig, flavor: str, grid_idx: int,
-               chunk_idx: int, lo: int, hi: int) -> list:
-    task, hclass, view, labels, _, dr_true, train_view = _erm_setup(cfg, flavor)
-    entry = cfg.grid[grid_idx]
-    n, m = int(entry["n"]), int(entry["m"])
-    epsilon = float(entry["epsilon"])
-    trials = hi - lo
-    exact_inner = bool(entry.get("exact_inner", False))
-    rng = seeding.stream(cfg.master_seed, grid_idx, chunk_idx)
-    slots = view.draw_clean_slots(rng, trials * n)
-    if exact_inner:
-        counts = None
-        dr_s = view.dr_s_exact_inner(labels, slots, trials, n, train_view)
-    else:
-        counts = view.draw_slot_counts(rng, slots, m, train_view)
-        dr_s = view.dr_s(labels, slots, counts, trials, n, m)
-
-    if flavor in ("model1", "model2"):
-        bound, eps_prime = _model_bound(cfg, flavor, task, epsilon)
-        level = bound
-    else:
-        bound, eps_prime = epsilon, float("nan")
-        level = epsilon
-
-    k_col = task.max_family_size(train_view)
-    witnesses_cache = None
-    rows = []
-    for t in range(trials):
-        if exact_inner:
-            # no sampled points to enumerate on; minimize over the full-domain behaviors
-            if witnesses_cache is None:
-                _, witnesses_cache = view.behaviors(hclass)
-            best = int(np.argmin(dr_s[:, t]))
-            erm_h = witnesses_cache[best]
-            loss_emp = float(dr_s[best, t])
-            loss_pop = float(dr_true[best])
-        else:
-            t_slots = slots[t * n:(t + 1) * n]
-            t_counts = counts[t * n:(t + 1) * n]
-            erm_h, loss_emp, full_labels = view.erm_on_sample(hclass, t_slots, t_counts, m)
-            loss_pop = float(view.dr_exact(full_labels, "true")[0])
-        row = {
-            "grid_index": grid_idx,
-            "trial": lo + t,
-            "n": n,
-            "m": m,
-            "k": k_col,
-            "epsilon": epsilon,
-            "delta": float(entry.get("delta", 0.05)),
-            "loss_emp": loss_emp,
-            "loss_pop": loss_pop,
-            "gap": abs(loss_emp - loss_pop),
-            "hypothesis": erm_h.to_json(),
-        }
-        zero_train = dr_s[:, t] <= EXACT_ZERO_TOL
-        if flavor == "agnostic":
-            max_gap = float(np.max(np.abs(dr_s[:, t] - dr_true)))
-            row["max_gap"] = max_gap
-            row["viol"] = bool(max_gap > epsilon)
-        else:
-            row["viol_erm"] = bool(loss_emp <= EXACT_ZERO_TOL and loss_pop >= level)
-            row["viol_any"] = bool(np.any(zero_train & (dr_true >= level)))
-            if flavor in ("model1", "model2"):
-                row["bound"] = bound
-                if flavor == "model1":
-                    row["eps_prime"] = eps_prime
-        rows.append(row)
-    return rows
-
-
-_ERM_COLUMNS = {
-    "realizable": ["grid_index", "trial", "n", "m", "k", "epsilon", "delta",
-                   "loss_emp", "loss_pop", "gap", "viol_erm", "viol_any", "hypothesis"],
-    "agnostic": ["grid_index", "trial", "n", "m", "k", "epsilon", "delta",
-                 "loss_emp", "loss_pop", "gap", "max_gap", "viol", "hypothesis"],
-    "model1": ["grid_index", "trial", "n", "m", "k", "epsilon", "delta", "eps_prime",
-               "bound", "loss_emp", "loss_pop", "gap", "viol_erm", "viol_any", "hypothesis"],
-    "model2": ["grid_index", "trial", "n", "m", "k", "epsilon", "delta",
-               "bound", "loss_emp", "loss_pop", "gap", "viol_erm", "viol_any", "hypothesis"],
-}
-
-
-def _run_erm_suite(cfg: ExperimentConfig, flavor: str) -> ExperimentReport:
-    start = time.perf_counter()
-    task, hclass, view, labels, witnesses, dr_true, train_view = _erm_setup(cfg, flavor)
-
-    if flavor == "realizable":
+    if cfg.kind == "realizable":
         best = float(dr_true.min())
         if best > EXACT_ZERO_TOL:
             raise ConfigError(
                 "task is not realizable: exhaustive enumeration of "
                 f"{len(dr_true)} behaviors has minimum exact DR loss {best:.6g} > 0"
             )
-    if flavor == "model2":
+    if cfg.kind == "model2":
         for x, _, _ in task.atoms():
             fam = task.family_of[x]
             for ui, u in enumerate(fam.true_set):
@@ -205,173 +99,156 @@ def _run_erm_suite(cfg: ExperimentConfig, flavor: str) -> ExperimentReport:
                         f"point {z!r}: {pu:.6g} > {pr:.6g}"
                     )
 
-    jobspecs = [(cfg, flavor, g, c, lo, hi)
-                for g in range(len(cfg.grid))
-                for c, lo, hi in _chunk_ranges(cfg.trials)]
-    rows = [row for chunk in _collect(cfg.jobs, _erm_chunk, jobspecs) for row in chunk]
+    # the level a zero-training-loss behavior must not reach: epsilon, plus
+    # the TV cover radius eps_prime (model1), or times the family cap k (model2)
+    epsilons = [float(entry["epsilon"]) for entry in cfg.grid]
+    eps_prime = float("nan")
+    if cfg.kind == "model1":
+        eps_prime = max([0.0] + [min(tv_distance(u, r) for r in task.family_of[x].rep_set)
+                                 for x, _, _ in task.atoms()
+                                 for u in task.family_of[x].true_set])
+        levels = [eps + eps_prime for eps in epsilons]
+    elif cfg.kind == "model2":
+        k = max(task.family_of[x].k for x, _, _ in task.atoms())
+        levels = [k * eps for eps in epsilons]
+    else:
+        levels = epsilons
+    return SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
+                           dr_true=dr_true, train_view=train_view, levels=levels,
+                           eps_prime=eps_prime, k=task.max_family_size(train_view))
 
-    aggregates = []
-    assertions = []
-    viol_key = "viol" if flavor == "agnostic" else "viol_erm"
-    for g, entry in enumerate(cfg.grid):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        viol = sum(1 for r in grid_rows if r[viol_key])
-        lo_w, hi_w = wilson_interval(viol, len(grid_rows))
-        delta = float(entry.get("delta", 0.05))
-        agg = {
-            "grid_index": g,
-            "n": entry["n"],
-            "m": entry["m"],
-            "epsilon": entry["epsilon"],
-            "delta": delta,
-            "trials": len(grid_rows),
-            f"{viol_key}_freq": viol / len(grid_rows),
-            "wilson_lo": lo_w,
-            "wilson_hi": hi_w,
-            "median_gap": _median([r["gap"] for r in grid_rows]),
-            "asserted": bool(entry.get("assert", False)),
-        }
-        if flavor != "agnostic":
-            agg["viol_any_freq"] = sum(1 for r in grid_rows if r["viol_any"]) / len(grid_rows)
-        if flavor in ("model1", "model2"):
-            agg["bound"] = grid_rows[0]["bound"]
-        if entry.get("assert", False):
-            a = freq_at_most(f"{flavor} violation freq (grid {g})", viol, len(grid_rows), delta)
-            assertions.append(a)
-            agg["passed"] = a.passed
+
+def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
+    entry = cfg.grid[g]
+    n, m = int(entry["n"]), int(entry["m"])
+    epsilon = float(entry["epsilon"])
+    level = s.levels[g]
+    trials = hi - lo
+    exact_inner = bool(entry.get("exact_inner", False))
+    view = s.view
+    rng = seeding.stream(cfg.master_seed, g, chunk)
+    slots = view.draw_clean_slots(rng, trials * n)
+    if exact_inner:
+        dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
+    else:
+        counts = view.draw_slot_counts(rng, slots, m, s.train_view)
+        dr_s = view.dr_s(s.labels, slots, counts, trials, n, m)
+
+    rows = []
+    for t in range(trials):
+        if exact_inner:
+            # no sampled points to enumerate on; minimize over the full-domain behaviors
+            best = int(np.argmin(dr_s[:, t]))
+            erm_h = s.witnesses[best]
+            loss_emp = float(dr_s[best, t])
+            loss_pop = float(s.dr_true[best])
         else:
-            agg["passed"] = True
-        aggregates.append(agg)
-
-    agg_columns = sorted({k for a in aggregates for k in a})
-    report = ExperimentReport(
-        kind=flavor,
-        config=cfg.echo(),
-        columns=_ERM_COLUMNS[flavor],
-        rows=rows,
-        agg_columns=agg_columns,
-        aggregates=aggregates,
-        assertions=assertions,
-        passed=all(a.passed for a in assertions),
-        wall_clock_s=time.perf_counter() - start,
-    )
-    return report
-
-
-def run_realizable(cfg: ExperimentConfig) -> ExperimentReport:
-    return _run_erm_suite(cfg, "realizable")
-
-
-def run_agnostic(cfg: ExperimentConfig) -> ExperimentReport:
-    return _run_erm_suite(cfg, "agnostic")
+            t_slots = slots[t * n:(t + 1) * n]
+            t_counts = counts[t * n:(t + 1) * n]
+            erm_h, loss_emp, full_labels = view.erm_on_sample(s.hclass, t_slots, t_counts, m)
+            loss_pop = float(view.dr_exact(full_labels, "true")[0])
+        row = {"grid_index": g, "trial": lo + t, "n": n, "m": m, "k": s.k,
+               "epsilon": epsilon, "delta": float(entry.get("delta", 0.05))}
+        if cfg.kind == "model1":
+            row["eps_prime"] = s.eps_prime
+        if cfg.kind in ("model1", "model2"):
+            row["bound"] = level
+        row.update(loss_emp=loss_emp, loss_pop=loss_pop, gap=abs(loss_emp - loss_pop))
+        if cfg.kind == "agnostic":
+            max_gap = float(np.max(np.abs(dr_s[:, t] - s.dr_true)))
+            row.update(max_gap=max_gap, viol=bool(max_gap > epsilon))
+        else:
+            zero_train = dr_s[:, t] <= EXACT_ZERO_TOL
+            row.update(viol_erm=bool(loss_emp <= EXACT_ZERO_TOL and loss_pop >= level),
+                       viol_any=bool(np.any(zero_train & (s.dr_true >= level))))
+        row["hypothesis"] = erm_h.to_json()
+        rows.append(row)
+    return rows
 
 
-def run_model1(cfg: ExperimentConfig) -> ExperimentReport:
-    return _run_erm_suite(cfg, "model1")
+def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+    viol_key = "viol" if cfg.kind == "agnostic" else "viol_erm"
+    delta = float(entry.get("delta", 0.05))
+    agg = {
+        "n": entry["n"],
+        "m": entry["m"],
+        "epsilon": entry["epsilon"],
+        "delta": delta,
+        "median_gap": median(r["gap"] for r in rows),
+    }
+    if cfg.kind != "agnostic":
+        agg["viol_any_freq"] = sum(r["viol_any"] for r in rows) / len(rows)
+    if cfg.kind in ("model1", "model2"):
+        agg["bound"] = s.levels[g]
+    return agg, [Tally(freq_at_most, f"{cfg.kind} violation freq (grid {g})",
+                       f"{viol_key}_freq", sum(r[viol_key] for r in rows), delta)]
 
 
-def run_model2(cfg: ExperimentConfig) -> ExperimentReport:
-    return _run_erm_suite(cfg, "model2")
+def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
+    """Empirical DR loss of every behavior on ``draws`` fresh training sets."""
+    slots = s.view.draw_clean_slots(rng, draws * n)
+    counts = s.view.draw_slot_counts(rng, slots, m, "true")
+    return s.view.dr_s(s.labels, slots, counts, draws, n, m)
 
 
-# ---------------------------------------------------------------------------
-# Double-sampling lemma
-
-
-def _double_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> list:
-    task = build_task(cfg.task)
-    hclass = build_hypothesis_class(cfg.hypothesis_class)
-    view = FiniteView(task, views=("true",))
-    labels, _ = view.behaviors(hclass)
-    dr_true = view.dr_exact(labels, "true")
-    entry = cfg.grid[grid_idx]
+def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
+    """Paired-draw estimate of Pr(B) >= (2/5) Pr(A), one row per master-seed trial."""
+    entry = cfg.grid[g]
     n, m = int(entry["n"]), int(entry["m"])
     epsilon = float(entry["epsilon"])
     draws = int(cfg.params.get("draws", 20000))
-    rng = seeding.stream(cfg.master_seed, grid_idx, trial)
-
-    def batch_dr_s():
-        slots = view.draw_clean_slots(rng, draws * n)
-        counts = view.draw_slot_counts(rng, slots, m, "true")
-        return view.dr_s(labels, slots, counts, draws, n, m)
-
-    dr_s = batch_dr_s()
-    dr_sp = batch_dr_s()
-    zero = dr_s <= EXACT_ZERO_TOL
-    event_a = np.any(zero & (dr_true[:, None] >= epsilon), axis=0)
-    event_b = np.any(zero & (dr_sp >= epsilon / 2), axis=0)
-    d = event_b.astype(float) - 0.4 * event_a.astype(float)
-    mean_d = float(d.mean())
-    se_d = float(d.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
-    pr_a = float(event_a.mean())
-    vacuous = pr_a == 0.0
-    passed = vacuous or mean_d >= -3.0 * se_d
-    return [{
-        "grid_index": grid_idx,
-        "trial": trial,
-        "n": n,
-        "m": m,
-        "epsilon": epsilon,
-        "draws": draws,
-        "pr_a": pr_a,
-        "pr_b": float(event_b.mean()),
-        "mean_d": mean_d,
-        "se_d": se_d,
-        "vacuous": vacuous,
-        "passed": passed,
-    }]
-
-
-def run_double_sampling(cfg: ExperimentConfig) -> ExperimentReport:
-    """Paired-draw estimate of Pr(B) >= (2/5) Pr(A), checked per master-seed trial."""
-    start = time.perf_counter()
-    jobspecs = [(cfg, g, t) for g in range(len(cfg.grid)) for t in range(cfg.trials)]
-    rows = [row for out in _collect(cfg.jobs, _double_trial, jobspecs) for row in out]
-
-    assertions = []
-    aggregates = []
-    for g, entry in enumerate(cfg.grid):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        for r in grid_rows:
-            if r["vacuous"]:
-                continue
-            assertions.append(Assertion(
-                name=f"double-sampling grid {g} trial {r['trial']}",
-                observed=r["mean_d"],
-                bound=-3.0 * r["se_d"],
-                slack_rule="mean(1_B - (2/5) 1_A) >= -3 se",
-                passed=r["passed"],
-            ))
-        aggregates.append({
+    rows = []
+    for trial in range(lo, hi):
+        rng = seeding.stream(cfg.master_seed, g, trial)
+        dr_s = _batch_dr_s(s, rng, draws, n, m)
+        dr_sp = _batch_dr_s(s, rng, draws, n, m)
+        zero = dr_s <= EXACT_ZERO_TOL
+        event_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0)
+        event_b = np.any(zero & (dr_sp >= epsilon / 2), axis=0)
+        d = event_b.astype(float) - 0.4 * event_a.astype(float)
+        mean_d = float(d.mean())
+        se_d = float(d.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
+        pr_a = float(event_a.mean())
+        rows.append({
             "grid_index": g,
-            "n": entry["n"],
-            "m": entry["m"],
-            "epsilon": entry["epsilon"],
-            "trials": len(grid_rows),
-            "mean_pr_a": sum(r["pr_a"] for r in grid_rows) / len(grid_rows),
-            "mean_pr_b": sum(r["pr_b"] for r in grid_rows) / len(grid_rows),
-            "min_margin": min(r["mean_d"] + 3 * r["se_d"] for r in grid_rows),
-            "vacuous_trials": sum(1 for r in grid_rows if r["vacuous"]),
-            "passed": all(r["passed"] for r in grid_rows),
+            "trial": trial,
+            "n": n,
+            "m": m,
+            "epsilon": epsilon,
+            "draws": draws,
+            "pr_a": pr_a,
+            "pr_b": float(event_b.mean()),
+            "mean_d": mean_d,
+            "se_d": se_d,
+            "vacuous": pr_a == 0.0,
+            "passed": pr_a == 0.0 or mean_d >= -3.0 * se_d,
         })
+    return rows
 
-    agg_columns = sorted({k for a in aggregates for k in a})
-    return ExperimentReport(
-        kind="double-sampling",
-        config=cfg.echo(),
-        columns=["grid_index", "trial", "n", "m", "epsilon", "draws",
-                 "pr_a", "pr_b", "mean_d", "se_d", "vacuous", "passed"],
-        rows=rows,
-        agg_columns=agg_columns,
-        aggregates=aggregates,
-        assertions=assertions,
-        passed=all(r["passed"] for r in rows),
-        wall_clock_s=time.perf_counter() - start,
-    )
+
+def _double_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+    agg = {
+        "n": entry["n"],
+        "m": entry["m"],
+        "epsilon": entry["epsilon"],
+        "mean_pr_a": sum(r["pr_a"] for r in rows) / len(rows),
+        "mean_pr_b": sum(r["pr_b"] for r in rows) / len(rows),
+        "min_margin": min(r["mean_d"] + 3 * r["se_d"] for r in rows),
+        "vacuous_trials": sum(r["vacuous"] for r in rows),
+    }
+    return agg, [Assertion(name=f"double-sampling grid {g} trial {r['trial']}",
+                           observed=r["mean_d"],
+                           bound=-3.0 * r["se_d"],
+                           slack_rule="mean(1_B - (2/5) 1_A) >= -3 se",
+                           passed=r["passed"])
+                 for r in rows if not r["vacuous"]]
 
 
 # ---------------------------------------------------------------------------
 # Concentration suite
+#
+# Inner: Pr[|mean - p| >= eps/8] against 2 exp(-m eps^2 / 32).
+# Outer: Pr[|avg worst-member loss - E| >= eps/4] against 2 exp(-n eps^2 / 8).
 
 
 def _binom_pmf(m: int, p: float) -> np.ndarray:
@@ -391,147 +268,102 @@ def _exact_mean_worst(m: int, probs: list) -> float:
     raise ConfigError("exact outer mean implemented for at most 2 members per example")
 
 
-def _mistake_prob(h, dist, y) -> float:
-    return math.fsum(q for z, q in zip(dist.support, dist.probs) if h.predict(z) != y)
-
-
-def _hoeffding_chunk(cfg: ExperimentConfig, grid_idx: int, chunk_idx: int,
-                     lo: int, hi: int) -> list:
-    entry = cfg.grid[grid_idx]
-    target = entry["target"]
-    epsilon = float(entry["epsilon"])
-    trials = hi - lo
+def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
+    """Exact mistake levels of the fixed hypothesis, for the targets the grid uses."""
     h = build_hypothesis(cfg.params["hypothesis"])
-    rng = seeding.stream(cfg.master_seed, grid_idx, chunk_idx)
-    rows = []
-    if target == "inner":
-        m = int(entry["m"])
+    s = SimpleNamespace(tails=[])  # per grid entry: (deviation threshold, tail bound)
+    for entry in cfg.grid:
+        eps = float(entry["epsilon"])
+        if entry["target"] == "inner":
+            s.tails.append((eps / 8.0, min(1.0, 2.0 * math.exp(-int(entry["m"]) * eps ** 2 / 32.0))))
+        else:
+            s.tails.append((eps / 4.0, min(1.0, 2.0 * math.exp(-int(entry["n"]) * eps ** 2 / 8.0))))
+    targets = {entry["target"] for entry in cfg.grid}
+    if "inner" in targets:
         task = build_task(cfg.params["inner_task"])
         x, y, _ = task.atoms()[0]
         u = task.members_for(x, "true")[0]
-        p = _mistake_prob(h, u, y)
-        mist = np.array([1.0 if h.predict(z) != y else 0.0 for z in u.support])
-        counts = rng.multinomial(m, u.prob_array(), size=trials)
-        devs = np.abs(counts @ mist / m - p)
-        threshold = epsilon / 8.0
-        n_col = ""
-        m_col = m
-    elif target == "outer":
-        n = int(entry["n"])
-        m = int(cfg.params.get("outer_m", 1))
-        task = build_task(cfg.params["outer_task"])
-        view = FiniteView(task, views=("true",))
-        p_members = np.zeros((view.n_atoms, view.max_k["true"]))
-        for a, x in enumerate(view.atom_x):
-            for j, u in enumerate(view.task.members_for(x, "true")):
-                p_members[a, j] = _mistake_prob(h, u, view.atom_y[a])
-        expected = math.fsum(
-            view.atom_p[a] * _exact_mean_worst(m, [p_members[a, j] for j in range(
-                len(view.task.members_for(view.atom_x[a], "true")))])
-            for a in range(view.n_atoms)
+        s.inner_probs = u.prob_array()
+        s.inner_p = member_error(h, u, y)
+        s.inner_mist = np.array([1.0 if h.predict(z) != y else 0.0 for z in u.support])
+    if "outer" in targets:
+        s.outer_m = int(cfg.params.get("outer_m", 1))
+        s.view = view = FiniteView(build_task(cfg.params["outer_task"]), views=("true",))
+        members = [view.task.members_for(x, "true") for x in view.atom_x]
+        s.p_members = np.zeros((view.n_atoms, view.max_k["true"]))
+        for a, us in enumerate(members):
+            for j, u in enumerate(us):
+                s.p_members[a, j] = member_error(h, u, view.atom_y[a])
+        s.expected = math.fsum(
+            view.atom_p[a] * _exact_mean_worst(s.outer_m, list(s.p_members[a, :len(us)]))
+            for a, us in enumerate(members)
         )
-        slots = rng.choice(view.n_atoms, size=(trials, n), p=view.atom_p)
-        worst = np.zeros((trials, n))
-        for j in range(p_members.shape[1]):
-            pj = p_members[slots, j]
-            draws = rng.binomial(m, pj) / m
-            np.maximum(worst, draws, out=worst)
-        devs = np.abs(worst.mean(axis=1) - expected)
-        threshold = epsilon / 4.0
-        n_col = n
-        m_col = m
+    return s
+
+
+def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
+    entry = cfg.grid[g]
+    target = entry["target"]
+    epsilon = float(entry["epsilon"])
+    threshold = s.tails[g][0]
+    trials = hi - lo
+    rng = seeding.stream(cfg.master_seed, g, chunk)
+    if target == "inner":
+        n, m = "", int(entry["m"])
+        counts = rng.multinomial(m, s.inner_probs, size=trials)
+        devs = np.abs(counts @ s.inner_mist / m - s.inner_p)
     else:
-        raise ConfigError(f"hoeffding target must be inner or outer, got {target!r}")
-    for t, dev in enumerate(devs):
-        rows.append({
-            "grid_index": grid_idx,
-            "trial": lo + t,
-            "target": target,
-            "n": n_col,
-            "m": m_col,
-            "epsilon": epsilon,
-            "deviation": float(dev),
-            "exceeded": bool(dev >= threshold),
-        })
-    return rows
+        n, m = int(entry["n"]), s.outer_m
+        slots = rng.choice(s.view.n_atoms, size=(trials, n), p=s.view.atom_p)
+        worst = np.zeros((trials, n))
+        for j in range(s.p_members.shape[1]):
+            draws = rng.binomial(m, s.p_members[slots, j]) / m
+            np.maximum(worst, draws, out=worst)
+        devs = np.abs(worst.mean(axis=1) - s.expected)
+    return [{
+        "grid_index": g,
+        "trial": lo + t,
+        "target": target,
+        "n": n,
+        "m": m,
+        "epsilon": epsilon,
+        "deviation": float(dev),
+        "exceeded": bool(dev >= threshold),
+    } for t, dev in enumerate(devs)]
 
 
-def run_hoeffding(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical tails of the inner (per-member) and outer (per-sample) deviations.
-
-    Inner: Pr[|mean - p| >= eps/8] against 2 exp(-m eps^2 / 32).
-    Outer: Pr[|avg worst-member loss - E| >= eps/4] against 2 exp(-n eps^2 / 8).
-    """
-    start = time.perf_counter()
-    jobspecs = [(cfg, g, c, lo, hi)
-                for g in range(len(cfg.grid))
-                for c, lo, hi in _chunk_ranges(cfg.trials)]
-    rows = [row for out in _collect(cfg.jobs, _hoeffding_chunk, jobspecs) for row in out]
-
-    aggregates = []
-    assertions = []
-    for g, entry in enumerate(cfg.grid):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        epsilon = float(entry["epsilon"])
-        if entry["target"] == "inner":
-            bound = 2.0 * math.exp(-int(entry["m"]) * epsilon ** 2 / 32.0)
-            threshold = epsilon / 8.0
-        else:
-            bound = 2.0 * math.exp(-int(entry["n"]) * epsilon ** 2 / 8.0)
-            threshold = epsilon / 4.0
-        exceed = sum(1 for r in grid_rows if r["exceeded"])
-        lo_w, hi_w = wilson_interval(exceed, len(grid_rows))
-        asserted = bool(entry.get("assert", True))
-        agg = {
-            "grid_index": g,
-            "target": entry["target"],
-            "n": entry.get("n", ""),
-            "m": entry.get("m", cfg.params.get("outer_m", 1)),
-            "epsilon": epsilon,
-            "threshold": threshold,
-            "bound": min(1.0, bound),
-            "trials": len(grid_rows),
-            "exceed_freq": exceed / len(grid_rows),
-            "wilson_lo": lo_w,
-            "wilson_hi": hi_w,
-            "asserted": asserted,
-        }
-        if asserted:
-            a = freq_within_three_sigma(
-                f"hoeffding {entry['target']} tail (grid {g})",
-                exceed, len(grid_rows), min(1.0, bound))
-            assertions.append(a)
-            agg["passed"] = a.passed
-        else:
-            agg["passed"] = True
-        aggregates.append(agg)
-
-    return ExperimentReport(
-        kind="hoeffding",
-        config=cfg.echo(),
-        columns=["grid_index", "trial", "target", "n", "m", "epsilon", "deviation", "exceeded"],
-        rows=rows,
-        agg_columns=sorted({k for a in aggregates for k in a}),
-        aggregates=aggregates,
-        assertions=assertions,
-        passed=all(a.passed for a in assertions),
-        wall_clock_s=time.perf_counter() - start,
-    )
+def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+    threshold, bound = s.tails[g]
+    agg = {
+        "target": entry["target"],
+        "n": entry.get("n", ""),
+        "m": entry.get("m", cfg.params.get("outer_m", 1)),
+        "epsilon": float(entry["epsilon"]),
+        "threshold": threshold,
+        "bound": bound,
+    }
+    return agg, [Tally(freq_within_three_sigma, f"hoeffding {entry['target']} tail (grid {g})",
+                       "exceed_freq", sum(r["exceeded"] for r in rows), bound)]
 
 
 # ---------------------------------------------------------------------------
-# Derandomization suites
+# Derandomization suites: plurality-vote DR must stay under delta + eps(eta);
+# the median radius's out-of-band mass must stay under eps(eta) + delta
 
 
-def _seed_ref(cfg: ExperimentConfig, grid_idx: int, trial: int) -> str:
-    return f"philox[{cfg.master_seed}/{grid_idx}/{trial}]"
+def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
+    """Per grid entry: eta, delta, vote count, eps(eta) and the exceed threshold."""
+    out = []
+    for entry in cfg.grid:
+        eta, delta = float(entry["eta"]), float(entry["delta"])
+        t_votes = int(entry.get("t") or required_trials(eta, task.max_attack_size(), delta))
+        eps_eta = epsilon_eta(task, point_errors, eta)
+        out.append(SimpleNamespace(eta=eta, delta=delta, t_votes=t_votes, eps_eta=eps_eta,
+                                   threshold=delta + eps_eta))
+    return out
 
 
-def _derand_chunk(cfg: ExperimentConfig, grid_idx: int, chunk_idx: int,
-                  lo: int, hi: int) -> list:
-    entry = cfg.grid[grid_idx]
-    eta = float(entry["eta"])
-    delta = float(entry["delta"])
+def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     setup = derand_classifier_setup(
         p_err=float(cfg.params.get("p_err", 0.2)),
         a_size=int(cfg.params.get("a_size", 8)),
@@ -539,118 +371,27 @@ def _derand_chunk(cfg: ExperimentConfig, grid_idx: int, chunk_idx: int,
         p_err_high=cfg.params.get("p_err_high"),
     )
     task = setup.attack_task
+    # per atom: its label, its mass and the per-draw error levels of its attack points
+    attack_levels = [(y, p, np.array([setup.errors[xp] for xp in task.attacks[x]]))
+                     for x, y, p in task.atoms()]
+
+    def dr_value(draws, t_votes: int) -> float:
+        """Mass of the atoms some attack point fools under the plurality of ``draws``."""
+        total = 0.0
+        for y, p, levels in attack_levels:
+            # a draw below a point's error level votes wrong; a tied vote goes to -1
+            twice_wrong = 2 * np.searchsorted(draws, levels, side="left")
+            if np.any(twice_wrong > t_votes) or (y == 1 and np.any(twice_wrong == t_votes)):
+                total += p
+        return total
+
     errors = worst_point_errors(setup.base, task)
-    eps_eta = epsilon_eta(task, errors, eta)
-    t_votes = int(entry.get("t") or required_trials(eta, task.max_attack_size(), delta))
-    threshold = delta + eps_eta
-    dump_seeds = cfg.trials * t_votes <= SEED_DUMP_LIMIT
-
-    atoms = task.atoms()
-    rows = []
-    for trial in range(lo, hi):
-        rng = seeding.stream(cfg.master_seed, grid_idx, trial)
-        draws = np.sort(np.asarray(sample(setup.base.randomness, t_votes, rng)))
-        dr_value = 0.0
-        for x, y, p in atoms:
-            fooled = False
-            for xp in task.attacks[x]:
-                wrong = int(np.searchsorted(draws, setup.errors[xp], side="left"))
-                if 2 * wrong > t_votes or (2 * wrong == t_votes and y == 1):
-                    fooled = True
-                    break
-            if fooled:
-                dr_value += p
-        rows.append({
-            "grid_index": grid_idx,
-            "trial": trial,
-            "eta": eta,
-            "delta": delta,
-            "t_votes": t_votes,
-            "dr_value": dr_value,
-            "threshold": threshold,
-            "exceeded": bool(dr_value > threshold),
-            "seed_ref": _seed_ref(cfg, grid_idx, trial),
-            "seeds_hex": ";".join(encode_seeds(draws.tolist())) if dump_seeds else "",
-        })
-    return rows
+    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors),
+                           randomness=setup.base.randomness, value_key="dr_value",
+                           value=dr_value)
 
 
-def run_derand_classifier(cfg: ExperimentConfig) -> ExperimentReport:
-    """Re-derandomization sweep: plurality-vote DR must stay under delta + eps(eta)."""
-    start = time.perf_counter()
-    jobspecs = [(cfg, g, c, lo, hi)
-                for g in range(len(cfg.grid))
-                for c, lo, hi in _chunk_ranges(cfg.trials)]
-    rows = [row for out in _collect(cfg.jobs, _derand_chunk, jobspecs) for row in out]
-
-    setup = derand_classifier_setup(
-        p_err=float(cfg.params.get("p_err", 0.2)),
-        a_size=int(cfg.params.get("a_size", 8)),
-        grid=int(cfg.params.get("grid_randomness", 1000)),
-        p_err_high=cfg.params.get("p_err_high"),
-    )
-    errors = worst_point_errors(setup.base, setup.attack_task)
-    aggregates = []
-    assertions = []
-    for g, entry in enumerate(cfg.grid):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        eta = float(entry["eta"])
-        delta = float(entry["delta"])
-        eps_eta = epsilon_eta(setup.attack_task, errors, eta)
-        markov = 2.0 * setup.mean_error / (1.0 - 2.0 * eta)
-        exceed = sum(1 for r in grid_rows if r["exceeded"])
-        lo_w, hi_w = wilson_interval(exceed, len(grid_rows))
-        asserted = bool(entry.get("assert", True))
-        agg = {
-            "grid_index": g,
-            "eta": eta,
-            "delta": delta,
-            "t_votes": grid_rows[0]["t_votes"],
-            "eps_mean": setup.mean_error,
-            "eps_eta": eps_eta,
-            "markov_bound": markov,
-            "trials": len(grid_rows),
-            "exceed_freq": exceed / len(grid_rows),
-            "wilson_lo": lo_w,
-            "wilson_hi": hi_w,
-            "asserted": asserted,
-        }
-        mk = Assertion(
-            name=f"eps(eta) Markov check (grid {g})",
-            observed=eps_eta,
-            bound=markov,
-            slack_rule="exact: eps(eta) <= 2 eps / (1 - 2 eta)",
-            passed=eps_eta <= markov + 1e-12,
-        )
-        assertions.append(mk)
-        if asserted:
-            a = freq_at_most(f"derand classifier exceed freq (grid {g})",
-                             exceed, len(grid_rows), delta)
-            assertions.append(a)
-            agg["passed"] = a.passed and mk.passed
-        else:
-            agg["passed"] = mk.passed
-        aggregates.append(agg)
-
-    return ExperimentReport(
-        kind="derand-classifier",
-        config=cfg.echo(),
-        columns=["grid_index", "trial", "eta", "delta", "t_votes", "dr_value",
-                 "threshold", "exceeded", "seed_ref", "seeds_hex"],
-        rows=rows,
-        agg_columns=sorted({k for a in aggregates for k in a}),
-        aggregates=aggregates,
-        assertions=assertions,
-        passed=all(a.passed for a in assertions),
-        wall_clock_s=time.perf_counter() - start,
-    )
-
-
-def _cert_chunk(cfg: ExperimentConfig, grid_idx: int, chunk_idx: int,
-                lo: int, hi: int) -> list:
-    entry = cfg.grid[grid_idx]
-    eta = float(entry["eta"])
-    delta = float(entry["delta"])
+def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     setup = derand_certifier_setup(
         q_in=float(cfg.params.get("q_in", 0.9)),
         a_size=int(cfg.params.get("a_size", 8)),
@@ -658,97 +399,71 @@ def _cert_chunk(cfg: ExperimentConfig, grid_idx: int, chunk_idx: int,
         alpha=float(cfg.params.get("alpha", 0.5)),
         beta=float(cfg.params.get("beta", 0.5)),
     )
-    task = setup.attack_task
-    gamma = {(x, y): 1.0 - setup.q_in for x, y, _ in task.atoms()}
-    eps_eta = epsilon_eta(task, gamma, eta)
-    t_votes = int(entry.get("t") or required_trials(eta, task.max_attack_size(), delta))
-    threshold = eps_eta + delta
-    # lower median is in band iff in-band draws fill positions 0..(t-1)//2
-    need_in = (t_votes - 1) // 2 + 1
     out_level = 1.0 - setup.q_in
-    dump_seeds = cfg.trials * t_votes <= SEED_DUMP_LIMIT
 
+    def band_value(draws, t_votes: int) -> float:
+        # the lower median is in band iff in-band draws fill positions
+        # 0..(t-1)//2; every attack point has the same per-draw out probability
+        in_votes = t_votes - int(np.searchsorted(draws, out_level, side="left"))
+        return 1.0 if in_votes < (t_votes - 1) // 2 + 1 else 0.0
+
+    task = setup.attack_task
+    gamma = {(x, y): out_level for x, y, _ in task.atoms()}
+    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma),
+                           randomness=setup.certifier.randomness, value_key="band_value",
+                           value=band_value)
+
+
+def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
+    """One row per trial: the setup's ``value`` of that trial's sorted fixed draws."""
+    p = s.grid[g]
+    dump_seeds = cfg.trials * p.t_votes <= SEED_DUMP_LIMIT
     rows = []
     for trial in range(lo, hi):
-        rng = seeding.stream(cfg.master_seed, grid_idx, trial)
-        draws = np.sort(np.asarray(sample(setup.certifier.randomness, t_votes, rng)))
-        out_votes = int(np.searchsorted(draws, out_level, side="left"))
-        in_votes = t_votes - out_votes
-        band_value = 0.0
-        if in_votes < need_in:  # same per-draw out probability at every attack point
-            band_value = 1.0
+        rng = seeding.stream(cfg.master_seed, g, trial)
+        draws = np.sort(np.asarray(sample(s.randomness, p.t_votes, rng)))
+        value = s.value(draws, p.t_votes)
         rows.append({
-            "grid_index": grid_idx,
+            "grid_index": g,
             "trial": trial,
-            "eta": eta,
-            "delta": delta,
-            "t_votes": t_votes,
-            "band_value": band_value,
-            "threshold": threshold,
-            "exceeded": bool(band_value > threshold),
-            "seed_ref": _seed_ref(cfg, grid_idx, trial),
+            "eta": p.eta,
+            "delta": p.delta,
+            "t_votes": p.t_votes,
+            s.value_key: value,
+            "threshold": p.threshold,
+            "exceeded": bool(value > p.threshold),
+            "seed_ref": f"philox[{cfg.master_seed}/{g}/{trial}]",
             "seeds_hex": ";".join(encode_seeds(draws.tolist())) if dump_seeds else "",
         })
     return rows
 
 
-def run_derand_certifier(cfg: ExperimentConfig) -> ExperimentReport:
-    """Median-radius band preservation: out-of-band mass stays under eps(eta) + delta."""
-    start = time.perf_counter()
-    jobspecs = [(cfg, g, c, lo, hi)
-                for g in range(len(cfg.grid))
-                for c, lo, hi in _chunk_ranges(cfg.trials)]
-    rows = [row for out in _collect(cfg.jobs, _cert_chunk, jobspecs) for row in out]
-
-    q_in = float(cfg.params.get("q_in", 0.9))
-    aggregates = []
-    assertions = []
-    for g, entry in enumerate(cfg.grid):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        eta = float(entry["eta"])
-        delta = float(entry["delta"])
-        eps_eta = 1.0 if (1.0 - q_in) >= 0.5 - eta else 0.0
-        exceed = sum(1 for r in grid_rows if r["exceeded"])
-        lo_w, hi_w = wilson_interval(exceed, len(grid_rows))
-        asserted = bool(entry.get("assert", True))
-        agg = {
-            "grid_index": g,
-            "eta": eta,
-            "delta": delta,
-            "q_in": q_in,
-            "t_votes": grid_rows[0]["t_votes"],
-            "eps_eta": eps_eta,
-            "trials": len(grid_rows),
-            "exceed_freq": exceed / len(grid_rows),
-            "wilson_lo": lo_w,
-            "wilson_hi": hi_w,
-            "asserted": asserted,
-        }
-        if asserted:
-            a = freq_at_most(f"derand certifier exceed freq (grid {g})",
-                             exceed, len(grid_rows), delta)
-            assertions.append(a)
-            agg["passed"] = a.passed
-        else:
-            agg["passed"] = True
-        aggregates.append(agg)
-
-    return ExperimentReport(
-        kind="derand-certifier",
-        config=cfg.echo(),
-        columns=["grid_index", "trial", "eta", "delta", "t_votes", "band_value",
-                 "threshold", "exceeded", "seed_ref", "seeds_hex"],
-        rows=rows,
-        agg_columns=sorted({k for a in aggregates for k in a}),
-        aggregates=aggregates,
-        assertions=assertions,
-        passed=all(a.passed for a in assertions),
-        wall_clock_s=time.perf_counter() - start,
+def _derand_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+    p = s.grid[g]
+    agg = {"eta": p.eta, "delta": p.delta, "t_votes": p.t_votes, "eps_eta": p.eps_eta}
+    checks = [Tally(freq_at_most, f"{cfg.kind.replace('-', ' ')} exceed freq (grid {g})",
+                    "exceed_freq", sum(r["exceeded"] for r in rows), p.delta)]
+    if cfg.kind == "derand-certifier":
+        agg["q_in"] = s.derand.q_in
+        return agg, checks
+    mean_error = s.derand.mean_error
+    markov = 2.0 * mean_error / (1.0 - 2.0 * p.eta)
+    agg.update(eps_mean=mean_error, markov_bound=markov)
+    markov_check = Assertion(
+        name=f"eps(eta) Markov check (grid {g})",
+        observed=p.eps_eta,
+        bound=markov,
+        slack_rule="exact: eps(eta) <= 2 eps / (1 - 2 eta)",
+        passed=p.eps_eta <= markov + 1e-12,
     )
+    return agg, [markov_check] + checks
 
 
 # ---------------------------------------------------------------------------
-# Smoothing suite
+# Smoothing suite: train on the Gaussian representative, then bound the
+# worst-shift excess by d(delta).  The per-shift smoothed loss is evaluated
+# with the exact Gaussian CDF, so the excess-vs-TV comparison carries no
+# Monte Carlo noise beyond the training draw itself.
 
 
 def _phi(z: float) -> float:
@@ -761,102 +476,213 @@ def smoothed_threshold_error(cut: float, x: float, y: int, sigma: float) -> floa
     return p_plus if y == -1 else 1.0 - p_plus
 
 
-def _smoothing_trial(cfg: ExperimentConfig, trial: int) -> list:
-    sigma = float(cfg.params.get("sigma", 1.0))
-    n = int(cfg.params.get("n", 100))
-    m = int(cfg.params.get("m", 100))
-    shift_points = int(cfg.params.get("shift_points", 21))
-    mc_slack = float(cfg.params.get("mc_slack", 0.01))
+def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     task = build_task(cfg.task)
     hclass = build_hypothesis_class(cfg.hypothesis_class)
     if not isinstance(hclass, ThresholdClass):
         raise ConfigError("the smoothing suite's exact loss oracle covers thresholds only")
+    params = cfg.params
+    return SimpleNamespace(
+        task=task,
+        hclass=hclass,
+        learn=LearnConfig(n=int(params.get("n", 100)), m=int(params.get("m", 100)),
+                          hypothesis_class=hclass, sample_from="rep"),
+        sigma=float(params.get("sigma", 1.0)),
+        shift_points=int(params.get("shift_points", 21)),
+        mc_slack=float(params.get("mc_slack", 0.01)),
+    )
 
-    rng = seeding.stream(cfg.master_seed, 0, trial)
-    lcfg = LearnConfig(n=n, m=m, hypothesis_class=hclass, sample_from="rep")
-    s = draw_training_set(task, lcfg, rng)
-    cut = drerm(hclass, s).t
 
-    atoms = task.atoms()
-    clean_loss = math.fsum(p * smoothed_threshold_error(cut, x, y, sigma)
-                           for x, y, p in atoms)
+def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> list:
+    """Train once per trial, then evaluate that trial's cut at every grid entry."""
+    sigma = s.sigma
+    atoms = s.task.atoms()
     rows = []
-    for g, entry in enumerate(cfg.grid):
-        delta = float(entry["delta"])
-        worst = 0.0
-        for x, y, p in atoms:
-            if delta == 0.0:
-                shifts = [x]
-            else:
-                shifts = np.linspace(x - delta, x + delta, shift_points)
-            worst += p * max(smoothed_threshold_error(cut, float(xp), y, sigma)
-                             for xp in shifts)
-        d_delta = gaussian_shift_tv(delta, sigma)
-        excess = worst - clean_loss
-        rows.append({
-            "grid_index": g,
-            "trial": trial,
-            "delta": delta,
-            "sigma": sigma,
-            "t_hat": cut,
-            "clean_loss": clean_loss,
-            "worst_loss": worst,
-            "excess": excess,
-            "d_delta": d_delta,
-            "ok": bool(excess <= d_delta + mc_slack),
-        })
+    for trial in range(lo, hi):
+        rng = seeding.stream(cfg.master_seed, 0, trial)
+        cut = drerm(s.hclass, draw_training_set(s.task, s.learn, rng)).t
+        clean_loss = math.fsum(p * smoothed_threshold_error(cut, x, y, sigma)
+                               for x, y, p in atoms)
+        for g, entry in enumerate(cfg.grid):
+            delta = float(entry["delta"])
+            worst = 0.0
+            for x, y, p in atoms:
+                if delta == 0.0:
+                    shifts = [x]
+                else:
+                    shifts = np.linspace(x - delta, x + delta, s.shift_points)
+                worst += p * max(smoothed_threshold_error(cut, float(xp), y, sigma)
+                                 for xp in shifts)
+            d_delta = gaussian_shift_tv(delta, sigma)
+            excess = worst - clean_loss
+            rows.append({
+                "grid_index": g,
+                "trial": trial,
+                "delta": delta,
+                "sigma": sigma,
+                "t_hat": cut,
+                "clean_loss": clean_loss,
+                "worst_loss": worst,
+                "excess": excess,
+                "d_delta": d_delta,
+                "ok": bool(excess <= d_delta + s.mc_slack),
+            })
     return rows
 
 
-def run_smoothing(cfg: ExperimentConfig) -> ExperimentReport:
-    """Train on the Gaussian representative, then bound the worst-shift excess by d(delta).
+def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+    max_excess = max(r["excess"] for r in rows)
+    d_delta = rows[0]["d_delta"]
+    asserted = bool(entry.get("assert", True))
+    agg = {
+        "delta": entry["delta"],
+        "sigma": s.sigma,
+        "max_excess": max_excess,
+        "d_delta": d_delta,
+        "slack": s.mc_slack,
+        "asserted": asserted,
+    }
+    if not asserted:
+        return agg, []
+    return agg, [Assertion(
+        name=f"smoothing excess vs TV (delta={entry['delta']})",
+        observed=max_excess,
+        bound=d_delta + s.mc_slack,
+        slack_rule="max excess <= d(delta) + slack",
+        passed=max_excess <= d_delta + s.mc_slack,
+    )]
 
-    The per-shift smoothed loss is evaluated with the exact Gaussian CDF,
-    so the excess-vs-TV comparison carries no Monte Carlo noise beyond the
-    training draw itself.
-    """
+
+# ---------------------------------------------------------------------------
+# The driver
+
+
+class Suite(NamedTuple):
+    """One suite as data; ``run_suite`` owns everything the suites share."""
+
+    setup: Callable        # cfg -> setup, built once per run_suite call per process
+    chunk: Callable        # (cfg, setup, grid index, unit index, lo, hi) -> rows
+    aggregate: Callable    # (cfg, setup, grid index, entry, grid rows) -> (agg, checks)
+    required: tuple | dict  # grid keys read; a dict maps each allowed target to its keys
+    assert_default: bool = True  # whether a grid entry without "assert" checks its Tally
+    unit: int = CHUNK      # trials per work unit
+    per_grid: bool = True  # False: one unit covers every grid entry
+
+
+_ERM = Suite(_finite_setup, _erm_chunk, _erm_aggregate, ("n", "m", "epsilon"),
+             assert_default=False)
+
+SUITES = {
+    "realizable": _ERM,
+    "agnostic": _ERM,
+    "model1": _ERM,
+    "model2": _ERM,
+    "double-sampling": Suite(_finite_setup, _double_chunk, _double_aggregate,
+                             ("n", "m", "epsilon"), unit=1),
+    "hoeffding": Suite(_hoeffding_setup, _hoeffding_chunk, _hoeffding_aggregate,
+                       {"inner": ("m", "epsilon"), "outer": ("n", "epsilon")}),
+    "derand-classifier": Suite(_classifier_setup, _derand_chunk, _derand_aggregate,
+                               ("eta", "delta")),
+    "derand-certifier": Suite(_certifier_setup, _derand_chunk, _derand_aggregate,
+                              ("eta", "delta")),
+    "smoothing": Suite(_smoothing_setup, _smoothing_chunk, _smoothing_aggregate,
+                       ("delta",), unit=1, per_grid=False),
+}
+
+
+def _chunk_ranges(trials: int, size: int) -> list:
+    return [(c, lo, min(lo + size, trials))
+            for c, lo in enumerate(range(0, trials, size))]
+
+
+def _check_grid(cfg: ExperimentConfig, required) -> None:
+    """Reject grid entries missing a key the suite reads, before any trial runs."""
+    for g, entry in enumerate(cfg.grid):
+        keys = required
+        if isinstance(required, dict):
+            target = entry.get("target")
+            if target not in required:
+                raise ConfigError(f"{cfg.kind} target must be one of "
+                                  f"{', '.join(required)}, got {target!r}")
+            keys = required[target]
+        missing = [key for key in keys if key not in entry]
+        if missing:
+            raise ConfigError(f"{cfg.kind} grid entry {g} is missing {', '.join(missing)}")
+
+
+def _setup(cfg: ExperimentConfig):
+    """The suite's setup; a task or hypothesis the config cannot build is a config error."""
+    try:
+        return SUITES[cfg.kind].setup(cfg)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError) as exc:  # perturb.DistributionError is a ValueError
+        raise ConfigError(f"cannot build the {cfg.kind} setup: {exc}") from exc
+
+
+# A pool worker's (cfg, setup), set once by the pool initializer in the
+# worker process; the pool and its workers end with the run_suite call.
+_worker = None
+
+
+def _init_worker(cfg: ExperimentConfig) -> None:
+    global _worker
+    _worker = (cfg, _setup(cfg))
+
+
+def _worker_chunk(g: int, c: int, lo: int, hi: int) -> list:
+    cfg, setup = _worker
+    return SUITES[cfg.kind].chunk(cfg, setup, g, c, lo, hi)
+
+
+def _collect(cfg: ExperimentConfig, suite: Suite, setup, jobspecs: list) -> list:
+    if cfg.jobs == 1:
+        return [suite.chunk(cfg, setup, *spec) for spec in jobspecs]
+    with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                             initargs=(cfg,)) as ex:
+        return list(ex.map(_worker_chunk, *zip(*jobspecs)))
+
+
+def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the suite ``cfg.kind`` names and assemble its report."""
     start = time.perf_counter()
-    jobspecs = [(cfg, t) for t in range(cfg.trials)]
-    rows = [row for out in _collect(cfg.jobs, _smoothing_trial, jobspecs) for row in out]
-    rows.sort(key=lambda r: (r["grid_index"], r["trial"]))
+    if cfg.kind not in SUITES:
+        raise ConfigError(f"unknown suite kind {cfg.kind!r}")
+    suite = SUITES[cfg.kind]
+    _check_grid(cfg, suite.required)
+    setup = _setup(cfg)
+    grids = range(len(cfg.grid)) if suite.per_grid else [0]
+    jobspecs = [(g, c, lo, hi) for g in grids
+                for c, lo, hi in _chunk_ranges(cfg.trials, suite.unit)]
+    rows = [row for chunk in _collect(cfg, suite, setup, jobspecs) for row in chunk]
+    rows.sort(key=itemgetter("grid_index", "trial"))
 
-    mc_slack = float(cfg.params.get("mc_slack", 0.01))
     aggregates = []
     assertions = []
     for g, entry in enumerate(cfg.grid):
         grid_rows = [r for r in rows if r["grid_index"] == g]
-        max_excess = max(r["excess"] for r in grid_rows)
-        d_delta = grid_rows[0]["d_delta"]
-        asserted = bool(entry.get("assert", True))
-        agg = {
-            "grid_index": g,
-            "delta": entry["delta"],
-            "sigma": grid_rows[0]["sigma"],
-            "trials": len(grid_rows),
-            "max_excess": max_excess,
-            "d_delta": d_delta,
-            "slack": mc_slack,
-            "asserted": asserted,
-        }
-        if asserted:
-            a = Assertion(
-                name=f"smoothing excess vs TV (delta={entry['delta']})",
-                observed=max_excess,
-                bound=d_delta + mc_slack,
-                slack_rule="max excess <= d(delta) + slack",
-                passed=max_excess <= d_delta + mc_slack,
-            )
-            assertions.append(a)
-            agg["passed"] = a.passed
-        else:
-            agg["passed"] = True
+        trials = len(grid_rows)
+        agg, checks = suite.aggregate(cfg, setup, g, entry, grid_rows)
+        grid_assertions = []
+        for check in checks:
+            if isinstance(check, Tally):
+                lo_w, hi_w = wilson_interval(check.count, trials)
+                asserted = bool(entry.get("assert", suite.assert_default))
+                agg.update({check.freq_key: check.count / trials, "wilson_lo": lo_w,
+                            "wilson_hi": hi_w, "asserted": asserted})
+                if not asserted:
+                    continue
+                check = check.test(check.name, check.count, trials, check.bound)
+            grid_assertions.append(check)
+        agg.update(grid_index=g, trials=trials,
+                   passed=all(a.passed for a in grid_assertions))
         aggregates.append(agg)
+        assertions += grid_assertions
 
     return ExperimentReport(
-        kind="smoothing",
+        kind=cfg.kind,
         config=cfg.echo(),
-        columns=["grid_index", "trial", "delta", "sigma", "t_hat", "clean_loss",
-                 "worst_loss", "excess", "d_delta", "ok"],
+        columns=list(rows[0]),
         rows=rows,
         agg_columns=sorted({k for a in aggregates for k in a}),
         aggregates=aggregates,
@@ -864,24 +690,3 @@ def run_smoothing(cfg: ExperimentConfig) -> ExperimentReport:
         passed=all(a.passed for a in assertions),
         wall_clock_s=time.perf_counter() - start,
     )
-
-
-SUITES = {
-    "realizable": run_realizable,
-    "agnostic": run_agnostic,
-    "model1": run_model1,
-    "model2": run_model2,
-    "double-sampling": run_double_sampling,
-    "hoeffding": run_hoeffding,
-    "derand-classifier": run_derand_classifier,
-    "derand-certifier": run_derand_certifier,
-    "smoothing": run_smoothing,
-}
-
-
-def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
-    try:
-        runner = SUITES[cfg.kind]
-    except KeyError:
-        raise ConfigError(f"unknown suite kind {cfg.kind!r}") from None
-    return runner(cfg)

@@ -17,7 +17,6 @@ from drloss.hypo import (
     Threshold,
     ThresholdClass,
     enumerate_behaviors,
-    predict,
     sauer_bound,
 )
 
@@ -28,17 +27,17 @@ def rng_for(seed):
 
 class TestPredict:
     def test_threshold_above(self):
-        assert predict(Threshold(1.5), 3.0) == 1
+        assert Threshold(1.5).predict(3.0) == 1
 
     def test_threshold_at_cut_is_positive(self):
-        assert predict(Threshold(1.5), 1.5) == 1
+        assert Threshold(1.5).predict(1.5) == 1
 
     def test_interval_outside(self):
-        assert predict(Interval(0.0, 1.0), 2.0) == -1
+        assert Interval(0.0, 1.0).predict(2.0) == -1
 
     def test_table_lookup(self):
         h = TableHypothesis({0.0: -1, 1.0: -1, 2.0: -1, 3.0: -1})
-        assert predict(h, 0.0) == -1
+        assert h.predict(0.0) == -1
 
     def test_table_domain_error(self):
         with pytest.raises(DomainError):

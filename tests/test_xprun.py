@@ -14,6 +14,8 @@ from drloss.loss import SampleSet, empirical_dr_loss
 from drloss.stats import wilson_interval
 from drloss.tasks import build_task, random_finite_task, t1, task_from_dict
 from drloss.xprun import (
+    KINDS,
+    SUITES,
     ConfigError,
     ExperimentReport,
     emit_report,
@@ -55,6 +57,7 @@ class TestConfig:
                      "hoeffding", "derand-classifier", "derand-certifier", "smoothing"):
             cfg = load_config(kind)
             assert cfg.kind == kind and cfg.trials >= 1 and cfg.grid
+        assert set(SUITES) == set(KINDS)
 
     def test_file_merge_yaml(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -428,6 +431,20 @@ class TestSuites:
             medians.append(gaps[len(gaps) // 2])
         assert medians[1] < medians[0]
 
+    def test_task_built_once_per_run(self, monkeypatch):
+        # the setup is shared by every chunk and trial of one run_suite call
+        from drloss.xprun import suites
+        calls = []
+        build = suites.build_task
+        monkeypatch.setattr(suites, "build_task", lambda spec: calls.append(spec) or build(spec))
+        for kind, trials in (("realizable", 257), ("double-sampling", 2), ("smoothing", 2)):
+            cfg = tiny_config(kind, trials=trials)
+            if kind == "double-sampling":
+                cfg.params = dict(cfg.params, draws=200)
+            calls.clear()
+            run_suite(cfg)
+            assert len(calls) == 1, kind
+
     def test_smoothing_sigma_blowup_approaches_coin_flip(self):
         from drloss.xprun.suites import smoothed_threshold_error
         loss = 0.5 * (smoothed_threshold_error(1.5, 0.0, -1, 1e6)
@@ -484,9 +501,17 @@ class TestReports:
         assert data["kind"] == "smoothing"
         assert "wall_clock" not in json.dumps(data)
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        cfg1 = tiny_config("hoeffding", trials=600)
-        cfg2 = tiny_config("hoeffding", trials=600, jobs=2)
+    # trials span at least two 256-trial chunks where a suite chunks; the
+    # per-trial suites get one work unit per trial
+    JOBS_TRIALS = {"hoeffding": 600, "double-sampling": 3, "smoothing": 3}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_jobs_do_not_change_results(self, tmp_path, kind):
+        trials = self.JOBS_TRIALS.get(kind, 300)
+        cfg1 = tiny_config(kind, trials=trials)
+        cfg2 = tiny_config(kind, trials=trials, jobs=2)
+        if kind == "double-sampling":
+            cfg1.params = cfg2.params = dict(cfg1.params, draws=500)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         emit_report(run_suite(cfg1), "json", a)
         rep2 = run_suite(cfg2)
@@ -542,3 +567,31 @@ class TestCli:
         assert cli_main(["hoeffding", "--config", str(cfgp), "--out", str(out2),
                          "--seed", "2", "--quiet"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("kind,config,env", [
+        ("smoothing", {}, {"DRLOSS_SEED": "abc"}),
+        ("realizable", {"task": {"builtin": "nope"}}, {}),
+        ("realizable", {"task": {"inline": {
+            "atoms": [[0.0, -1, 0.6], [3.0, 1, 0.5]],
+            "distributions": {"d0": [[0.0, 1.0]], "d3": [[3.0, 1.0]]},
+            "families": [{"x": 0.0, "true": ["d0"], "k": 1},
+                         {"x": 3.0, "true": ["d3"], "k": 1}],
+        }}}, {}),
+        ("realizable", {"grid": [{"n": 10, "epsilon": 0.1, "delta": 0.05}]}, {}),
+        ("hoeffding", {"grid": [{"target": "outer", "m": 5, "epsilon": 0.4}]}, {}),
+        ("hoeffding", {"grid": [{"target": "sideways", "m": 5, "epsilon": 0.4}]}, {}),
+    ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
+            "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target"])
+    def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config, kind=kind, trials=2)))
+        assert cli_main([kind, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_exit_two_on_negative_seed_flag(self, capsys):
+        assert cli_main(["smoothing", "--seed", "-1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: master seed must be >= 0") and "Traceback" not in err
