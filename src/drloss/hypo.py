@@ -5,6 +5,15 @@ desk scale: every labeling the class realizes on a finite point set is
 produced together with a canonical witness hypothesis, so the ERM oracle
 is an argmin over finitely many behaviors.
 
+Each class also names, without enumerating again, the witness its
+enumeration on a subset of the points would pick.  ``sample_witness(points,
+seen, labels, first)`` takes full-domain behaviors ``labels`` (rows of +/-1
+over ``points``, in enumeration order), the indices ``seen`` of the subset and
+the witness ``first`` of ``labels[0]``.  It returns the witness that
+``enumerate_behaviors([points[d] for d in seen])`` pairs with the first, in
+its order, of the labelings the rows induce on the subset.  A sample-restricted
+ERM is then a first minimum over the full-domain behaviors' scores.
+
 Sign convention, fixed globally: a threshold labels +1 iff x >= t, and
 intervals/rectangles label +1 on the closed region.
 """
@@ -14,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 Label = int  # -1 or +1
 
@@ -136,6 +147,14 @@ class ThresholdClass:
             out.append(Behavior(tuple(h.predict(x) for x in points), h))
         return out
 
+    def sample_witness(self, points, seen, labels, first) -> Threshold:
+        """The smallest seen point any row labels +1, else max + 1."""
+        values = [points[d] for d in seen]
+        plus = (labels[:, seen] == 1).any(axis=0)
+        if plus.any():
+            return Threshold(float(min(v for v, p in zip(values, plus) if p)))
+        return Threshold(float(max(values) + 1.0))
+
 
 class IntervalClass:
     """All closed intervals on the line; VC dimension 2."""
@@ -154,6 +173,19 @@ class IntervalClass:
                 h = Interval(float(lo), float(hi))
                 out.append(Behavior(tuple(h.predict(x) for x in points), h))
         return out
+
+    def sample_witness(self, points, seen, labels, first) -> Interval:
+        """The empty interval at min - 1 if a row is all -1 on the seen points,
+        else the lexicographically smallest (lo, hi) of the rows' positive runs."""
+        values = np.array([points[d] for d in seen], dtype=float)
+        plus = labels[:, seen] == 1
+        if not plus.any(axis=1).all():
+            low = float(values.min()) - 1.0
+            return Interval(low, low)
+        lo = np.where(plus, values, np.inf).min(axis=1)
+        hi = np.where(plus, values, -np.inf).max(axis=1)
+        i = np.lexsort((hi, lo))[0]
+        return Interval(float(lo[i]), float(hi[i]))
 
 
 class AxisRectClass:
@@ -200,6 +232,42 @@ class AxisRectClass:
             seen[labels] = witness
         return [Behavior(labels, w) for labels, w in seen.items()]
 
+    def sample_witness(self, points, seen, labels, first) -> AxisRect:
+        """The below box if a row is all -1 on the seen points; else the bounding
+        box of the positives of the row whose first realizing candidate box
+        comes first in the (lo_0, hi_0, lo_1, hi_1, ...) order of enumeration.
+
+        That candidate is built axis by axis: the smallest seen coordinate lo_a
+        that still excludes every negative, with hi_a at the bounding box, the
+        earlier axes at their chosen bounds and the later ones at the bounding box.
+        """
+        coords = np.array([points[d] for d in seen], dtype=float)
+        rows = np.unique(labels[:, seen] == 1, axis=0)
+        if not rows.any(axis=1).all():
+            below = tuple(float(v) - 1.0 for v in coords.min(axis=0))
+            return AxisRect(below, below)
+        axis_values = [np.unique(coords[:, a]) for a in range(self.dim)]
+        best_key, best_row = None, None
+        for row in rows:
+            pos, neg = coords[row], coords[~row]
+            lows, highs = pos.min(axis=0), pos.max(axis=0)
+            key = []
+            for a, vals in enumerate(axis_values):
+                # the negatives that a box reaching down to lo_a on axis a would hold
+                within = (neg >= lows) & (neg <= highs)
+                within[:, a] = neg[:, a] <= highs[a]
+                blockers = neg[within.all(axis=1), a]
+                if blockers.size:
+                    lows[a] = vals[np.searchsorted(vals, blockers.max(), side="right")]
+                else:
+                    lows[a] = vals[0]
+                key += [lows[a], highs[a]]
+            if best_key is None or key < best_key:
+                best_key, best_row = key, row
+        pos = [points[d] for d, p in zip(seen, best_row) if p]
+        return AxisRect(tuple(min(p[a] for p in pos) for a in range(self.dim)),
+                        tuple(max(p[a] for p in pos) for a in range(self.dim)))
+
 
 class FiniteClass:
     """An explicit finite list of hypotheses.
@@ -225,6 +293,10 @@ class FiniteClass:
             if labels not in seen:
                 seen[labels] = h
         return [Behavior(labels, w) for labels, w in seen.items()]
+
+    def sample_witness(self, points, seen, labels, first):
+        """The first hypothesis in list order among the rows: ``first``."""
+        return first
 
 
 def enumerate_behaviors(cls, points) -> list[Behavior]:

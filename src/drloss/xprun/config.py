@@ -175,12 +175,23 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Reject a config value that is not a number (an integer if ``integer``)."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok or (integer and not float(value).is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 def _validate_grid(kind: str, grid: list) -> None:
-    if not grid:
-        raise ConfigError("grid must be nonempty")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("grid must be a nonempty list")
     for entry in grid:
         if not isinstance(entry, dict):
             raise ConfigError("grid entries must be mappings")
+        for key in ("n", "m", "epsilon", "delta", "eta"):
+            if key in entry:
+                _check_number(key, entry[key], integer=key in ("n", "m"))
         eps = entry.get("epsilon")
         if eps is not None and eps <= 0:
             raise ConfigError(f"epsilon must be positive, got {eps}")
@@ -223,6 +234,8 @@ def load_config(kind: str, path: str | None = None, seed: int | None = None,
             raise ConfigError(f"config kind {file_kind!r} does not match subcommand {kind!r}")
         for key, value in data.items():
             if key == "params":
+                if not isinstance(value, dict):
+                    raise ConfigError(f"params must be a mapping, got {value!r}")
                 merged["params"].update(value)
             else:
                 merged[key] = value
@@ -239,6 +252,9 @@ def load_config(kind: str, path: str | None = None, seed: int | None = None,
     trials = _int_at_least("trials", merged.get("trials", 0), 1)
     master_seed = _int_at_least("master seed", merged["master_seed"], 0)
     jobs = _int_at_least("jobs", merged["jobs"], 1)
+    for key in ("task", "hypothesis_class"):
+        if not isinstance(merged.get(key), (dict, type(None))):
+            raise ConfigError(f"{key} must be a mapping, got {merged[key]!r}")
     _validate_grid(kind, merged["grid"])
     return ExperimentConfig(
         kind=kind,

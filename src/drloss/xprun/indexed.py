@@ -2,10 +2,20 @@
 
 Because the losses only depend on how many draws land on each domain
 point, an m-sample batch is summarized by its multinomial count vector and
-whole trial sweeps become a handful of array contractions.  Behaviors
-enumerated on the full domain point set capture every loss-relevant
-distinction a hypothesis class can make, which is what lets the suites
-test "for every h in H" events exactly.
+whole trial sweeps become a handful of array contractions.  Behaviors are
+enumerated once per run, on the full domain point set; they capture every
+loss-relevant distinction a hypothesis class can make, which is what lets
+the suites test "for every h in H" events exactly.
+
+Two facts keep a sweep small.  A slot's mistake row depends only on its
+atom, so ``dr_s`` contracts each atom's (B, D) mistake matrix against that
+atom's slot counts, a block of trials at a time within
+``DR_S_BLOCK_BYTES``: its peak grows with B * slots * k, not
+B * slots * D.  And the behaviors a sample can tell apart are the
+projections of the full-domain behaviors onto its points, with the same
+scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the score
+matrix and asks the class which witness its enumeration on the sample
+would have picked (``sample_witness`` in ``hypo``).
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import numpy as np
 
 from ..hypo import enumerate_behaviors
 from ..perturb import FiniteDistribution
+
+DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_s
 
 
 class FiniteView:
@@ -91,17 +103,40 @@ class FiniteView:
         return counts
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, counts: np.ndarray,
-             trials: int, n: int, m: int) -> np.ndarray:
-        """Empirical DR loss of each behavior on each trial's sample, exactly.
+             trials: int, n: int, m: int, with_scores: bool = False):
+        """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
 
         ``slot_atoms`` and ``counts`` are flat over trials*n slots.  Invalid
         member rows hold zero counts and cannot affect the max (losses are
-        nonnegative).
+        nonnegative).  With ``with_scores`` it returns ``(dr_s, scores)``;
+        ``scores`` holds the same means summed in the ERM's order.
         """
-        mist = self.mistakes(labels)[:, slot_atoms, :]
-        per_member = np.einsum("bnd,nkd->bnk", mist, counts.astype(float)) / m
-        worst = per_member.max(axis=2).reshape(len(labels), trials, n)
-        return worst.mean(axis=2)
+        n_b, kmax, n_d = len(labels), counts.shape[1], counts.shape[2]
+        mistakes_t = {y: (labels != y).T.astype(float) for y in (-1, 1)}  # (D, B)
+        block = max(1, DR_S_BLOCK_BYTES // (8 * n * n_b * (kmax + 2)))
+        dr = np.empty((n_b, trials))
+        scores = np.empty((n_b, trials)) if with_scores else None
+        for t0 in range(0, trials, block):
+            t1 = min(t0 + block, trials)
+            atoms = slot_atoms[t0 * n:t1 * n]
+            worst = np.empty((len(atoms), n_b))  # slot-major, as the sums below need
+            for a in np.unique(atoms):
+                idx = np.flatnonzero(atoms == a)
+                c = counts[t0 * n + idx].reshape(-1, n_d).astype(float)
+                # integer counts times 0/1 mistakes: exact in any summation order
+                hits = c @ mistakes_t[int(self.atom_y[a])]
+                worst[idx] = hits.reshape(len(idx), kmax, n_b).max(axis=1)
+            worst /= m
+            # The two means sum the same n values in different orders, and
+            # report bytes depend on both: over the strided slot axis numpy
+            # adds left to right (dr_s feeds max_gap and viol_any), over a
+            # contiguous axis it sums pairwise (the ERM scores feed loss_emp
+            # and the tie-break among minimizers).
+            dr[:, t0:t1] = worst.T.reshape(n_b, t1 - t0, n).mean(axis=2)
+            if with_scores:
+                contiguous = np.ascontiguousarray(worst.T).reshape(n_b, t1 - t0, n)
+                scores[:, t0:t1] = contiguous.mean(axis=2)
+        return (dr, scores) if with_scores else dr
 
     def dr_s_exact_inner(self, labels: np.ndarray, slot_atoms: np.ndarray,
                          trials: int, n: int, view: str) -> np.ndarray:
@@ -114,26 +149,26 @@ class FiniteView:
         worst = np.einsum("bad,akd->bak", mist, probs).max(axis=2)  # (B, atoms)
         return worst[:, slot_atoms].reshape(len(labels), trials, n).mean(axis=2)
 
-    def erm_on_sample(self, hclass, slot_atoms: np.ndarray, counts: np.ndarray, m: int):
-        """Exact ERM restricted to the points this sample actually contains.
+    def labels_of(self, h) -> np.ndarray:
+        """(1, D) labels of one hypothesis on the domain points."""
+        return np.array([[h.predict(z) for z in self.points]], dtype=np.int8)
 
-        Enumerates behaviors on the sampled perturbation points plus the
-        clean instances (clean points join enumeration but carry no loss),
-        scores each, and picks the first minimum in canonical order.
-        Returns (witness, min empirical loss, witness labels on the full
-        domain point set).
+    def erm_on_sample(self, hclass, labels: np.ndarray, witnesses: list,
+                      scores: np.ndarray, slot_atoms: np.ndarray, counts: np.ndarray):
+        """Exact ERM restricted to the points one trial's sample contains.
+
+        ``scores`` is the trial's column of ERM scores for the full-domain
+        behaviors ``labels``/``witnesses``; ``slot_atoms`` and ``counts`` are
+        the trial's slots.  The sampled points are the perturbation points
+        plus the clean instances (clean points carry no loss).  The result
+        is what enumerating behaviors on those points, scoring each and
+        taking the first minimum in canonical order gives.  Returns
+        (witness, min empirical loss).
         """
-        seen = counts.sum(axis=(0, 1)) > 0
+        seen = counts.any(axis=(0, 1))
         seen[self.atom_point_idx[slot_atoms]] = True
-        sub_idx = np.flatnonzero(seen)
-        sub_points = [self.points[d] for d in sub_idx]
-        behaviors = enumerate_behaviors(hclass, sub_points)
-        labels_sub = np.array([b.labels for b in behaviors], dtype=np.int8)
-        y_slots = self.atom_y[slot_atoms]
-        mist = (labels_sub[:, None, :] != y_slots[None, :, None]).astype(float)
-        per_member = np.einsum("bnd,nkd->bnk", mist, counts[:, :, sub_idx].astype(float)) / m
-        scores = per_member.max(axis=2).mean(axis=1)
-        best = int(np.argmin(scores))
-        witness = behaviors[best].witness
-        full_labels = np.array([[witness.predict(z) for z in self.points]], dtype=np.int8)
-        return witness, float(scores[best]), full_labels
+        best = scores.min()
+        rows = np.flatnonzero(scores == best)
+        witness = hclass.sample_witness(self.points, np.flatnonzero(seen), labels[rows],
+                                        witnesses[rows[0]])
+        return witness, float(best)

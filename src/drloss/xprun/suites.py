@@ -132,21 +132,24 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
     else:
         counts = view.draw_slot_counts(rng, slots, m, s.train_view)
-        dr_s = view.dr_s(s.labels, slots, counts, trials, n, m)
+        dr_s, scores = view.dr_s(s.labels, slots, counts, trials, n, m, True)
 
+    loss_pop_of = {}  # ERM witness -> its exact DR loss
     rows = []
     for t in range(trials):
         if exact_inner:
-            # no sampled points to enumerate on; minimize over the full-domain behaviors
+            # no sampled points to restrict to; minimize over the full-domain behaviors
             best = int(np.argmin(dr_s[:, t]))
             erm_h = s.witnesses[best]
             loss_emp = float(dr_s[best, t])
             loss_pop = float(s.dr_true[best])
         else:
-            t_slots = slots[t * n:(t + 1) * n]
-            t_counts = counts[t * n:(t + 1) * n]
-            erm_h, loss_emp, full_labels = view.erm_on_sample(s.hclass, t_slots, t_counts, m)
-            loss_pop = float(view.dr_exact(full_labels, "true")[0])
+            trial = slice(t * n, (t + 1) * n)
+            erm_h, loss_emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t],
+                                                 slots[trial], counts[trial])
+            if erm_h not in loss_pop_of:
+                loss_pop_of[erm_h] = float(view.dr_exact(view.labels_of(erm_h), "true")[0])
+            loss_pop = loss_pop_of[erm_h]
         row = {"grid_index": g, "trial": lo + t, "n": n, "m": m, "k": s.k,
                "epsilon": epsilon, "delta": float(entry.get("delta", 0.05))}
         if cfg.kind == "model1":

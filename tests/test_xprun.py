@@ -8,7 +8,7 @@ from scipy.stats import binom
 
 from drloss import seeding
 from drloss.cli import main as cli_main
-from drloss.hypo import FiniteClass, ThresholdClass
+from drloss.hypo import FiniteClass, IntervalClass, ThresholdClass
 from drloss.learner import drerm
 from drloss.loss import SampleSet, empirical_dr_loss
 from drloss.stats import wilson_interval
@@ -191,18 +191,19 @@ class TestFiniteViewEquivalence:
         return SampleSet(clean=clean, perturbed=perturbed, m=m, sampled_from=sampled_from)
 
     def test_dr_s_matches_direct_empirical_loss(self):
-        for seed in range(10):
-            r = rng_for(100 + seed)
-            task = random_finite_task(r)
-            view = FiniteView(task)
-            labels, witnesses = view.behaviors(ThresholdClass())
-            n, m = 4, 3
-            slots = view.draw_clean_slots(r, n)
-            counts = view.draw_slot_counts(r, slots, m, "true")
-            dr_s = view.dr_s(labels, slots, counts, 1, n, m)[:, 0]
-            s = self._materialize(view, slots, counts, m)
-            for val, w in zip(dr_s, witnesses):
-                assert val == pytest.approx(empirical_dr_loss(w, s), abs=1e-12)
+        for hclass in (ThresholdClass(), IntervalClass()):
+            for seed in range(10):
+                r = rng_for(100 + seed)
+                task = random_finite_task(r)
+                view = FiniteView(task)
+                labels, witnesses = view.behaviors(hclass)
+                n, m = 4, 3
+                slots = view.draw_clean_slots(r, n)
+                counts = view.draw_slot_counts(r, slots, m, "true")
+                dr_s = view.dr_s(labels, slots, counts, 1, n, m)[:, 0]
+                s = self._materialize(view, slots, counts, m)
+                for val, w in zip(dr_s, witnesses):
+                    assert val == pytest.approx(empirical_dr_loss(w, s), abs=1e-12)
 
     def test_erm_on_sample_matches_learner_drerm(self):
         for seed in range(10):
@@ -212,7 +213,10 @@ class TestFiniteViewEquivalence:
             n, m = 5, 4
             slots = view.draw_clean_slots(r, n)
             counts = view.draw_slot_counts(r, slots, m, "true")
-            witness, best, _ = view.erm_on_sample(ThresholdClass(), slots, counts, m)
+            labels, witnesses = view.behaviors(ThresholdClass())
+            _, scores = view.dr_s(labels, slots, counts, 1, n, m, True)
+            witness, best = view.erm_on_sample(ThresholdClass(), labels, witnesses, scores[:, 0],
+                                               slots, counts)
             s = self._materialize(view, slots, counts, m)
             direct = drerm(ThresholdClass(), s)
             assert witness == direct
@@ -580,8 +584,14 @@ class TestCli:
         ("realizable", {"grid": [{"n": 10, "epsilon": 0.1, "delta": 0.05}]}, {}),
         ("hoeffding", {"grid": [{"target": "outer", "m": 5, "epsilon": 0.4}]}, {}),
         ("hoeffding", {"grid": [{"target": "sideways", "m": 5, "epsilon": 0.4}]}, {}),
+        ("realizable", {"task": 5}, {}),
+        ("realizable", {"grid": [{"n": "abc", "m": 10, "epsilon": 0.1}]}, {}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": "x"}]}, {}),
+        ("realizable", {"params": [1]}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
-            "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target"])
+            "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
+            "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
+            "params-not-a-mapping"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
