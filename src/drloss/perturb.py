@@ -158,13 +158,21 @@ class DistributionFamily:
         raise ValueError(f"unknown view {view!r}")
 
 
+def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into ``dist.support`` of ``count`` i.i.d. draws from ``dist``.
+
+    ``sample`` draws through it, and so do callers that gather from an array
+    of the support themselves, so both see the same points for one rng state.
+    """
+    return rng.choice(len(dist.support), size=count, p=dist.prob_array())
+
+
 def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator) -> list:
     """Draw ``count`` i.i.d. points from ``dist``; deterministic given the rng state."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(dist, FiniteDistribution):
-        idx = rng.choice(len(dist.support), size=count, p=dist.prob_array())
-        return [dist.support[i] for i in idx]
+        return [dist.support[i] for i in sample_indices(dist, count, rng)]
     if isinstance(dist, GaussianDistribution):
         if isinstance(dist.center, tuple):
             d = len(dist.center)

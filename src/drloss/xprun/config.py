@@ -183,15 +183,26 @@ def _check_number(name: str, value, integer: bool = False) -> None:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as an int; anything but an integral number >= 1 is a config error."""
+    _check_number(name, value, integer=True)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
+
+
 def _validate_grid(kind: str, grid: list) -> None:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("grid must be a nonempty list")
     for entry in grid:
         if not isinstance(entry, dict):
             raise ConfigError("grid entries must be mappings")
-        for key in ("n", "m", "epsilon", "delta", "eta"):
+        for key in ("n", "m"):
             if key in entry:
-                _check_number(key, entry[key], integer=key in ("n", "m"))
+                positive_int(key, entry[key])
+        for key in ("epsilon", "delta", "eta"):
+            if key in entry:
+                _check_number(key, entry[key])
         eps = entry.get("epsilon")
         if eps is not None and eps <= 0:
             raise ConfigError(f"epsilon must be positive, got {eps}")
@@ -205,9 +216,6 @@ def _validate_grid(kind: str, grid: list) -> None:
         eta = entry.get("eta")
         if eta is not None and not 0 < eta < 0.5:
             raise ConfigError(f"eta must be in (0,1/2), got {eta}")
-        for key in ("n", "m"):
-            if key in entry and entry[key] < 1:
-                raise ConfigError(f"{key} must be >= 1")
 
 
 def _int_at_least(name: str, value, low: int) -> int:

@@ -26,7 +26,13 @@ from ..derand import encode_seeds, epsilon_eta, required_trials, worst_point_err
 from ..hypo import ThresholdClass
 from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import member_error
-from ..perturb import gaussian_shift_tv, pointwise_cover_violation, sample, tv_distance
+from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
+    gaussian_shift_tv,
+    pointwise_cover_violation,
+    sample,
+    sample_indices,
+    tv_distance,
+)
 from ..stats import (
     Assertion,
     freq_at_most,
@@ -39,7 +45,13 @@ from ..tasks import (
     derand_classifier_setup,
     with_constructed_cover,
 )
-from .config import ConfigError, ExperimentConfig, build_hypothesis, build_hypothesis_class
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    build_hypothesis,
+    build_hypothesis_class,
+    positive_int,
+)
 from .indexed import FiniteView
 from .report import ExperimentReport
 
@@ -194,12 +206,20 @@ def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
     return s.view.dr_s(s.labels, slots, counts, draws, n, m)
 
 
+def _double_setup(cfg: ExperimentConfig) -> SimpleNamespace:
+    """The finite setup, plus how many paired training sets each trial draws."""
+    draws = positive_int("draws", cfg.params.get("draws", 20000))
+    s = _finite_setup(cfg)
+    s.draws = draws
+    return s
+
+
 def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
     """Paired-draw estimate of Pr(B) >= (2/5) Pr(A), one row per master-seed trial."""
     entry = cfg.grid[g]
     n, m = int(entry["n"]), int(entry["m"])
     epsilon = float(entry["epsilon"])
-    draws = int(cfg.params.get("draws", 20000))
+    draws = s.draws
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
@@ -359,7 +379,11 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
     out = []
     for entry in cfg.grid:
         eta, delta = float(entry["eta"]), float(entry["delta"])
-        t_votes = int(entry.get("t") or required_trials(eta, task.max_attack_size(), delta))
+        t = entry.get("t")  # absent, null or 0: the required vote count
+        if t:
+            t_votes = positive_int("t", t)
+        else:
+            t_votes = required_trials(eta, task.max_attack_size(), delta)
         eps_eta = epsilon_eta(task, point_errors, eta)
         out.append(SimpleNamespace(eta=eta, delta=delta, t_votes=t_votes, eps_eta=eps_eta,
                                    threshold=delta + eps_eta))
@@ -389,9 +413,10 @@ def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         return total
 
     errors = worst_point_errors(setup.base, task)
+    randomness = setup.base.randomness
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors),
-                           randomness=setup.base.randomness, value_key="dr_value",
-                           value=dr_value)
+                           randomness=randomness, support=np.asarray(randomness.support),
+                           value_key="dr_value", value=dr_value)
 
 
 def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
@@ -412,9 +437,10 @@ def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
     task = setup.attack_task
     gamma = {(x, y): out_level for x, y, _ in task.atoms()}
+    randomness = setup.certifier.randomness
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma),
-                           randomness=setup.certifier.randomness, value_key="band_value",
-                           value=band_value)
+                           randomness=randomness, support=np.asarray(randomness.support),
+                           value_key="band_value", value=band_value)
 
 
 def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
@@ -424,7 +450,7 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
-        draws = np.sort(np.asarray(sample(s.randomness, p.t_votes, rng)))
+        draws = np.sort(s.support[sample_indices(s.randomness, p.t_votes, rng)])
         value = s.value(draws, p.t_votes)
         rows.append({
             "grid_index": g,
@@ -580,7 +606,7 @@ SUITES = {
     "agnostic": _ERM,
     "model1": _ERM,
     "model2": _ERM,
-    "double-sampling": Suite(_finite_setup, _double_chunk, _double_aggregate,
+    "double-sampling": Suite(_double_setup, _double_chunk, _double_aggregate,
                              ("n", "m", "epsilon"), unit=1),
     "hoeffding": Suite(_hoeffding_setup, _hoeffding_chunk, _hoeffding_aggregate,
                        {"inner": ("m", "epsilon"), "outer": ("n", "epsilon")}),
@@ -604,7 +630,7 @@ def _check_grid(cfg: ExperimentConfig, required) -> None:
         keys = required
         if isinstance(required, dict):
             target = entry.get("target")
-            if target not in required:
+            if not isinstance(target, str) or target not in required:
                 raise ConfigError(f"{cfg.kind} target must be one of "
                                   f"{', '.join(required)}, got {target!r}")
             keys = required[target]

@@ -25,7 +25,7 @@ from drloss.hypo import (
     ThresholdClass,
     enumerate_behaviors,
 )
-from drloss.tasks import random_finite_task, random_table_hypothesis, task_from_dict
+from drloss.tasks import build_task, random_finite_task, random_table_hypothesis, task_from_dict
 from drloss.xprun.indexed import FiniteView
 
 
@@ -34,9 +34,18 @@ def rng_for(seed):
 
 
 def reference_dr_s(view, labels, slot_atoms, counts, trials, n, m):
+    """(dr_s, scores) from the dense tensor.
+
+    Both average the same per-slot worst losses: dr_s adds them left to
+    right, the scores pairwise, as numpy sums a contiguous axis.
+    """
     mist = view.mistakes(labels)[:, slot_atoms, :]
     per_member = np.einsum("bnd,nkd->bnk", mist, counts.astype(float)) / m
-    return per_member.max(axis=2).reshape(len(labels), trials, n).mean(axis=2)
+    worst = np.ascontiguousarray(per_member.max(axis=2)).reshape(len(labels), trials, n)
+    left_to_right = worst[:, :, 0].copy()
+    for i in range(1, n):
+        left_to_right += worst[:, :, i]
+    return left_to_right / n, worst.mean(axis=2)
 
 
 def reference_erm(view, hclass, slot_atoms, counts, m):
@@ -157,23 +166,44 @@ def test_sample_witness_matches_first_projection(case):
         assert got == want and got.to_json() == want.to_json()
 
 
+# The positive atom's one member leaves two padding rows below the negative
+# atom's three: a y = +1 padding row must count no mistakes.
+PADDED_TASK = {
+    "atoms": [[0.0, -1, 0.6], [3.0, 1, 0.4]],
+    "distributions": {"a": [[0.0, 0.5], [1.0, 0.5]], "b": [[0.0, 1.0]],
+                      "c": [[1.0, 0.5], [2.0, 0.5]], "d": [[1.0, 0.25], [2.0, 0.25], [3.0, 0.5]]},
+    "families": [{"x": 0.0, "true": ["a", "b", "c"], "k": 3},
+                 {"x": 3.0, "true": ["d"], "k": 1}],
+}
+
+
 @pytest.mark.parametrize("block_bytes", [1, 5000, indexed.DR_S_BLOCK_BYTES],
                          ids=["one-trial-blocks", "small-blocks", "default"])
 def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
+    # n = 2 and 50 sit on either side of numpy's 8-element pairwise-sum switch
     monkeypatch.setattr(indexed, "DR_S_BLOCK_BYTES", block_bytes)
+    runs = []
     for seed in range(30):
         case = CASES[seed % len(CASES)]
         r, task, hclass = case_task(case, 500 + seed)
-        view = FiniteView(task)
+        runs.append((r, FiniteView(task), hclass, "true", (1, 2, 3, 8, 20, 50)[seed % 6]))
+    for n in (2, 50):
+        model = FiniteView(build_task({"builtin": "model2"}), views=("true", "rep"))
+        runs.append((rng_for(n), model, ThresholdClass(), "rep", n))
+        runs.append((rng_for(n), FiniteView(task_from_dict(PADDED_TASK)), IntervalClass(),
+                     "true", n))
+    for r, view, hclass, member_view, n in runs:
         labels, _ = view.behaviors(hclass)
-        n = int(r.choice([1, 3, 8, 20]))
-        trials, m = int(r.integers(1, 7)), int(r.integers(1, 6))
+        trials, m = int(r.integers(1, 7)), int(r.integers(1, 51))
         slots = view.draw_clean_slots(r, trials * n)
-        counts = view.draw_slot_counts(r, slots, m, "true")
-        want = reference_dr_s(view, labels, slots, counts, trials, n, m)
+        counts = view.draw_slot_counts(r, slots, m, member_view)
+        want, want_scores = reference_dr_s(view, labels, slots, counts, trials, n, m)
         assert np.array_equal(view.dr_s(labels, slots, counts, trials, n, m), want)
-        dr_s, _ = view.dr_s(labels, slots, counts, trials, n, m, True)
+        dr_s, scores = view.dr_s(labels, slots, counts, trials, n, m, True)
         assert np.array_equal(dr_s, want)
+        assert np.array_equal(scores, want_scores)
+    # the last run was the padded task's, with y = +1 slots to pad
+    assert counts.shape[1] == 3 and np.any(view.atom_y[slots] == 1)
 
 
 # Runs the CLI in a child whose address space is capped; the cap covers that

@@ -15,6 +15,7 @@ from drloss.perturb import (
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
+    sample_indices,
     tv_distance,
     verify_pointwise_cover,
 )
@@ -86,6 +87,15 @@ class TestSample:
     def test_deterministic_given_seed(self):
         d = FiniteDistribution.uniform([0.0, 1.0, 2.0])
         assert sample(d, 50, rng_for(7)) == sample(d, 50, rng_for(7))
+
+    @pytest.mark.parametrize("support,probs", [
+        ([0.5, 1.5, 2.5, 3.5], [0.1, 0.2, 0.3, 0.4]),
+        ([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], [0.5, 0.25, 0.25]),
+    ], ids=["scalar", "tuple"])
+    def test_index_draw_gathers_what_sample_returns(self, support, probs):
+        d = FiniteDistribution(support, probs)
+        gathered = np.asarray(d.support)[sample_indices(d, 500, rng_for(11))]
+        assert np.array_equal(gathered, np.asarray(sample(d, 500, rng_for(11))))
 
     def test_gaussian_vector_draws(self):
         g = GaussianDistribution((1.0, -1.0), 0.5)

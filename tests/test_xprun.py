@@ -386,7 +386,7 @@ class TestSuites:
     @pytest.mark.parametrize("t_votes", [31, 30])  # odd and even (tie-break path)
     def test_derand_trial_matches_object_level_evaluation(self, t_votes):
         # the suite's sorted-draw counting must agree with DerandClassifier
-        from drloss.derand import derandomize_classifier, evaluate_derand_dr
+        from drloss.derand import decode_seeds, derandomize_classifier, evaluate_derand_dr
         from drloss.tasks import derand_classifier_setup
         cfg = tiny_config("derand-classifier", trials=6)
         cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
@@ -397,13 +397,12 @@ class TestSuites:
             det = derandomize_classifier(setup.base, t_votes, rng)
             assert row["dr_value"] == pytest.approx(
                 evaluate_derand_dr(det, setup.attack_task), abs=1e-12)
-            # small runs dump the fixed draws verbatim; they must reconstruct
-            from drloss.derand import decode_seeds
-            assert sorted(decode_seeds(row["seeds_hex"].split(";"))) == sorted(det.seeds)
+            # small runs dump the fixed draws verbatim, sorted; they must reconstruct
+            assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
 
     @pytest.mark.parametrize("t_votes", [21, 20])  # odd and even (lower median)
     def test_cert_trial_matches_object_level_evaluation(self, t_votes):
-        from drloss.derand import derandomize_certifier, evaluate_cert_band
+        from drloss.derand import decode_seeds, derandomize_certifier, evaluate_cert_band
         from drloss.tasks import derand_certifier_setup
         cfg = tiny_config("derand-certifier", trials=6)
         cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
@@ -415,6 +414,7 @@ class TestSuites:
             band = evaluate_cert_band(det, setup.attack_task,
                                       alpha=setup.alpha, beta=setup.beta)
             assert row["band_value"] == pytest.approx(band.violation_mass, abs=1e-12)
+            assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
 
     def test_realizable_epsilon_above_one_never_violates(self):
         cfg = tiny_config("realizable", trials=40)
@@ -588,10 +588,15 @@ class TestCli:
         ("realizable", {"grid": [{"n": "abc", "m": 10, "epsilon": 0.1}]}, {}),
         ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": "x"}]}, {}),
         ("realizable", {"params": [1]}, {}),
+        ("double-sampling", {"params": {"draws": "abc"}}, {}),
+        ("double-sampling", {"params": {"draws": 0}}, {}),
+        ("hoeffding", {"grid": [{"target": ["x"], "m": 5, "epsilon": 0.4}]}, {}),
+        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "t": -3}]}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
-            "params-not-a-mapping"])
+            "params-not-a-mapping", "draws-not-a-number", "draws-zero",
+            "hoeffding-target-not-a-string", "derand-t-negative"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
