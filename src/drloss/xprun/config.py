@@ -191,6 +191,22 @@ def positive_int(name: str, value) -> int:
     return int(value)
 
 
+def positive_number(name: str, value) -> float:
+    """``value`` as a float; anything but a number > 0 is a config error."""
+    _check_number(name, value)
+    if not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    return float(value)
+
+
+def probability(name: str, value) -> float:
+    """``value`` as a float; anything but a number in [0, 1] is a config error."""
+    _check_number(name, value)
+    if not 0 <= value <= 1:
+        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+    return float(value)
+
+
 def _validate_grid(kind: str, grid: list) -> None:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("grid must be a nonempty list")

@@ -27,10 +27,10 @@ from ..hypo import ThresholdClass
 from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
+    SortedSampler,
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
-    sample_indices,
     tv_distance,
 )
 from ..stats import (
@@ -51,6 +51,8 @@ from .config import (
     build_hypothesis,
     build_hypothesis_class,
     positive_int,
+    positive_number,
+    probability,
 )
 from .indexed import FiniteView
 from .report import ExperimentReport
@@ -294,7 +296,8 @@ def _exact_mean_worst(m: int, probs: list) -> float:
 def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     """Exact mistake levels of the fixed hypothesis, for the targets the grid uses."""
     h = build_hypothesis(cfg.params["hypothesis"])
-    s = SimpleNamespace(tails=[])  # per grid entry: (deviation threshold, tail bound)
+    # tails, per grid entry: (deviation threshold, tail bound)
+    s = SimpleNamespace(tails=[], outer_m=positive_int("outer_m", cfg.params.get("outer_m", 1)))
     for entry in cfg.grid:
         eps = float(entry["epsilon"])
         if entry["target"] == "inner":
@@ -310,7 +313,6 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         s.inner_p = member_error(h, u, y)
         s.inner_mist = np.array([1.0 if h.predict(z) != y else 0.0 for z in u.support])
     if "outer" in targets:
-        s.outer_m = int(cfg.params.get("outer_m", 1))
         s.view = view = FiniteView(build_task(cfg.params["outer_task"]), views=("true",))
         members = [view.task.members_for(x, "true") for x in view.atom_x]
         s.p_members = np.zeros((view.n_atoms, view.max_k["true"]))
@@ -360,7 +362,7 @@ def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: li
     agg = {
         "target": entry["target"],
         "n": entry.get("n", ""),
-        "m": entry.get("m", cfg.params.get("outer_m", 1)),
+        "m": entry.get("m", s.outer_m),
         "epsilon": float(entry["epsilon"]),
         "threshold": threshold,
         "bound": bound,
@@ -391,11 +393,12 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
 
 
 def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
+    p_err_high = cfg.params.get("p_err_high")
     setup = derand_classifier_setup(
-        p_err=float(cfg.params.get("p_err", 0.2)),
+        p_err=probability("p_err", cfg.params.get("p_err", 0.2)),
         a_size=int(cfg.params.get("a_size", 8)),
-        grid=int(cfg.params.get("grid_randomness", 1000)),
-        p_err_high=cfg.params.get("p_err_high"),
+        grid=positive_int("grid_randomness", cfg.params.get("grid_randomness", 1000)),
+        p_err_high=None if p_err_high is None else probability("p_err_high", p_err_high),
     )
     task = setup.attack_task
     # per atom: its label, its mass and the per-draw error levels of its attack points
@@ -413,19 +416,18 @@ def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         return total
 
     errors = worst_point_errors(setup.base, task)
-    randomness = setup.base.randomness
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors),
-                           randomness=randomness, support=np.asarray(randomness.support),
+                           sampler=SortedSampler(setup.base.randomness),
                            value_key="dr_value", value=dr_value)
 
 
 def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     setup = derand_certifier_setup(
-        q_in=float(cfg.params.get("q_in", 0.9)),
+        q_in=probability("q_in", cfg.params.get("q_in", 0.9)),
         a_size=int(cfg.params.get("a_size", 8)),
-        grid=int(cfg.params.get("grid_randomness", 1000)),
-        alpha=float(cfg.params.get("alpha", 0.5)),
-        beta=float(cfg.params.get("beta", 0.5)),
+        grid=positive_int("grid_randomness", cfg.params.get("grid_randomness", 1000)),
+        alpha=positive_number("alpha", cfg.params.get("alpha", 0.5)),
+        beta=positive_number("beta", cfg.params.get("beta", 0.5)),
     )
     out_level = 1.0 - setup.q_in
 
@@ -437,20 +439,27 @@ def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
     task = setup.attack_task
     gamma = {(x, y): out_level for x, y, _ in task.atoms()}
-    randomness = setup.certifier.randomness
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma),
-                           randomness=randomness, support=np.asarray(randomness.support),
+                           sampler=SortedSampler(setup.certifier.randomness),
                            value_key="band_value", value=band_value)
 
 
 def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
-    """One row per trial: the setup's ``value`` of that trial's sorted fixed draws."""
+    """One row per trial: the setup's ``value`` of that trial's sorted fixed draws.
+
+    The draws come from ``SortedSampler``, already sorted.  They are the
+    multiset ``sample_indices`` would pick from the trial's stream, since
+    both map the same uniforms through the same cdf: a uniform u lands at or
+    below support index j exactly when u < cdf[j].  So the values and
+    ``seeds_hex`` equal those of ``np.sort`` over ``choice``'s draws, which
+    the object-level ``derandomize_classifier``/``_certifier`` make.
+    """
     p = s.grid[g]
     dump_seeds = cfg.trials * p.t_votes <= SEED_DUMP_LIMIT
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
-        draws = np.sort(s.support[sample_indices(s.randomness, p.t_votes, rng)])
+        draws = s.sampler.draw(p.t_votes, rng)
         value = s.value(draws, p.t_votes)
         rows.append({
             "grid_index": g,
@@ -516,8 +525,8 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         hclass=hclass,
         learn=LearnConfig(n=int(params.get("n", 100)), m=int(params.get("m", 100)),
                           hypothesis_class=hclass, sample_from="rep"),
-        sigma=float(params.get("sigma", 1.0)),
-        shift_points=int(params.get("shift_points", 21)),
+        sigma=positive_number("sigma", params.get("sigma", 1.0)),
+        shift_points=positive_int("shift_points", params.get("shift_points", 21)),
         mc_slack=float(params.get("mc_slack", 0.01)),
     )
 

@@ -11,6 +11,7 @@ from drloss.perturb import (
     DistributionFamily,
     FiniteDistribution,
     GaussianDistribution,
+    SortedSampler,
     build_representative_cover,
     gaussian_shift_tv,
     pointwise_cover_violation,
@@ -101,6 +102,57 @@ class TestSample:
         g = GaussianDistribution((1.0, -1.0), 0.5)
         draws = sample(g, 10, rng_for(3))
         assert all(isinstance(z, tuple) and len(z) == 2 for z in draws)
+
+
+class TestSortedSampler:
+    def assert_matches_sorted_index_draw(self, support, probs, count, seed):
+        d = FiniteDistribution(support, probs)
+        ref_rng, rng = rng_for(seed), rng_for(seed)
+        expected = np.sort(np.asarray(d.support)[sample_indices(d, count, ref_rng)])
+        assert np.array_equal(SortedSampler(d).draw(count, rng), expected)
+        assert rng.random() == ref_rng.random()  # the same number of uniforms taken
+
+    @pytest.mark.parametrize("support,probs,count", [
+        ([4.0], [1.0], 1),
+        ([4.0], [1.0], 300),
+        ([3.0, -1.0, 2.0], [0.2, 0.5, 0.3], 1),
+        ([3.0, -1.0, 2.0, 0.5], [0.0, 0.5, 0.0, 0.5], 200),
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], 50),
+        ([2.0, 1.0, 0.0], [1.0, 0.0, 0.0], 50),
+        ([(i + 0.5) / 1000 for i in range(1000)], [0.001] * 1000, 8121),
+    ], ids=["k1-t1", "k1-many", "unsorted-t1", "unsorted-zeros", "zeros-first",
+            "zeros-last", "derand-grid"])
+    def test_matches_sorted_index_draw(self, support, probs, count):
+        for seed in range(5):
+            self.assert_matches_sorted_index_draw(support, probs, count, seed)
+
+    @given(st.integers(0, 10**6))
+    def test_matches_sorted_index_draw_on_random_distributions(self, seed):
+        r = rng_for(seed)
+        k = int(r.integers(1, 13))
+        weights = r.integers(0, 4, size=k).astype(float)  # about a quarter are zero
+        weights[r.integers(k)] += 1.0
+        support = (r.permutation(k) - k / 2).tolist()
+        count = int(r.choice([1, 2, k, 100 * k + 1]))
+        self.assert_matches_sorted_index_draw(support, weights / weights.sum(), count, seed)
+
+    def test_uniform_on_a_cdf_step_lands_above_it(self):
+        # choice sends a uniform equal to cdf[j] past index j; random doubles
+        # almost never hit a step, so these uniforms are fixed
+        class Fixed(np.random.Generator):
+            def __init__(self):
+                super().__init__(np.random.Philox(0))
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])[:size]
+
+        d = FiniteDistribution([3.0, 1.0, 2.0, 0.0], [0.25, 0.25, 0.0, 0.5])
+        expected = np.sort(np.asarray(d.support)[sample_indices(d, 6, Fixed())])
+        assert np.array_equal(SortedSampler(d).draw(6, Fixed()), expected)
+
+    def test_rejects_tuple_support(self):
+        with pytest.raises(DistributionError):
+            SortedSampler(FiniteDistribution([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5]))
 
 
 class TestTvDistance:

@@ -592,11 +592,23 @@ class TestCli:
         ("double-sampling", {"params": {"draws": 0}}, {}),
         ("hoeffding", {"grid": [{"target": ["x"], "m": 5, "epsilon": 0.4}]}, {}),
         ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "t": -3}]}, {}),
+        ("hoeffding", {"params": {"outer_m": 0}}, {}),
+        ("smoothing", {"params": {"sigma": 0}}, {}),
+        ("smoothing", {"params": {"shift_points": 0}}, {}),
+        ("derand-classifier", {"params": {"grid_randomness": 0}}, {}),
+        ("derand-classifier", {"params": {"p_err": 2}}, {}),
+        ("derand-classifier", {"params": {"p_err_high": -0.5}}, {}),
+        ("derand-certifier", {"params": {"q_in": 1.5}}, {}),
+        ("derand-certifier", {"params": {"alpha": -0.5}}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
             "params-not-a-mapping", "draws-not-a-number", "draws-zero",
-            "hoeffding-target-not-a-string", "derand-t-negative"])
+            "hoeffding-target-not-a-string", "derand-t-negative", "hoeffding-outer-m-zero",
+            "smoothing-sigma-zero", "smoothing-shift-points-zero",
+            "derand-grid-randomness-zero", "derand-p-err-above-one",
+            "derand-p-err-high-negative", "derand-q-in-above-one",
+            "derand-alpha-negative"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
