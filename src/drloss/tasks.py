@@ -283,15 +283,44 @@ BUILTIN_TASKS: dict = {
 }
 
 
-def _point_from_json(z):
-    return tuple(float(v) for v in z) if isinstance(z, list) else float(z)
+def is_number(v) -> bool:
+    """Whether ``v`` is a JSON number: an int or float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def point_from_json(z, coord=float):
+    """A domain point from its JSON form: a number, or a nonempty list of numbers.
+
+    A number becomes a float and a list a tuple point, each coordinate
+    mapped by ``coord``.  Hypothesis tables keep their coordinates as written
+    (``coord=None``), because their ``to_json`` echoes them into reports.
+    """
+    if isinstance(z, list) and z and all(map(is_number, z)):
+        return tuple(z) if coord is None else tuple(map(coord, z))
+    if is_number(z):
+        return float(z)
+    raise ValueError(f"a point must be a number or a nonempty list of numbers, got {z!r}")
+
+
+def label_from_json(y) -> int:
+    """A label from its JSON form; anything but -1 or +1 is an error."""
+    if not is_number(y) or y not in (-1, 1):
+        raise ValueError(f"a label must be -1 or +1, got {y!r}")
+    return int(y)
+
+
+def table_from_json(pairs) -> TableHypothesis:
+    """A finite-table hypothesis from its [[point, label], ...] form."""
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError(f"a table must be a list of [point, label] pairs, got {pairs!r}")
+    return TableHypothesis({point_from_json(x, coord=None): label_from_json(y) for x, y in pairs})
 
 
 def _distribution_from_json(spec):
     if isinstance(spec, dict) and "gaussian" in spec:
         g = spec["gaussian"]
-        return GaussianDistribution(_point_from_json(g["center"]), float(g["sigma"]))
-    return FiniteDistribution([_point_from_json(z) for z, _ in spec], [float(p) for _, p in spec])
+        return GaussianDistribution(point_from_json(g["center"]), float(g["sigma"]))
+    return FiniteDistribution([point_from_json(z) for z, _ in spec], [float(p) for _, p in spec])
 
 
 def task_from_dict(d: dict) -> TaskInstance:
@@ -305,13 +334,13 @@ def task_from_dict(d: dict) -> TaskInstance:
     """
     dists = {name: _distribution_from_json(spec) for name, spec in d["distributions"].items()}
     data = FiniteDistribution(
-        [(_point_from_json(x), int(y)) for x, y, _ in d["atoms"]],
+        [(point_from_json(x), label_from_json(y)) for x, y, _ in d["atoms"]],
         [float(p) for _, _, p in d["atoms"]],
     )
     families = {}
     for fam in d["families"]:
         rep = fam.get("rep")
-        families[_point_from_json(fam["x"])] = DistributionFamily(
+        families[point_from_json(fam["x"])] = DistributionFamily(
             [dists[name] for name in fam["true"]],
             [dists[name] for name in rep] if rep is not None else None,
             k=int(fam.get("k", 1)),

@@ -1,9 +1,10 @@
-"""Experiment configuration: defaults, file loading, and overrides.
+"""Experiment configuration: defaults, the per-suite schema, file loading, and overrides.
 
 Config files are declarative JSON or YAML with the same nested shape as
 the built-in defaults.  Overrides are applied in order: built-in defaults,
 then the file, then the environment (DRLOSS_SEED and DRLOSS_JOBS only),
-then command-line flags.
+then command-line flags.  ``SCHEMA`` names every key a suite reads, with
+its checker; ``check`` applies it once, before any setup runs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -20,10 +22,11 @@ from ..hypo import (
     AxisRectClass,
     FiniteClass,
     IntervalClass,
-    TableHypothesis,
     Threshold,
     ThresholdClass,
 )
+from ..tasks import is_number, table_from_json
+
 
 class ConfigError(ValueError):
     """Bad configuration or input file; maps to exit code 2."""
@@ -40,18 +43,57 @@ class ExperimentConfig:
     hypothesis_class: dict | None = None
     params: dict = field(default_factory=dict)
 
-    def echo(self) -> dict:
-        """Deterministic plain-dict form for report embedding."""
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "jobs": self.jobs,
-            "task": self.task,
-            "hypothesis_class": self.hypothesis_class,
-            "grid": self.grid,
-            "params": self.params,
-        }
+
+# Checkers: each takes (name, value) and returns the checked value, or
+# raises ConfigError naming the key.
+
+def _numeric(text: str, ok, integer: bool = False):
+    """A checker for a finite number (an integral one if ``integer``) for which ``ok`` holds."""
+    kind = "an integer" if integer else "a finite number"
+
+    def check(name: str, value):
+        # nan, inf and numbers past float range fail the comparison
+        if not is_number(value) or not abs(value) < 2 ** 1023 or integer and value % 1:
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if not ok(value):
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
+        return int(value) if integer else float(value)
+    return check
+
+
+positive_int = _numeric(">= 1", lambda v: v >= 1, integer=True)
+count = _numeric(">= 0", lambda v: v >= 0, integer=True)
+number = _numeric("a number", lambda v: True)
+positive_number = _numeric("> 0", lambda v: v > 0)
+nonnegative = _numeric(">= 0", lambda v: v >= 0)
+probability = _numeric("in [0, 1]", lambda v: 0 <= v <= 1)
+open_unit = _numeric("in (0, 1)", lambda v: 0 < v < 1)
+below_half = _numeric("in (0, 1/2)", lambda v: 0 < v < 0.5)
+
+
+def flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def mapping(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
+def optional(check):
+    """``check``, letting null through as None."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def _known(where: str, given: dict, allowed) -> None:
+    """Reject the keys of ``given`` that ``allowed`` does not name."""
+    unknown = [repr(key) for key in given if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(unknown)}; "
+                          f"expected {', '.join(allowed) or 'none'}")
 
 
 _THRESH = {"tag": "threshold-1d"}
@@ -158,6 +200,54 @@ DEFAULTS: dict = {
 KINDS = tuple(DEFAULTS)
 
 
+class Schema(NamedTuple):
+    """One suite's config keys, each with its checker."""
+
+    params: dict            # param -> checker; defaults in DEFAULTS, else None
+    grid: dict              # required grid key -> checker; by target: target -> such a dict
+    optional: dict          # optional grid key -> (checker, default)
+    by_target: bool = False  # each grid entry's "target" picks its required keys
+
+
+_ERM_GRID = {"n": positive_int, "m": positive_int, "epsilon": positive_number}
+_ERM_OPTIONAL = {"delta": (open_unit, 0.05), "exact_inner": (flag, False),
+                 "assert": (flag, False)}
+_ASSERT = {"assert": (flag, True)}
+_COVER = {"cover_k": optional(positive_int)}
+_DERAND_GRID = {"eta": below_half, "delta": open_unit}
+# t null or 0: the vote count the guarantee requires
+_DERAND_OPTIONAL = {"t": (optional(count), None), **_ASSERT}
+_ATTACKS = {"a_size": positive_int, "grid_randomness": positive_int}
+
+SCHEMA = {
+    "realizable": Schema({}, _ERM_GRID, _ERM_OPTIONAL),
+    "agnostic": Schema({}, _ERM_GRID, _ERM_OPTIONAL),
+    "model1": Schema(_COVER, _ERM_GRID, _ERM_OPTIONAL),
+    "model2": Schema(_COVER, _ERM_GRID, _ERM_OPTIONAL),
+    "double-sampling": Schema({"draws": positive_int}, _ERM_GRID, _ASSERT),
+    "hoeffding": Schema(
+        {"inner_task": mapping, "outer_task": mapping, "outer_m": positive_int,
+         "hypothesis": mapping},
+        {"inner": {"m": positive_int, "epsilon": positive_number},
+         "outer": {"n": positive_int, "epsilon": positive_number}},
+        _ASSERT, by_target=True),
+    "derand-classifier": Schema(
+        {"p_err": probability, "p_err_high": optional(probability), **_ATTACKS},
+        _DERAND_GRID, _DERAND_OPTIONAL),
+    "derand-certifier": Schema(
+        {"q_in": probability, **_ATTACKS, "alpha": positive_number, "beta": positive_number},
+        _DERAND_GRID, _DERAND_OPTIONAL),
+    # the smoothing grid's delta is a shift radius, not a confidence level
+    "smoothing": Schema(
+        {"sigma": positive_number, "n": positive_int, "m": positive_int,
+         "shift_points": positive_int, "mc_slack": number},
+        {"delta": nonnegative}, _ASSERT),
+}
+
+_TOP = {"trials": positive_int, "master_seed": count, "jobs": positive_int,
+        "task": optional(mapping), "hypothesis_class": optional(mapping), "params": mapping}
+
+
 def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -175,156 +265,115 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-def _check_number(name: str, value, integer: bool = False) -> None:
-    """Reject a config value that is not a number (an integer if ``integer``)."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok or (integer and not float(value).is_integer()):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+def _check_entry(kind: str, schema: Schema, g: int, entry) -> dict:
+    if not isinstance(entry, dict):
+        raise ConfigError("grid entries must be mappings")
+    required, checked = schema.grid, {}
+    if schema.by_target:
+        target = entry.get("target")
+        if not isinstance(target, str) or target not in required:
+            raise ConfigError(f"{kind} target must be one of "
+                              f"{', '.join(required)}, got {target!r}")
+        required, checked["target"] = required[target], target
+    _known(f"{kind} grid entry {g}", entry, [*checked, *required, *schema.optional])
+    for key, rule in required.items():  # a missing key reaches its rule as None
+        checked[key] = rule(f"grid[{g}].{key}", entry.get(key))
+    for key, (rule, default) in schema.optional.items():
+        checked[key] = rule(f"grid[{g}].{key}", entry.get(key, default))
+    return checked
 
 
-def positive_int(name: str, value) -> int:
-    """``value`` as an int; anything but an integral number >= 1 is a config error."""
-    _check_number(name, value, integer=True)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
-    return int(value)
+def check(cfg: dict) -> ExperimentConfig:
+    """A checked copy of ``cfg``, a mapping of ``ExperimentConfig``'s fields.
 
-
-def positive_number(name: str, value) -> float:
-    """``value`` as a float; anything but a number > 0 is a config error."""
-    _check_number(name, value)
-    if not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
-    return float(value)
-
-
-def probability(name: str, value) -> float:
-    """``value`` as a float; anything but a number in [0, 1] is a config error."""
-    _check_number(name, value)
-    if not 0 <= value <= 1:
-        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _validate_grid(kind: str, grid: list) -> None:
+    Unknown keys (at the top level, in ``params`` and in each grid entry) and
+    values of the wrong type or range are config errors.  The copy fills in
+    the suite's param defaults and each entry's optional keys; it shares the
+    task and hypothesis specs, which nothing modifies.
+    """
+    _known("top-level", cfg, ("kind", "grid", *_TOP))
+    kind, grid = cfg.get("kind"), cfg.get("grid")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("grid must be a nonempty list")
-    for entry in grid:
-        if not isinstance(entry, dict):
-            raise ConfigError("grid entries must be mappings")
-        for key in ("n", "m"):
-            if key in entry:
-                positive_int(key, entry[key])
-        for key in ("epsilon", "delta", "eta"):
-            if key in entry:
-                _check_number(key, entry[key])
-        eps = entry.get("epsilon")
-        if eps is not None and eps <= 0:
-            raise ConfigError(f"epsilon must be positive, got {eps}")
-        delta = entry.get("delta")
-        if kind == "smoothing":
-            # the smoothing grid's delta is a shift radius, not a confidence level
-            if delta is not None and delta < 0:
-                raise ConfigError(f"shift radius must be nonnegative, got {delta}")
-        elif delta is not None and not 0 < delta < 1:
-            raise ConfigError(f"delta must be in (0,1), got {delta}")
-        eta = entry.get("eta")
-        if eta is not None and not 0 < eta < 0.5:
-            raise ConfigError(f"eta must be in (0,1/2), got {eta}")
-
-
-def _int_at_least(name: str, value, low: int) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}") from None
-    if number < low:
-        raise ConfigError(f"{name} must be >= {low}, got {number}")
-    return number
+    top = {key: rule(key.replace("_", " "), cfg.get(key)) for key, rule in _TOP.items()}
+    schema = SCHEMA[kind]
+    for key in ("task", "hypothesis_class"):
+        if (top[key] is None) != (DEFAULTS[kind][key] is None):
+            raise ConfigError(f"{kind} {'needs' if top[key] is None else 'reads no'} {key}")
+    params = {**DEFAULTS[kind]["params"], **top["params"]}
+    _known(f"{kind} params", params, schema.params)
+    top["params"] = {key: rule(f"params.{key}", params.get(key))
+                     for key, rule in schema.params.items()}
+    grid = [_check_entry(kind, schema, g, entry) for g, entry in enumerate(grid)]
+    return ExperimentConfig(kind=kind, grid=grid, **top)
 
 
 def load_config(kind: str, path: str | None = None, seed: int | None = None,
                 jobs: int | None = None, env: dict | None = None) -> ExperimentConfig:
-    """Merge defaults, optional file, environment, and CLI overrides."""
+    """Merge defaults, optional file, environment, and CLI overrides, and check them.
+
+    The grid, params and specs stay as written: reports echo them, and
+    ``run_suite`` checks them again.
+    """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     merged = copy.deepcopy(DEFAULTS[kind])
-    merged.setdefault("jobs", 1)
+    merged["jobs"] = 1
     if path is not None:
         data = _read_config_file(path)
         file_kind = data.pop("kind", kind)
         if file_kind != kind:
             raise ConfigError(f"config kind {file_kind!r} does not match subcommand {kind!r}")
         for key, value in data.items():
-            if key == "params":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"params must be a mapping, got {value!r}")
+            if key == "params" and isinstance(value, dict):
                 merged["params"].update(value)
             else:
                 merged[key] = value
     env = os.environ if env is None else env
-    if env.get("DRLOSS_SEED"):
-        merged["master_seed"] = env["DRLOSS_SEED"]
-    if env.get("DRLOSS_JOBS"):
-        merged["jobs"] = env["DRLOSS_JOBS"]
+    for var, key in (("DRLOSS_SEED", "master_seed"), ("DRLOSS_JOBS", "jobs")):
+        if env.get(var):
+            try:
+                merged[key] = int(env[var])
+            except ValueError:
+                raise ConfigError(f"{var} must be an integer, got {env[var]!r}") from None
     if seed is not None:
         merged["master_seed"] = seed
     if jobs is not None:
         merged["jobs"] = jobs
-
-    trials = _int_at_least("trials", merged.get("trials", 0), 1)
-    master_seed = _int_at_least("master seed", merged["master_seed"], 0)
-    jobs = _int_at_least("jobs", merged["jobs"], 1)
-    for key in ("task", "hypothesis_class"):
-        if not isinstance(merged.get(key), (dict, type(None))):
-            raise ConfigError(f"{key} must be a mapping, got {merged[key]!r}")
-    _validate_grid(kind, merged["grid"])
-    return ExperimentConfig(
-        kind=kind,
-        trials=trials,
-        master_seed=master_seed,
-        grid=merged["grid"],
-        jobs=jobs,
-        task=merged.get("task"),
-        hypothesis_class=merged.get("hypothesis_class"),
-        params=merged.get("params", {}),
-    )
+    checked = check(dict(merged, kind=kind))
+    return replace(checked, grid=merged["grid"], task=merged["task"],
+                   hypothesis_class=merged["hypothesis_class"], params=merged["params"])
 
 
 def build_hypothesis_class(spec: dict):
     """Instantiate a hypothesis class from its config form."""
-    if spec is None:
-        raise ConfigError("missing hypothesis_class")
     tag = spec.get("tag")
-    if tag == "threshold-1d":
-        return ThresholdClass()
-    if tag == "interval-1d":
-        return IntervalClass()
     if tag == "axis-rect-d":
-        return AxisRectClass(int(spec.get("dim", 2)))
+        _known("axis-rect-d class", spec, ("tag", "dim"))
+        return AxisRectClass(positive_int("dim", spec.get("dim", 2)))
     if tag == "finite-table":
+        _known("finite-table class", spec, ("tag", "tables"))
         tables = spec.get("tables")
-        if not tables:
-            raise ConfigError("finite-table class needs a 'tables' list")
-        hyps = []
-        for table in tables:
-            hyps.append(TableHypothesis({
-                (tuple(x) if isinstance(x, list) else float(x)): int(y) for x, y in table
-            }))
-        return FiniteClass(hyps)
+        if not isinstance(tables, list) or not tables:
+            raise ConfigError("finite-table class needs a nonempty 'tables' list")
+        return FiniteClass([table_from_json(table) for table in tables])
+    if tag in ("threshold-1d", "interval-1d"):
+        _known(f"{tag} class", spec, ("tag",))
+        return ThresholdClass() if tag == "threshold-1d" else IntervalClass()
     raise ConfigError(f"unknown hypothesis class tag {tag!r}")
 
 
 def build_hypothesis(spec: dict):
     """Instantiate a single hypothesis from its serialized {classTag, params} form."""
+    _known("hypothesis", spec, ("classTag", "params"))
     tag = spec.get("classTag")
-    params = spec.get("params", {})
+    params = mapping("hypothesis params", spec.get("params", {}))
     if tag == "threshold-1d":
-        return Threshold(float(params["t"]))
+        _known("threshold-1d hypothesis params", params, ("t",))
+        return Threshold(number("t", params.get("t")))
     if tag == "finite-table":
-        return TableHypothesis({
-            (tuple(x) if isinstance(x, list) else float(x)): int(y)
-            for x, y in params["table"]
-        })
+        _known("finite-table hypothesis params", params, ("table",))
+        return table_from_json(params.get("table"))
     raise ConfigError(f"unsupported hypothesis spec {tag!r}")

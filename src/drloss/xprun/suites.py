@@ -3,10 +3,11 @@
 Each suite turns one guarantee into a violation frequency over many seeded
 trials and checks it against its probability budget with explicit slack.
 A suite is one row of ``SUITES``: a setup, a chunk function that runs the
-trials of one work unit, the grid keys it reads and a per-grid aggregate.
-``run_suite`` drives every row the same way.  Each work unit derives its
-own random streams from its address, so reports are identical regardless
-of worker count.
+trials of one work unit and a per-grid aggregate.  ``run_suite`` checks the
+config against ``config.SCHEMA`` and drives every row the same way; setups
+and chunks read the checked values.  Each work unit derives its own random
+streams from its address, so reports are identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ from ..tasks import (
     derand_classifier_setup,
     with_constructed_cover,
 )
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_hypothesis,
-    build_hypothesis_class,
-    positive_int,
-    positive_number,
-    probability,
-)
+from .config import ConfigError, ExperimentConfig, build_hypothesis, build_hypothesis_class, check
 from .indexed import FiniteView
 from .report import ExperimentReport
 
@@ -84,9 +77,8 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     model = cfg.kind in ("model1", "model2")
     train_view = "rep" if model else "true"
     if model:
-        cover_k = cfg.params.get("cover_k")
-        if cover_k:
-            task = with_constructed_cover(task, int(cover_k))
+        if cfg.params["cover_k"]:
+            task = with_constructed_cover(task, cfg.params["cover_k"])
         for x, _, _ in task.atoms():
             if task.family_of[x].rep_set is None:
                 raise ConfigError(f"{cfg.kind} requires representative sets; x={x!r} has none")
@@ -115,7 +107,7 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
     # the level a zero-training-loss behavior must not reach: epsilon, plus
     # the TV cover radius eps_prime (model1), or times the family cap k (model2)
-    epsilons = [float(entry["epsilon"]) for entry in cfg.grid]
+    epsilons = [entry["epsilon"] for entry in cfg.grid]
     eps_prime = float("nan")
     if cfg.kind == "model1":
         eps_prime = max([0.0] + [min(tv_distance(u, r) for r in task.family_of[x].rep_set)
@@ -134,11 +126,9 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
 def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
     entry = cfg.grid[g]
-    n, m = int(entry["n"]), int(entry["m"])
-    epsilon = float(entry["epsilon"])
+    n, m, epsilon, exact_inner = entry["n"], entry["m"], entry["epsilon"], entry["exact_inner"]
     level = s.levels[g]
     trials = hi - lo
-    exact_inner = bool(entry.get("exact_inner", False))
     view = s.view
     rng = seeding.stream(cfg.master_seed, g, chunk)
     slots = view.draw_clean_slots(rng, trials * n)
@@ -165,7 +155,7 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
                 loss_pop_of[erm_h] = float(view.dr_exact(view.labels_of(erm_h), "true")[0])
             loss_pop = loss_pop_of[erm_h]
         row = {"grid_index": g, "trial": lo + t, "n": n, "m": m, "k": s.k,
-               "epsilon": epsilon, "delta": float(entry.get("delta", 0.05))}
+               "epsilon": epsilon, "delta": entry["delta"]}
         if cfg.kind == "model1":
             row["eps_prime"] = s.eps_prime
         if cfg.kind in ("model1", "model2"):
@@ -185,7 +175,7 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
 
 def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
     viol_key = "viol" if cfg.kind == "agnostic" else "viol_erm"
-    delta = float(entry.get("delta", 0.05))
+    delta = cfg.grid[g]["delta"]
     agg = {
         "n": entry["n"],
         "m": entry["m"],
@@ -208,20 +198,11 @@ def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
     return s.view.dr_s(s.labels, slots, counts, draws, n, m)
 
 
-def _double_setup(cfg: ExperimentConfig) -> SimpleNamespace:
-    """The finite setup, plus how many paired training sets each trial draws."""
-    draws = positive_int("draws", cfg.params.get("draws", 20000))
-    s = _finite_setup(cfg)
-    s.draws = draws
-    return s
-
-
 def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
     """Paired-draw estimate of Pr(B) >= (2/5) Pr(A), one row per master-seed trial."""
     entry = cfg.grid[g]
-    n, m = int(entry["n"]), int(entry["m"])
-    epsilon = float(entry["epsilon"])
-    draws = s.draws
+    n, m, epsilon = entry["n"], entry["m"], entry["epsilon"]
+    draws = cfg.params["draws"]
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
@@ -277,8 +258,16 @@ def _double_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list)
 
 
 def _binom_pmf(m: int, p: float) -> np.ndarray:
-    # exact pmf via integer binomials; m stays desk-scale here
-    return np.array([math.comb(m, i) * (p ** i) * ((1 - p) ** (m - i)) for i in range(m + 1)])
+    """Binomial(m, p) pmf from exact integer coefficients; logs past float range."""
+    pmf = []
+    for i in range(m + 1):
+        c = math.comb(m, i)
+        try:
+            pmf.append(c * (p ** i) * ((1 - p) ** (m - i)))
+        except OverflowError:  # so 0 < i < m, where p in {0, 1} puts no mass
+            pmf.append(0.0 if p in (0, 1) else
+                       math.exp(math.log(c) + i * math.log(p) + (m - i) * math.log1p(-p)))
+    return np.array(pmf)
 
 
 def _exact_mean_worst(m: int, probs: list) -> float:
@@ -297,13 +286,13 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     """Exact mistake levels of the fixed hypothesis, for the targets the grid uses."""
     h = build_hypothesis(cfg.params["hypothesis"])
     # tails, per grid entry: (deviation threshold, tail bound)
-    s = SimpleNamespace(tails=[], outer_m=positive_int("outer_m", cfg.params.get("outer_m", 1)))
+    s = SimpleNamespace(tails=[])
     for entry in cfg.grid:
-        eps = float(entry["epsilon"])
+        eps = entry["epsilon"]
         if entry["target"] == "inner":
-            s.tails.append((eps / 8.0, min(1.0, 2.0 * math.exp(-int(entry["m"]) * eps ** 2 / 32.0))))
+            s.tails.append((eps / 8.0, min(1.0, 2.0 * math.exp(-entry["m"] * eps ** 2 / 32.0))))
         else:
-            s.tails.append((eps / 4.0, min(1.0, 2.0 * math.exp(-int(entry["n"]) * eps ** 2 / 8.0))))
+            s.tails.append((eps / 4.0, min(1.0, 2.0 * math.exp(-entry["n"] * eps ** 2 / 8.0))))
     targets = {entry["target"] for entry in cfg.grid}
     if "inner" in targets:
         task = build_task(cfg.params["inner_task"])
@@ -320,7 +309,7 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
             for j, u in enumerate(us):
                 s.p_members[a, j] = member_error(h, u, view.atom_y[a])
         s.expected = math.fsum(
-            view.atom_p[a] * _exact_mean_worst(s.outer_m, list(s.p_members[a, :len(us)]))
+            view.atom_p[a] * _exact_mean_worst(cfg.params["outer_m"], list(s.p_members[a, :len(us)]))
             for a, us in enumerate(members)
         )
     return s
@@ -328,17 +317,16 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
 def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
     entry = cfg.grid[g]
-    target = entry["target"]
-    epsilon = float(entry["epsilon"])
+    target, epsilon = entry["target"], entry["epsilon"]
     threshold = s.tails[g][0]
     trials = hi - lo
     rng = seeding.stream(cfg.master_seed, g, chunk)
     if target == "inner":
-        n, m = "", int(entry["m"])
+        n, m = "", entry["m"]
         counts = rng.multinomial(m, s.inner_probs, size=trials)
         devs = np.abs(counts @ s.inner_mist / m - s.inner_p)
     else:
-        n, m = int(entry["n"]), s.outer_m
+        n, m = entry["n"], cfg.params["outer_m"]
         slots = rng.choice(s.view.n_atoms, size=(trials, n), p=s.view.atom_p)
         worst = np.zeros((trials, n))
         for j in range(s.p_members.shape[1]):
@@ -362,8 +350,8 @@ def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: li
     agg = {
         "target": entry["target"],
         "n": entry.get("n", ""),
-        "m": entry.get("m", s.outer_m),
-        "epsilon": float(entry["epsilon"]),
+        "m": entry.get("m", cfg.params["outer_m"]),
+        "epsilon": cfg.grid[g]["epsilon"],
         "threshold": threshold,
         "bound": bound,
     }
@@ -380,12 +368,8 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
     """Per grid entry: eta, delta, vote count, eps(eta) and the exceed threshold."""
     out = []
     for entry in cfg.grid:
-        eta, delta = float(entry["eta"]), float(entry["delta"])
-        t = entry.get("t")  # absent, null or 0: the required vote count
-        if t:
-            t_votes = positive_int("t", t)
-        else:
-            t_votes = required_trials(eta, task.max_attack_size(), delta)
+        eta, delta = entry["eta"], entry["delta"]
+        t_votes = entry["t"] or required_trials(eta, task.max_attack_size(), delta)
         eps_eta = epsilon_eta(task, point_errors, eta)
         out.append(SimpleNamespace(eta=eta, delta=delta, t_votes=t_votes, eps_eta=eps_eta,
                                    threshold=delta + eps_eta))
@@ -393,13 +377,10 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
 
 
 def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
-    p_err_high = cfg.params.get("p_err_high")
-    setup = derand_classifier_setup(
-        p_err=probability("p_err", cfg.params.get("p_err", 0.2)),
-        a_size=int(cfg.params.get("a_size", 8)),
-        grid=positive_int("grid_randomness", cfg.params.get("grid_randomness", 1000)),
-        p_err_high=None if p_err_high is None else probability("p_err_high", p_err_high),
-    )
+    params = cfg.params
+    setup = derand_classifier_setup(p_err=params["p_err"], a_size=params["a_size"],
+                                    grid=params["grid_randomness"],
+                                    p_err_high=params["p_err_high"])
     task = setup.attack_task
     # per atom: its label, its mass and the per-draw error levels of its attack points
     attack_levels = [(y, p, np.array([setup.errors[xp] for xp in task.attacks[x]]))
@@ -422,13 +403,10 @@ def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
 
 
 def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
-    setup = derand_certifier_setup(
-        q_in=probability("q_in", cfg.params.get("q_in", 0.9)),
-        a_size=int(cfg.params.get("a_size", 8)),
-        grid=positive_int("grid_randomness", cfg.params.get("grid_randomness", 1000)),
-        alpha=positive_number("alpha", cfg.params.get("alpha", 0.5)),
-        beta=positive_number("beta", cfg.params.get("beta", 0.5)),
-    )
+    params = cfg.params
+    setup = derand_certifier_setup(q_in=params["q_in"], a_size=params["a_size"],
+                                   grid=params["grid_randomness"], alpha=params["alpha"],
+                                   beta=params["beta"])
     out_level = 1.0 - setup.q_in
 
     def band_value(draws, t_votes: int) -> float:
@@ -519,21 +497,14 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     hclass = build_hypothesis_class(cfg.hypothesis_class)
     if not isinstance(hclass, ThresholdClass):
         raise ConfigError("the smoothing suite's exact loss oracle covers thresholds only")
-    params = cfg.params
-    return SimpleNamespace(
-        task=task,
-        hclass=hclass,
-        learn=LearnConfig(n=int(params.get("n", 100)), m=int(params.get("m", 100)),
-                          hypothesis_class=hclass, sample_from="rep"),
-        sigma=positive_number("sigma", params.get("sigma", 1.0)),
-        shift_points=positive_int("shift_points", params.get("shift_points", 21)),
-        mc_slack=float(params.get("mc_slack", 0.01)),
-    )
+    return SimpleNamespace(task=task, hclass=hclass,
+                           learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"],
+                                             hypothesis_class=hclass, sample_from="rep"))
 
 
 def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> list:
     """Train once per trial, then evaluate that trial's cut at every grid entry."""
-    sigma = s.sigma
+    sigma, shift_points = cfg.params["sigma"], cfg.params["shift_points"]
     atoms = s.task.atoms()
     rows = []
     for trial in range(lo, hi):
@@ -542,13 +513,13 @@ def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi
         clean_loss = math.fsum(p * smoothed_threshold_error(cut, x, y, sigma)
                                for x, y, p in atoms)
         for g, entry in enumerate(cfg.grid):
-            delta = float(entry["delta"])
+            delta = entry["delta"]
             worst = 0.0
             for x, y, p in atoms:
                 if delta == 0.0:
                     shifts = [x]
                 else:
-                    shifts = np.linspace(x - delta, x + delta, s.shift_points)
+                    shifts = np.linspace(x - delta, x + delta, shift_points)
                 worst += p * max(smoothed_threshold_error(cut, float(xp), y, sigma)
                                  for xp in shifts)
             d_delta = gaussian_shift_tv(delta, sigma)
@@ -563,7 +534,7 @@ def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi
                 "worst_loss": worst,
                 "excess": excess,
                 "d_delta": d_delta,
-                "ok": bool(excess <= d_delta + s.mc_slack),
+                "ok": bool(excess <= d_delta + cfg.params["mc_slack"]),
             })
     return rows
 
@@ -571,13 +542,14 @@ def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi
 def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
     max_excess = max(r["excess"] for r in rows)
     d_delta = rows[0]["d_delta"]
-    asserted = bool(entry.get("assert", True))
+    slack = cfg.params["mc_slack"]
+    asserted = cfg.grid[g]["assert"]
     agg = {
         "delta": entry["delta"],
-        "sigma": s.sigma,
+        "sigma": cfg.params["sigma"],
         "max_excess": max_excess,
         "d_delta": d_delta,
-        "slack": s.mc_slack,
+        "slack": slack,
         "asserted": asserted,
     }
     if not asserted:
@@ -585,9 +557,9 @@ def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: li
     return agg, [Assertion(
         name=f"smoothing excess vs TV (delta={entry['delta']})",
         observed=max_excess,
-        bound=d_delta + s.mc_slack,
+        bound=d_delta + slack,
         slack_rule="max excess <= d(delta) + slack",
-        passed=max_excess <= d_delta + s.mc_slack,
+        passed=max_excess <= d_delta + slack,
     )]
 
 
@@ -598,54 +570,33 @@ def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: li
 class Suite(NamedTuple):
     """One suite as data; ``run_suite`` owns everything the suites share."""
 
+    # each takes the checked config; an aggregate also gets its grid entry as written
     setup: Callable        # cfg -> setup, built once per run_suite call per process
     chunk: Callable        # (cfg, setup, grid index, unit index, lo, hi) -> rows
     aggregate: Callable    # (cfg, setup, grid index, entry, grid rows) -> (agg, checks)
-    required: tuple | dict  # grid keys read; a dict maps each allowed target to its keys
-    assert_default: bool = True  # whether a grid entry without "assert" checks its Tally
     unit: int = CHUNK      # trials per work unit
     per_grid: bool = True  # False: one unit covers every grid entry
 
 
-_ERM = Suite(_finite_setup, _erm_chunk, _erm_aggregate, ("n", "m", "epsilon"),
-             assert_default=False)
+_ERM = Suite(_finite_setup, _erm_chunk, _erm_aggregate)
 
 SUITES = {
     "realizable": _ERM,
     "agnostic": _ERM,
     "model1": _ERM,
     "model2": _ERM,
-    "double-sampling": Suite(_double_setup, _double_chunk, _double_aggregate,
-                             ("n", "m", "epsilon"), unit=1),
-    "hoeffding": Suite(_hoeffding_setup, _hoeffding_chunk, _hoeffding_aggregate,
-                       {"inner": ("m", "epsilon"), "outer": ("n", "epsilon")}),
-    "derand-classifier": Suite(_classifier_setup, _derand_chunk, _derand_aggregate,
-                               ("eta", "delta")),
-    "derand-certifier": Suite(_certifier_setup, _derand_chunk, _derand_aggregate,
-                              ("eta", "delta")),
+    "double-sampling": Suite(_finite_setup, _double_chunk, _double_aggregate, unit=1),
+    "hoeffding": Suite(_hoeffding_setup, _hoeffding_chunk, _hoeffding_aggregate),
+    "derand-classifier": Suite(_classifier_setup, _derand_chunk, _derand_aggregate),
+    "derand-certifier": Suite(_certifier_setup, _derand_chunk, _derand_aggregate),
     "smoothing": Suite(_smoothing_setup, _smoothing_chunk, _smoothing_aggregate,
-                       ("delta",), unit=1, per_grid=False),
+                       unit=1, per_grid=False),
 }
 
 
 def _chunk_ranges(trials: int, size: int) -> list:
     return [(c, lo, min(lo + size, trials))
             for c, lo in enumerate(range(0, trials, size))]
-
-
-def _check_grid(cfg: ExperimentConfig, required) -> None:
-    """Reject grid entries missing a key the suite reads, before any trial runs."""
-    for g, entry in enumerate(cfg.grid):
-        keys = required
-        if isinstance(required, dict):
-            target = entry.get("target")
-            if not isinstance(target, str) or target not in required:
-                raise ConfigError(f"{cfg.kind} target must be one of "
-                                  f"{', '.join(required)}, got {target!r}")
-            keys = required[target]
-        missing = [key for key in keys if key not in entry]
-        if missing:
-            raise ConfigError(f"{cfg.kind} grid entry {g} is missing {', '.join(missing)}")
 
 
 def _setup(cfg: ExperimentConfig):
@@ -684,10 +635,9 @@ def _collect(cfg: ExperimentConfig, suite: Suite, setup, jobspecs: list) -> list
 def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the suite ``cfg.kind`` names and assemble its report."""
     start = time.perf_counter()
-    if cfg.kind not in SUITES:
-        raise ConfigError(f"unknown suite kind {cfg.kind!r}")
+    raw = dict(vars(cfg))  # the report echoes the config as written
+    cfg = check(raw)
     suite = SUITES[cfg.kind]
-    _check_grid(cfg, suite.required)
     setup = _setup(cfg)
     grids = range(len(cfg.grid)) if suite.per_grid else [0]
     jobspecs = [(g, c, lo, hi) for g in grids
@@ -697,21 +647,21 @@ def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     aggregates = []
     assertions = []
-    for g, entry in enumerate(cfg.grid):
+    for g, entry in enumerate(raw["grid"]):
         grid_rows = [r for r in rows if r["grid_index"] == g]
         trials = len(grid_rows)
         agg, checks = suite.aggregate(cfg, setup, g, entry, grid_rows)
         grid_assertions = []
-        for check in checks:
-            if isinstance(check, Tally):
-                lo_w, hi_w = wilson_interval(check.count, trials)
-                asserted = bool(entry.get("assert", suite.assert_default))
-                agg.update({check.freq_key: check.count / trials, "wilson_lo": lo_w,
+        for item in checks:
+            if isinstance(item, Tally):
+                lo_w, hi_w = wilson_interval(item.count, trials)
+                asserted = cfg.grid[g]["assert"]
+                agg.update({item.freq_key: item.count / trials, "wilson_lo": lo_w,
                             "wilson_hi": hi_w, "asserted": asserted})
                 if not asserted:
                     continue
-                check = check.test(check.name, check.count, trials, check.bound)
-            grid_assertions.append(check)
+                item = item.test(item.name, item.count, trials, item.bound)
+            grid_assertions.append(item)
         agg.update(grid_index=g, trials=trials,
                    passed=all(a.passed for a in grid_assertions))
         aggregates.append(agg)
@@ -719,7 +669,7 @@ def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         kind=cfg.kind,
-        config=cfg.echo(),
+        config=raw,
         columns=list(rows[0]),
         rows=rows,
         agg_columns=sorted({k for a in aggregates for k in a}),

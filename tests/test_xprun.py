@@ -24,7 +24,13 @@ from drloss.xprun import (
     render_csv,
     run_suite,
 )
-from drloss.xprun.config import build_hypothesis, build_hypothesis_class
+from drloss.xprun.config import (
+    DEFAULTS,
+    SCHEMA,
+    build_hypothesis,
+    build_hypothesis_class,
+    check,
+)
 from drloss.xprun.indexed import FiniteView
 
 
@@ -107,6 +113,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("nonsense")
 
+    def test_schema_has_a_rule_for_every_default_key(self):
+        assert set(SCHEMA) == set(KINDS)
+        for kind in KINDS:
+            schema = SCHEMA[kind]
+            assert set(DEFAULTS[kind]["params"]) <= set(schema.params), kind
+            for entry in DEFAULTS[kind]["grid"]:
+                required = schema.grid[entry["target"]] if schema.by_target else schema.grid
+                rules = {*required, *schema.optional} | ({"target"} if schema.by_target else set())
+                assert set(entry) <= rules, (kind, entry)
+
     def test_build_hypothesis_class_specs(self):
         assert isinstance(build_hypothesis_class({"tag": "threshold-1d"}), ThresholdClass)
         cls = build_hypothesis_class({"tag": "finite-table",
@@ -114,6 +130,14 @@ class TestConfig:
         assert isinstance(cls, FiniteClass)
         with pytest.raises(ConfigError):
             build_hypothesis_class({"tag": "mystery"})
+
+    def test_table_points_keep_their_coordinates_as_written(self):
+        # the ERM rows echo a table witness through to_json
+        table = [[[0, 1], -1], [[2.5, 3], 1]]
+        cls = build_hypothesis_class({"tag": "finite-table", "tables": [table]})
+        assert json.dumps(cls.hypotheses[0].to_json()["params"]["table"]) == json.dumps(table)
+        cls = build_hypothesis_class({"tag": "finite-table", "tables": [[[0, -1], [2, 1]]]})
+        assert json.dumps(cls.hypotheses[0].to_json()["params"]["table"]) == "[[0.0, -1], [2.0, 1]]"
 
     def test_build_hypothesis(self):
         h = build_hypothesis({"classTag": "threshold-1d", "params": {"t": 0.5}})
@@ -148,6 +172,15 @@ class TestTaskSerialization:
         }
         task = task_from_dict(spec)
         assert not task.is_finite()
+
+    def test_task_points_become_floats(self):
+        # axis-rect witnesses are built from these coordinates and echoed in reports
+        task = task_from_dict({
+            "atoms": [[[0, 1], 1, 1.0]],
+            "distributions": {"d": [[[0, 1], 1.0]]},
+            "families": [{"x": [0, 1], "true": ["d"], "k": 1}],
+        })
+        assert json.dumps(task.atoms()) == "[[[0.0, 1.0], 1, 1.0]]"
 
     def test_build_task_file(self, tmp_path):
         spec = {
@@ -223,6 +256,32 @@ class TestFiniteViewEquivalence:
             assert best == pytest.approx(empirical_dr_loss(direct, s), abs=1e-12)
 
 
+# one negative atom at 0 with a point-mass member
+POINT_TASK = {
+    "atoms": [[0.0, -1, 1.0]],
+    "distributions": {"d": [[0.0, 1.0]]},
+    "families": [{"x": 0.0, "true": ["d"], "k": 1}],
+}
+
+# two point-mass atoms in the plane, split by a box
+PLANE_TASK = {
+    "atoms": [[[0.0, 0.0], -1, 0.5], [[1.0, 1.0], 1, 0.5]],
+    "distributions": {"neg": [[[0.0, 0.0], 1.0]], "pos": [[[1.0, 1.0], 1.0]]},
+    "families": [{"x": [0.0, 0.0], "true": ["neg"], "k": 1},
+                 {"x": [1.0, 1.0], "true": ["pos"], "k": 1}],
+}
+
+# two atoms, each with a point-mass member and a shared uniform member: with
+# the threshold at 0.5 the members' error levels are {0, 1/2} and {1, 1/2}
+TWO_MEMBER_OUTER_TASK = {
+    "atoms": [[0.0, -1, 0.5], [1.0, -1, 0.5]],
+    "distributions": {"at0": [[0.0, 1.0]], "at1": [[1.0, 1.0]],
+                      "mix": [[0.0, 0.5], [1.0, 0.5]]},
+    "families": [{"x": 0.0, "true": ["at0", "mix"], "k": 2},
+                 {"x": 1.0, "true": ["at1", "mix"], "k": 2}],
+}
+
+
 def tiny_config(kind, **overrides):
     cfg = load_config(kind)
     cfg.trials = overrides.pop("trials", 10)
@@ -285,8 +344,9 @@ class TestSuites:
 
     def test_example_configs_load_and_run(self):
         import pathlib
-        for name in ("realizable.yaml", "model1-constructed-cover.yaml", "custom-task.json"):
-            path = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
+        paths = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*"))
+        assert len(paths) >= 3
+        for path in paths:
             kind = yaml.safe_load(path.read_text())["kind"]
             cfg = load_config(kind, path=str(path))
             cfg.trials = 10
@@ -435,6 +495,32 @@ class TestSuites:
             medians.append(gaps[len(gaps) // 2])
         assert medians[1] < medians[0]
 
+    def test_check_fills_defaults_and_reports_echo_the_config_as_written(self):
+        cfg = tiny_config("realizable", trials=3)
+        cfg.grid = [{"n": 10.0, "m": 10, "epsilon": 1}]
+        assert check(dict(vars(cfg))).grid == [{"n": 10, "m": 10, "epsilon": 1.0, "delta": 0.05,
+                                                "exact_inner": False, "assert": False}]
+        rep = run_suite(cfg)
+        assert rep.config["grid"] == [{"n": 10.0, "m": 10, "epsilon": 1}]
+        assert type(rep.rows[0]["n"]) is int and type(rep.aggregates[0]["n"]) is float
+        assert rep.assertions == []
+        cfg = tiny_config("derand-classifier")
+        cfg.params = {}
+        checked = check(dict(vars(cfg)))
+        assert checked.params == {"p_err": 0.2, "p_err_high": None, "a_size": 8,
+                                  "grid_randomness": 1000}
+        assert checked.grid[0]["t"] is None and checked.grid[0]["assert"] is True
+
+    def test_run_suite_checks_a_config_changed_after_loading(self):
+        cfg = tiny_config("derand-classifier")
+        cfg.grid = [{"eta": 0.25, "delta": 0.05, "tt": 3}]
+        with pytest.raises(ConfigError, match="'tt'"):
+            run_suite(cfg)
+        cfg = tiny_config("hoeffding")
+        cfg.params = dict(cfg.params, outer_M=0)
+        with pytest.raises(ConfigError, match="'outer_M'"):
+            run_suite(cfg)
+
     def test_task_built_once_per_run(self, monkeypatch):
         # the setup is shared by every chunk and trial of one run_suite call
         from drloss.xprun import suites
@@ -448,6 +534,27 @@ class TestSuites:
             calls.clear()
             run_suite(cfg)
             assert len(calls) == 1, kind
+
+    @pytest.mark.parametrize("m", [1, 7, 40, 1100])
+    def test_exact_mean_worst_matches_scipy(self, m):
+        from drloss.xprun.suites import _exact_mean_worst
+        ks = np.arange(m + 1)
+        for probs in ((0.3, 0.55), (0.0, 0.5), (1.0, 0.5), (0.02, 0.97)):
+            pa, pb = (binom.pmf(ks, m, p) for p in probs)
+            expected = float(pa @ np.maximum.outer(ks, ks) @ pb) / m
+            assert _exact_mean_worst(m, list(probs)) == pytest.approx(expected, rel=1e-9)
+
+    def test_binom_pmf_keeps_every_float_range_term_bit_for_bit(self):
+        from drloss.xprun.suites import _binom_pmf
+        for m, p in ((1000, 0.5), (1000, 0.3), (1100, 0.3)):
+            pmf = _binom_pmf(m, p)
+            for i in range(m + 1):
+                try:
+                    direct = math.comb(m, i) * (p ** i) * ((1 - p) ** (m - i))
+                except OverflowError:
+                    continue
+                assert pmf[i] == direct, (m, p, i)
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothing_sigma_blowup_approaches_coin_flip(self):
         from drloss.xprun.suites import smoothed_threshold_error
@@ -600,6 +707,37 @@ class TestCli:
         ("derand-classifier", {"params": {"p_err_high": -0.5}}, {}),
         ("derand-certifier", {"params": {"q_in": 1.5}}, {}),
         ("derand-certifier", {"params": {"alpha": -0.5}}, {}),
+        ("hoeffding", {"params": {"outer_M": 0}}, {}),
+        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "tt": 3}]}, {}),
+        ("derand-classifier", {"params": {"a_size": 2.5}}, {}),
+        ("smoothing", {"params": {"n": 2.5}}, {}),
+        ("smoothing", {"trials": 2.5}, {}),
+        ("smoothing", {"trials": True}, {}),
+        ("smoothing", {"jobs": 1.5}, {}),
+        ("smoothing", {"trails": 5}, {}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 0.1, "assert": "false"}]}, {}),
+        ("agnostic", {"grid": [{"n": 10, "m": 10, "epsilon": 0.15, "exact_inner": "no"}]}, {}),
+        ("model1", {"task": {"builtin": "t1"}, "params": {"cover_k": 1.5}}, {}),
+        ("smoothing", {"params": {"mc_slack": "0.5"}}, {}),
+        ("realizable", {"params": {"draws": 5}}, {}),
+        ("smoothing", {"grid": [{"delta": 0.0, "epsilon": 0.1}]}, {}),
+        ("realizable", {"task": {"inline": PLANE_TASK},
+                        "hypothesis_class": {"tag": "axis-rect-d", "dim": 2.5}}, {}),
+        ("hoeffding", {"grid": [{"target": "outer", "n": 5, "m": 3, "epsilon": 0.4}]}, {}),
+        ("realizable", {"task": None}, {}),
+        ("derand-classifier", {"task": {"builtin": "t1"}}, {}),
+        ("realizable", {"hypothesis_class": {"tag": "threshold-1d", "dimm": 3}}, {}),
+        ("agnostic", {"task": {"inline": POINT_TASK},
+                      "hypothesis_class": {"tag": "finite-table", "tables": [[[0.0, 1.7]]]},
+                      "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}, {}),
+        ("realizable", {"task": {"inline": dict(POINT_TASK, atoms=[[0.0, -1.3, 1.0]])},
+                        "hypothesis_class": {"tag": "finite-table", "tables": [[[0.0, -1]]]},
+                        "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}, {}),
+        ("hoeffding", {"params": {"hypothesis": {"classTag": "threshold-1d",
+                                                 "params": {"t": "0.5"}}}}, {}),
+        ("hoeffding", {"params": {"hypothesis": {"classTag": "threshold-1d",
+                                                 "params": {"t": 0.5, "lo": 0}}}}, {}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 10 ** 400}]}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -608,15 +746,35 @@ class TestCli:
             "smoothing-sigma-zero", "smoothing-shift-points-zero",
             "derand-grid-randomness-zero", "derand-p-err-above-one",
             "derand-p-err-high-negative", "derand-q-in-above-one",
-            "derand-alpha-negative"])
+            "derand-alpha-negative", "hoeffding-params-unknown-key",
+            "derand-grid-unknown-key", "derand-a-size-not-integral", "smoothing-n-not-integral",
+            "trials-not-integral", "trials-a-bool", "jobs-not-integral", "top-level-unknown-key",
+            "grid-assert-a-string", "grid-exact-inner-a-string", "cover-k-not-integral",
+            "smoothing-mc-slack-a-string", "realizable-params-draws-unread",
+            "smoothing-grid-epsilon-unread", "axis-rect-dim-not-integral",
+            "hoeffding-outer-entry-with-m", "realizable-task-null", "derand-task-unread",
+            "hypothesis-class-unknown-key", "finite-table-label-not-pm-one",
+            "task-label-not-pm-one", "hypothesis-t-a-string", "hypothesis-params-unknown-key",
+            "epsilon-past-float-range"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dict(config, kind=kind, trials=2)))
+        path.write_text(json.dumps({"kind": kind, "trials": 2, **config}))
         assert cli_main([kind, "--config", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_hoeffding_outer_mean_past_float_range(self, tmp_path, capsys):
+        # math.comb(1100, 550) does not fit a float
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "hoeffding", "trials": 2,
+            "params": {"outer_m": 1100, "outer_task": {"inline": TWO_MEMBER_OUTER_TASK}},
+            "grid": [{"target": "outer", "n": 20, "epsilon": 0.4}],
+        }))
+        assert cli_main(["hoeffding", "--config", str(path), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_exit_two_on_negative_seed_flag(self, capsys):
         assert cli_main(["smoothing", "--seed", "-1", "--quiet"]) == 2
