@@ -22,6 +22,11 @@ Point = Union[float, int, tuple]
 RENORMALIZE_TOL = 1e-9
 SUM_TOL = 1e-12
 COVER_TOL = 1e-12
+# categorical() counts cdf steps for up to COUNT_MAX_K categories and at least
+# COUNT_MIN_DRAWS draws, and binary-searches otherwise; see ROADMAP.md for the
+# timings they were chosen from
+COUNT_MAX_K = 8
+COUNT_MIN_DRAWS = 1000
 
 
 class DistributionError(ValueError):
@@ -158,13 +163,37 @@ class DistributionFamily:
         raise ValueError(f"unknown view {view!r}")
 
 
+def categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
+    """Indices of i.i.d. draws from the probabilities ``p``, of shape ``size``.
+
+    The indices and the uniforms taken from ``rng`` are those of numpy's
+    ``Generator.choice`` over ``len(p)`` with these probabilities.  It maps
+    each u of ``rng.random(size)`` to ``cdf.searchsorted(u, "right")``, the
+    number of j with u >= cdf[j], where ``cdf`` is the cumulative sum of
+    ``p`` divided by its last entry.  As u < 1 = cdf[-1], for up to
+    ``COUNT_MAX_K`` categories and at least ``COUNT_MIN_DRAWS`` draws those
+    comparisons over j < K - 1 are summed directly, in the narrowest integer
+    type that holds K - 1; otherwise the binary search is faster.  ``p`` is
+    taken as checked (nonnegative, summing to 1).
+    """
+    cdf = np.cumsum(p, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if len(cdf) > COUNT_MAX_K or u.size < COUNT_MIN_DRAWS:
+        return cdf.searchsorted(u, "right")
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx.astype(np.intp)
+
+
 def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``dist.support`` of ``count`` i.i.d. draws from ``dist``.
 
     ``sample`` draws through it, and so do callers that gather from an array
     of the support themselves, so both see the same points for one rng state.
     """
-    return rng.choice(len(dist.support), size=count, p=dist.prob_array())
+    return categorical(dist.prob_array(), count, rng)
 
 
 class SortedSampler:
@@ -173,15 +202,15 @@ class SortedSampler:
     ``draw(count, rng)`` returns ``np.sort(support[sample_indices(dist, count,
     rng)])`` and leaves ``rng`` in the same state, without the binary search
     of unsorted uniforms and the sort of the gathered points.
-    ``Generator.choice`` takes ``count`` uniforms u and maps each to
-    ``searchsorted(cdf, u, "right")``, the first j with u < cdf[j], where
-    ``cdf`` is the cumulative sum of the probabilities divided by its last
-    entry.  So the number of draws at indices <= j is the number of uniforms
-    below cdf[j].  Here the same ``count`` uniforms are sorted, those counts
-    are read off with one ``searchsorted`` of the cdf into them, and the
-    support, sorted once at construction, is repeated by its counts.  The
-    equality rests on how numpy's ``choice`` draws, so a differential test
-    against ``sample_indices`` guards it.
+    ``categorical``, like ``Generator.choice``, takes ``count`` uniforms u
+    and maps each to ``searchsorted(cdf, u, "right")``, the first j with
+    u < cdf[j], where ``cdf`` is the cumulative sum of the probabilities
+    divided by its last entry.  So the number of draws at indices <= j is the
+    number of uniforms below cdf[j].  Here the same ``count`` uniforms are
+    sorted, those counts are read off with one ``searchsorted`` of the cdf
+    into them, and the support, sorted once at construction, is repeated by
+    its counts.  Differential tests against ``sample_indices`` and numpy's
+    ``choice`` guard the equality.
     """
 
     def __init__(self, dist: FiniteDistribution):

@@ -9,6 +9,7 @@ member; thresholds in (1, 2] achieve zero worst-case loss on it.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -316,11 +317,40 @@ def table_from_json(pairs) -> TableHypothesis:
     return TableHypothesis({point_from_json(x, coord=None): label_from_json(y) for x, y in pairs})
 
 
-def _distribution_from_json(spec):
-    if isinstance(spec, dict) and "gaussian" in spec:
-        g = spec["gaussian"]
-        return GaussianDistribution(point_from_json(g["center"]), float(g["sigma"]))
-    return FiniteDistribution([point_from_json(z) for z, _ in spec], [float(p) for _, p in spec])
+def _known(what: str, given: dict, allowed) -> None:
+    """Reject the keys of ``given`` that ``allowed`` does not name."""
+    unknown = [repr(key) for key in given if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {what} key {', '.join(unknown)}; "
+                         f"expected {', '.join(allowed) or 'none'}")
+
+
+def _finite(what: str, v) -> float:
+    """``v`` as a float if it is a finite JSON number; a string, bool, nan or inf is an error."""
+    # nan, inf and integers past float range fail the comparison
+    if not is_number(v) or not abs(v) < 2 ** 1023:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _rows(what: str, v, width: int) -> list:
+    """``v`` if it is a list of ``width``-item lists."""
+    if not isinstance(v, list) or not all(isinstance(r, list) and len(r) == width for r in v):
+        raise ValueError(f"{what} must be a list of {width}-item lists, got {v!r}")
+    return v
+
+
+def _distribution_from_json(name: str, spec):
+    if isinstance(spec, dict):
+        _known(f"distribution {name!r}", spec, ("gaussian",))
+        g = spec.get("gaussian")
+        if not isinstance(g, dict) or set(g) != {"center", "sigma"}:
+            raise ValueError(f"distribution {name!r}: gaussian needs center and sigma, got {g!r}")
+        return GaussianDistribution(point_from_json(g["center"]),
+                                    _finite(f"distribution {name!r} sigma", g["sigma"]))
+    pairs = _rows(f"distribution {name!r}", spec, 2)
+    return FiniteDistribution([point_from_json(z) for z, _ in pairs],
+                              [_finite(f"distribution {name!r} probability", p) for _, p in pairs])
 
 
 def task_from_dict(d: dict) -> TaskInstance:
@@ -331,33 +361,77 @@ def task_from_dict(d: dict) -> TaskInstance:
         atoms: [[x, y, prob], ...]
         distributions: {name: [[point, prob], ...] | {gaussian: {center, sigma}}}
         families: [{x: _, true: [names], rep: [names] | null, k: int}, ...]
+
+    Probabilities and sigma must be numbers and ``k`` an integer (2.0
+    counts as 2); anything else raises ``ValueError``.
     """
-    dists = {name: _distribution_from_json(spec) for name, spec in d["distributions"].items()}
+    if not isinstance(d, dict):
+        raise ValueError(f"a task must be a mapping, got {d!r}")
+    _known("task", d, ("atoms", "distributions", "families"))
+    specs = d.get("distributions")
+    if not isinstance(specs, dict):
+        raise ValueError(f"task distributions must be a mapping, got {specs!r}")
+    dists = {name: _distribution_from_json(name, spec) for name, spec in specs.items()}
+    atoms = _rows("task atoms", d.get("atoms"), 3)
     data = FiniteDistribution(
-        [(point_from_json(x), label_from_json(y)) for x, y, _ in d["atoms"]],
-        [float(p) for _, _, p in d["atoms"]],
+        [(point_from_json(x), label_from_json(y)) for x, y, _ in atoms],
+        [_finite("atom probability", p) for _, _, p in atoms],
     )
+
+    def members(x, names):
+        if not isinstance(names, list):
+            raise ValueError(f"family {x!r}: members must be a list of names, got {names!r}")
+        for name in names:
+            if not isinstance(name, str) or name not in dists:
+                raise ValueError(f"family {x!r} names unknown distribution {name!r}")
+        return [dists[name] for name in names]
+
     families = {}
-    for fam in d["families"]:
+    fams = d.get("families")
+    if not isinstance(fams, list) or not all(isinstance(fam, dict) for fam in fams):
+        raise ValueError(f"task families must be a list of mappings, got {fams!r}")
+    for fam in fams:
+        _known("family", fam, ("x", "true", "rep", "k"))
+        x = fam.get("x")
+        k = _finite(f"family {x!r} k", fam.get("k", 1))
+        if k % 1:
+            raise ValueError(f"family {x!r} k must be an integer, got {k!r}")
         rep = fam.get("rep")
-        families[point_from_json(fam["x"])] = DistributionFamily(
-            [dists[name] for name in fam["true"]],
-            [dists[name] for name in rep] if rep is not None else None,
-            k=int(fam.get("k", 1)),
+        families[point_from_json(x)] = DistributionFamily(
+            members(x, fam.get("true")),
+            members(x, rep) if rep is not None else None,
+            k=int(k),
         )
     return TaskInstance(data, families)
 
 
 def build_task(spec: dict) -> TaskInstance:
-    """Resolve a config task reference: builtin name, inline table, or file."""
+    """Resolve a config task reference: builtin name, inline table, or file.
+
+    A malformed reference (unknown keys, a builtin param the builtin does
+    not take or that is not a finite number) raises ``ValueError``.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a task spec must be a mapping, got {spec!r}")
     if "builtin" in spec:
-        name = spec["builtin"]
-        if name not in BUILTIN_TASKS:
+        _known("builtin task", spec, ("builtin", "params"))
+        name, params = spec["builtin"], spec.get("params", {})
+        if not isinstance(name, str) or name not in BUILTIN_TASKS:
             raise ValueError(f"unknown builtin task {name!r}")
-        return BUILTIN_TASKS[name](**spec.get("params", {}))
+        build = BUILTIN_TASKS[name]
+        if not isinstance(params, dict):
+            raise ValueError(f"builtin task params must be a mapping, got {params!r}")
+        _known(f"builtin task {name!r} params", params, tuple(inspect.signature(build).parameters))
+        for key, value in params.items():
+            _finite(f"builtin task param {key!r}", value)
+        return build(**params)
     if "inline" in spec:
+        _known("inline task", spec, ("inline",))
         return task_from_dict(spec["inline"])
     if "file" in spec:
+        _known("file task", spec, ("file",))
+        if not isinstance(spec["file"], str):
+            raise ValueError(f"a task file must be a path, got {spec['file']!r}")
         text = Path(spec["file"]).read_text()
         return task_from_dict(json.loads(text))
     raise ValueError("task spec needs one of: builtin, inline, file")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hypo import enumerate_behaviors
-from ..perturb import FiniteDistribution
+from ..perturb import FiniteDistribution, categorical
 
 DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_s
 
@@ -98,7 +98,7 @@ class FiniteView:
 
     def draw_clean_slots(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. atom indices from the data distribution."""
-        return rng.choice(self.n_atoms, size=count, p=self.atom_p)
+        return categorical(self.atom_p, count, rng)
 
     def draw_slot_counts(self, rng: np.random.Generator, slot_atoms: np.ndarray,
                          m: int, view: str) -> np.ndarray:

@@ -1,5 +1,13 @@
 """Experiment reports and their byte-stable CSV/JSON serialization.
 
+A report holds its per-trial rows as a column table: column name -> a numpy
+array (bool, integer or float) or a list of Python values (strings, JSON
+cells, or a column whose cells mix types, such as hoeffding's ``n``, ""
+on inner rows and an integer on outer ones).  Each column is formatted
+once, by its type, when the CSV is rendered.  ``ExperimentReport.rows`` is
+a read-only view of the same table as row dicts of Python scalars; the JSON
+report and callers that want rows read it.
+
 Emitted files are a pure function of (config, master seed): no timestamps
 or timings are written, so identical runs produce identical bytes.  Wall
 clock lives on the in-memory report only and goes to the log.
@@ -10,26 +18,79 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..stats import Assertion
 
 SCHEMA_VERSION = 1
 
 
+def column(values: list):
+    """``values`` as a table column, keeping each cell's Python type.
+
+    A numpy array when every value is a bool, every value an int or every
+    value a float (ints past 64 bits aside); otherwise the list itself.
+    """
+    kinds = {type(v) for v in values}
+    if len(kinds) == 1 and kinds <= {bool, int, float}:
+        array = np.array(values)
+        if array.dtype != object:
+            return array
+    return values
+
+
+def table_from_rows(rows: list, columns=None) -> dict:
+    """The column table of row dicts; a row's missing cell is ""."""
+    if columns is None:
+        columns = list(rows[0]) if rows else []
+    return {c: column([row.get(c, "") for row in rows]) for c in columns}
+
+
+class RowView(Sequence):
+    """Read-only row dicts of a column table, with Python scalars as cells."""
+
+    def __init__(self, table: dict):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(next(iter(self._table.values()))) if self._table else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(RowView({name: col[i] for name, col in self._table.items()}))
+        return {name: col[i].item() if isinstance(col, np.ndarray) else col[i]
+                for name, col in self._table.items()}
+
+    def __iter__(self):
+        cells = [col.tolist() if isinstance(col, np.ndarray) else col
+                 for col in self._table.values()]
+        for values in zip(*cells):
+            yield dict(zip(self._table, values))
+
+
 @dataclass
 class ExperimentReport:
     kind: str
     config: dict
-    columns: list
-    rows: list                 # list of dicts keyed by ``columns``
+    table: dict                # per-trial rows: column name -> array or list
     agg_columns: list
     aggregates: list           # list of dicts keyed by ``agg_columns``
     assertions: list           # list of stats.Assertion
     passed: bool
     wall_clock_s: float = 0.0  # not serialized
     schema_version: int = SCHEMA_VERSION
+
+    @property
+    def columns(self) -> list:
+        return list(self.table)
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self.table)
 
     def summary_lines(self) -> list:
         lines = [a.describe() for a in self.assertions]
@@ -39,14 +100,21 @@ class ExperimentReport:
         return lines
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
+def _cells(col) -> list:
+    """One column's CSV cells.
+
+    Bools are "1"/"0", floats their ``repr``, ints and strings ``str``, and a
+    list of dicts (the hypothesis column) is JSON with sorted keys.  A list
+    that mixes types goes through ``str``, which writes a float as its
+    ``repr`` too.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype == bool:
+            return np.where(col, "1", "0").tolist()
+        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    if col and isinstance(col[0], (dict, list)):
+        return [json.dumps(v, sort_keys=True) for v in col]
+    return list(map(str, col))
 
 
 def _assertion_dict(a: Assertion) -> dict:
@@ -67,20 +135,19 @@ def render_csv(report: ExperimentReport) -> str:
     def comment(text):
         buf.write(text + "\n")
 
-    def table(columns, rows):
+    def table(columns, table):
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c, "")) for c in columns])
+        writer.writerows(zip(*[_cells(table[c]) for c in columns]))
 
     comment(f"# drloss report schema={report.schema_version} kind={report.kind}")
     comment("# config: " + json.dumps(report.config, sort_keys=True))
     comment("# sections follow: per-trial rows, then aggregates, then assertions")
-    table(report.columns, report.rows)
+    table(report.columns, report.table)
     comment("# aggregates")
-    table(report.agg_columns, report.aggregates)
+    table(report.agg_columns, table_from_rows(report.aggregates, report.agg_columns))
     comment("# assertions")
     acols = ["name", "observed", "bound", "slack_rule", "passed"]
-    table(acols, [_assertion_dict(a) for a in report.assertions])
+    table(acols, table_from_rows([_assertion_dict(a) for a in report.assertions], acols))
     comment(f"# passed={1 if report.passed else 0}")
     return buf.getvalue()
 
@@ -91,7 +158,7 @@ def render_json(report: ExperimentReport) -> str:
         "kind": report.kind,
         "config": report.config,
         "columns": report.columns,
-        "rows": report.rows,
+        "rows": list(report.rows),
         "agg_columns": report.agg_columns,
         "aggregates": report.aggregates,
         "assertions": [_assertion_dict(a) for a in report.assertions],

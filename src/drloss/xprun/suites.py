@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from operator import itemgetter
 from statistics import median
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -29,6 +28,7 @@ from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     SortedSampler,
+    categorical,
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
@@ -48,7 +48,7 @@ from ..tasks import (
 )
 from .config import ConfigError, ExperimentConfig, build_hypothesis, build_hypothesis_class, check
 from .indexed import FiniteView
-from .report import ExperimentReport
+from .report import ExperimentReport, table_from_rows
 
 CHUNK = 256
 EXACT_ZERO_TOL = 1e-12
@@ -124,7 +124,7 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
                            eps_prime=eps_prime, k=task.max_family_size(train_view))
 
 
-def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
+def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> dict:
     entry = cfg.grid[g]
     n, m, epsilon, exact_inner = entry["n"], entry["m"], entry["epsilon"], entry["exact_inner"]
     level = s.levels[g]
@@ -133,62 +133,64 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
     rng = seeding.stream(cfg.master_seed, g, chunk)
     slots = view.draw_clean_slots(rng, trials * n)
     if exact_inner:
+        # no sampled points to restrict to; minimize over the full-domain behaviors
         dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
+        best = dr_s.argmin(axis=0)
+        hypotheses = [s.witnesses[b] for b in best]
+        loss_emp = dr_s[best, np.arange(trials)]
+        loss_pop = s.dr_true[best]
     else:
         counts = view.draw_slot_counts(rng, slots, m, s.train_view)
         dr_s, scores = view.dr_s(s.labels, slots, counts, trials, n, m, True)
-
-    loss_pop_of = {}  # ERM witness -> its exact DR loss
-    rows = []
-    for t in range(trials):
-        if exact_inner:
-            # no sampled points to restrict to; minimize over the full-domain behaviors
-            best = int(np.argmin(dr_s[:, t]))
-            erm_h = s.witnesses[best]
-            loss_emp = float(dr_s[best, t])
-            loss_pop = float(s.dr_true[best])
-        else:
+        loss_pop_of = {}  # ERM witness -> its exact DR loss
+        hypotheses, loss_emp = [], []
+        for t in range(trials):
             trial = slice(t * n, (t + 1) * n)
-            erm_h, loss_emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t],
-                                                 slots[trial], counts[trial])
+            erm_h, emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t],
+                                            slots[trial], counts[trial])
             if erm_h not in loss_pop_of:
                 loss_pop_of[erm_h] = float(view.dr_exact(view.labels_of(erm_h), "true")[0])
-            loss_pop = loss_pop_of[erm_h]
-        row = {"grid_index": g, "trial": lo + t, "n": n, "m": m, "k": s.k,
-               "epsilon": epsilon, "delta": entry["delta"]}
-        if cfg.kind == "model1":
-            row["eps_prime"] = s.eps_prime
-        if cfg.kind in ("model1", "model2"):
-            row["bound"] = level
-        row.update(loss_emp=loss_emp, loss_pop=loss_pop, gap=abs(loss_emp - loss_pop))
-        if cfg.kind == "agnostic":
-            max_gap = float(np.max(np.abs(dr_s[:, t] - s.dr_true)))
-            row.update(max_gap=max_gap, viol=bool(max_gap > epsilon))
-        else:
-            zero_train = dr_s[:, t] <= EXACT_ZERO_TOL
-            row.update(viol_erm=bool(loss_emp <= EXACT_ZERO_TOL and loss_pop >= level),
-                       viol_any=bool(np.any(zero_train & (s.dr_true >= level))))
-        row["hypothesis"] = erm_h.to_json()
-        rows.append(row)
-    return rows
+            hypotheses.append(erm_h)
+            loss_emp.append(emp)
+        loss_pop = np.array([loss_pop_of[h] for h in hypotheses])
+        loss_emp = np.array(loss_emp)
+
+    cols = {"grid_index": np.full(trials, g), "trial": np.arange(lo, hi),
+            "n": np.full(trials, n), "m": np.full(trials, m), "k": np.full(trials, s.k),
+            "epsilon": np.full(trials, epsilon), "delta": np.full(trials, entry["delta"])}
+    if cfg.kind == "model1":
+        cols["eps_prime"] = np.full(trials, s.eps_prime)
+    if cfg.kind in ("model1", "model2"):
+        cols["bound"] = np.full(trials, level)
+    cols.update(loss_emp=loss_emp, loss_pop=loss_pop, gap=np.abs(loss_emp - loss_pop))
+    if cfg.kind == "agnostic":
+        max_gap = np.abs(dr_s - s.dr_true[:, None]).max(axis=0)
+        cols.update(max_gap=max_gap, viol=max_gap > epsilon)
+    else:
+        zero_train = dr_s <= EXACT_ZERO_TOL
+        cols.update(viol_erm=(loss_emp <= EXACT_ZERO_TOL) & (loss_pop >= level),
+                    viol_any=np.any(zero_train & (s.dr_true >= level)[:, None], axis=0))
+    cols["hypothesis"] = [h.to_json() for h in hypotheses]
+    return cols
 
 
-def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
     viol_key = "viol" if cfg.kind == "agnostic" else "viol_erm"
     delta = cfg.grid[g]["delta"]
+    trials = len(rows["gap"])
     agg = {
         "n": entry["n"],
         "m": entry["m"],
         "epsilon": entry["epsilon"],
         "delta": delta,
-        "median_gap": median(r["gap"] for r in rows),
+        "median_gap": median(rows["gap"].tolist()),
     }
     if cfg.kind != "agnostic":
-        agg["viol_any_freq"] = sum(r["viol_any"] for r in rows) / len(rows)
+        agg["viol_any_freq"] = int(np.count_nonzero(rows["viol_any"])) / trials
     if cfg.kind in ("model1", "model2"):
         agg["bound"] = s.levels[g]
     return agg, [Tally(freq_at_most, f"{cfg.kind} violation freq (grid {g})",
-                       f"{viol_key}_freq", sum(r[viol_key] for r in rows), delta)]
+                       f"{viol_key}_freq", int(np.count_nonzero(rows[viol_key])), delta)]
 
 
 def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
@@ -198,7 +200,7 @@ def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
     return s.view.dr_s(s.labels, slots, counts, draws, n, m)
 
 
-def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
+def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
     """Paired-draw estimate of Pr(B) >= (2/5) Pr(A), one row per master-seed trial."""
     entry = cfg.grid[g]
     n, m, epsilon = entry["n"], entry["m"], entry["epsilon"]
@@ -229,25 +231,30 @@ def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
             "vacuous": pr_a == 0.0,
             "passed": pr_a == 0.0 or mean_d >= -3.0 * se_d,
         })
-    return rows
+    return table_from_rows(rows)
 
 
-def _double_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+def _double_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
+    trials = len(rows["trial"])
     agg = {
         "n": entry["n"],
         "m": entry["m"],
         "epsilon": entry["epsilon"],
-        "mean_pr_a": sum(r["pr_a"] for r in rows) / len(rows),
-        "mean_pr_b": sum(r["pr_b"] for r in rows) / len(rows),
-        "min_margin": min(r["mean_d"] + 3 * r["se_d"] for r in rows),
-        "vacuous_trials": sum(r["vacuous"] for r in rows),
+        # Python's left-to-right sums, as the report has always used
+        "mean_pr_a": sum(rows["pr_a"].tolist()) / trials,
+        "mean_pr_b": sum(rows["pr_b"].tolist()) / trials,
+        "min_margin": float((rows["mean_d"] + 3 * rows["se_d"]).min()),
+        "vacuous_trials": int(np.count_nonzero(rows["vacuous"])),
     }
-    return agg, [Assertion(name=f"double-sampling grid {g} trial {r['trial']}",
-                           observed=r["mean_d"],
-                           bound=-3.0 * r["se_d"],
+    return agg, [Assertion(name=f"double-sampling grid {g} trial {trial}",
+                           observed=mean_d,
+                           bound=-3.0 * se_d,
                            slack_rule="mean(1_B - (2/5) 1_A) >= -3 se",
-                           passed=r["passed"])
-                 for r in rows if not r["vacuous"]]
+                           passed=passed)
+                 for trial, mean_d, se_d, passed, vacuous in zip(
+                     rows["trial"].tolist(), rows["mean_d"].tolist(), rows["se_d"].tolist(),
+                     rows["passed"].tolist(), rows["vacuous"].tolist())
+                 if not vacuous]
 
 
 # ---------------------------------------------------------------------------
@@ -315,37 +322,38 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     return s
 
 
-def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> list:
+def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> dict:
     entry = cfg.grid[g]
     target, epsilon = entry["target"], entry["epsilon"]
     threshold = s.tails[g][0]
     trials = hi - lo
     rng = seeding.stream(cfg.master_seed, g, chunk)
     if target == "inner":
-        n, m = "", entry["m"]
+        n_col, m = [""] * trials, entry["m"]
         counts = rng.multinomial(m, s.inner_probs, size=trials)
         devs = np.abs(counts @ s.inner_mist / m - s.inner_p)
     else:
         n, m = entry["n"], cfg.params["outer_m"]
-        slots = rng.choice(s.view.n_atoms, size=(trials, n), p=s.view.atom_p)
+        n_col = np.full(trials, n)
+        slots = categorical(s.view.atom_p, (trials, n), rng)
         worst = np.zeros((trials, n))
         for j in range(s.p_members.shape[1]):
             draws = rng.binomial(m, s.p_members[slots, j]) / m
             np.maximum(worst, draws, out=worst)
         devs = np.abs(worst.mean(axis=1) - s.expected)
-    return [{
-        "grid_index": g,
-        "trial": lo + t,
-        "target": target,
-        "n": n,
-        "m": m,
-        "epsilon": epsilon,
-        "deviation": float(dev),
-        "exceeded": bool(dev >= threshold),
-    } for t, dev in enumerate(devs)]
+    return {
+        "grid_index": np.full(trials, g),
+        "trial": np.arange(lo, hi),
+        "target": [target] * trials,
+        "n": n_col,
+        "m": np.full(trials, m),
+        "epsilon": np.full(trials, epsilon),
+        "deviation": devs,
+        "exceeded": devs >= threshold,
+    }
 
 
-def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
     threshold, bound = s.tails[g]
     agg = {
         "target": entry["target"],
@@ -356,7 +364,7 @@ def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: li
         "bound": bound,
     }
     return agg, [Tally(freq_within_three_sigma, f"hoeffding {entry['target']} tail (grid {g})",
-                       "exceed_freq", sum(r["exceeded"] for r in rows), bound)]
+                       "exceed_freq", int(np.count_nonzero(rows["exceeded"])), bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +430,14 @@ def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
                            value_key="band_value", value=band_value)
 
 
-def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> list:
+def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
     """One row per trial: the setup's ``value`` of that trial's sorted fixed draws.
 
     The draws come from ``SortedSampler``, already sorted.  They are the
     multiset ``sample_indices`` would pick from the trial's stream, since
     both map the same uniforms through the same cdf: a uniform u lands at or
     below support index j exactly when u < cdf[j].  So the values and
-    ``seeds_hex`` equal those of ``np.sort`` over ``choice``'s draws, which
+    ``seeds_hex`` equal those of ``np.sort`` over ``sample``'s draws, which
     the object-level ``derandomize_classifier``/``_certifier`` make.
     """
     p = s.grid[g]
@@ -451,14 +459,14 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
             "seed_ref": f"philox[{cfg.master_seed}/{g}/{trial}]",
             "seeds_hex": ";".join(encode_seeds(draws.tolist())) if dump_seeds else "",
         })
-    return rows
+    return table_from_rows(rows)
 
 
-def _derand_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
+def _derand_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
     p = s.grid[g]
     agg = {"eta": p.eta, "delta": p.delta, "t_votes": p.t_votes, "eps_eta": p.eps_eta}
     checks = [Tally(freq_at_most, f"{cfg.kind.replace('-', ' ')} exceed freq (grid {g})",
-                    "exceed_freq", sum(r["exceeded"] for r in rows), p.delta)]
+                    "exceed_freq", int(np.count_nonzero(rows["exceeded"])), p.delta)]
     if cfg.kind == "derand-certifier":
         agg["q_in"] = s.derand.q_in
         return agg, checks
@@ -502,7 +510,7 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
                                              hypothesis_class=hclass, sample_from="rep"))
 
 
-def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> list:
+def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> dict:
     """Train once per trial, then evaluate that trial's cut at every grid entry."""
     sigma, shift_points = cfg.params["sigma"], cfg.params["shift_points"]
     atoms = s.task.atoms()
@@ -536,12 +544,12 @@ def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi
                 "d_delta": d_delta,
                 "ok": bool(excess <= d_delta + cfg.params["mc_slack"]),
             })
-    return rows
+    return table_from_rows(rows)
 
 
-def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: list) -> tuple:
-    max_excess = max(r["excess"] for r in rows)
-    d_delta = rows[0]["d_delta"]
+def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
+    max_excess = max(rows["excess"].tolist())
+    d_delta = rows["d_delta"][0].item()
     slack = cfg.params["mc_slack"]
     asserted = cfg.grid[g]["assert"]
     agg = {
@@ -572,8 +580,8 @@ class Suite(NamedTuple):
 
     # each takes the checked config; an aggregate also gets its grid entry as written
     setup: Callable        # cfg -> setup, built once per run_suite call per process
-    chunk: Callable        # (cfg, setup, grid index, unit index, lo, hi) -> rows
-    aggregate: Callable    # (cfg, setup, grid index, entry, grid rows) -> (agg, checks)
+    chunk: Callable        # (cfg, setup, grid index, unit index, lo, hi) -> columns
+    aggregate: Callable    # (cfg, setup, grid index, entry, grid columns) -> (agg, checks)
     unit: int = CHUNK      # trials per work unit
     per_grid: bool = True  # False: one unit covers every grid entry
 
@@ -619,17 +627,34 @@ def _init_worker(cfg: ExperimentConfig) -> None:
     _worker = (cfg, _setup(cfg))
 
 
-def _worker_chunk(g: int, c: int, lo: int, hi: int) -> list:
+def _worker_chunk(g: int, c: int, lo: int, hi: int) -> dict:
     cfg, setup = _worker
     return SUITES[cfg.kind].chunk(cfg, setup, g, c, lo, hi)
 
 
 def _collect(cfg: ExperimentConfig, suite: Suite, setup, jobspecs: list) -> list:
+    """Each work unit's columns, in ``jobspecs`` order."""
     if cfg.jobs == 1:
         return [suite.chunk(cfg, setup, *spec) for spec in jobspecs]
     with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
                              initargs=(cfg,)) as ex:
         return list(ex.map(_worker_chunk, *zip(*jobspecs)))
+
+
+def _concat(parts: list):
+    """One column of the run from its units' pieces.
+
+    Arrays of one dtype concatenate; anything else becomes one list of
+    Python values, so no cell changes type (an int column never becomes
+    float, and hoeffding's "" and integer ``n`` cells stay as they are).
+    """
+    if all(isinstance(p, np.ndarray) for p in parts) and len({p.dtype for p in parts}) == 1:
+        return np.concatenate(parts)
+    return [v for p in parts for v in (p.tolist() if isinstance(p, np.ndarray) else p)]
+
+
+def _take(col, order: np.ndarray):
+    return col[order] if isinstance(col, np.ndarray) else [col[i] for i in order.tolist()]
 
 
 def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
@@ -642,14 +667,20 @@ def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
     grids = range(len(cfg.grid)) if suite.per_grid else [0]
     jobspecs = [(g, c, lo, hi) for g in grids
                 for c, lo, hi in _chunk_ranges(cfg.trials, suite.unit)]
-    rows = [row for chunk in _collect(cfg, suite, setup, jobspecs) for row in chunk]
-    rows.sort(key=itemgetter("grid_index", "trial"))
+    parts = _collect(cfg, suite, setup, jobspecs)
+    table = {name: _concat([part[name] for part in parts]) for name in parts[0]}
+    if not suite.per_grid:
+        # a unit covers every grid entry; the others arrive in (grid, trial) order
+        order = np.lexsort((table["trial"], table["grid_index"]))
+        table = {name: _take(col, order) for name, col in table.items()}
+    bounds = np.searchsorted(table["grid_index"], np.arange(len(cfg.grid) + 1)).tolist()
 
     aggregates = []
     assertions = []
     for g, entry in enumerate(raw["grid"]):
-        grid_rows = [r for r in rows if r["grid_index"] == g]
-        trials = len(grid_rows)
+        lo, hi = bounds[g], bounds[g + 1]
+        trials = hi - lo
+        grid_rows = {name: col[lo:hi] for name, col in table.items()}
         agg, checks = suite.aggregate(cfg, setup, g, entry, grid_rows)
         grid_assertions = []
         for item in checks:
@@ -670,8 +701,7 @@ def run_suite(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind=cfg.kind,
         config=raw,
-        columns=list(rows[0]),
-        rows=rows,
+        table=table,
         agg_columns=sorted({k for a in aggregates for k in a}),
         aggregates=aggregates,
         assertions=assertions,

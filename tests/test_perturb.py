@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drloss import perturb
 from drloss.perturb import (
     DistributionError,
     DistributionFamily,
@@ -13,6 +14,7 @@ from drloss.perturb import (
     GaussianDistribution,
     SortedSampler,
     build_representative_cover,
+    categorical,
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
@@ -153,6 +155,69 @@ class TestSortedSampler:
     def test_rejects_tuple_support(self):
         with pytest.raises(DistributionError):
             SortedSampler(FiniteDistribution([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5]))
+
+
+class TestCategorical:
+    """``categorical`` against the numpy draw it reproduces, ``rng.choice(K, size, p=p)``."""
+
+    @staticmethod
+    def assert_matches_choice(p, size, seed):
+        ref_rng, rng = rng_for(seed), rng_for(seed)
+        expected = ref_rng.choice(len(p), size=size, p=p)
+        got = categorical(np.asarray(p, dtype=float), size, rng)
+        assert got.dtype == np.intp
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert rng.random() == ref_rng.random()  # the same number of uniforms taken
+
+    @staticmethod
+    def force(mp, count):
+        """Send every draw to the counting branch, or every draw to the search."""
+        mp.setattr(perturb, "COUNT_MAX_K", 10**6 if count else 0)
+        mp.setattr(perturb, "COUNT_MIN_DRAWS", 0)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
+    @pytest.mark.parametrize("p,size", [
+        ([1.0], 50),
+        ([0.5, 0.5], 1),
+        ([0.0, 0.5, 0.5], 300),
+        ([0.3, 0.0, 0.7], 300),
+        ([0.25, 0.75, 0.0], 300),
+        ([0.1, 0.2, 0.3, 0.4], (7, 9)),
+        ([0.5, 0.5], (256, 200)),
+        ([1 / 300] * 300, 2000),
+        ([0.4, 0.6], 0),
+    ], ids=["k1", "k2-one-draw", "zero-first", "zero-inside", "zero-last", "two-d",
+            "hoeffding-outer-chunk", "k300", "no-draws"])
+    def test_categorical_matches_choice(self, monkeypatch, count, p, size):
+        self.force(monkeypatch, count)
+        for seed in range(3):
+            self.assert_matches_choice(p, size, seed)
+
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_categorical_matches_choice_on_random_distributions(self, seed, count):
+        r = rng_for(seed)
+        k = int(r.integers(1, 41))
+        weights = r.integers(0, 4, size=k).astype(float)  # about a quarter are zero
+        weights[r.integers(k)] += 1.0
+        size = int(r.integers(1, 500)) if r.random() < 0.5 else tuple(r.integers(1, 30, size=2))
+        with pytest.MonkeyPatch.context() as mp:
+            self.force(mp, count)
+            self.assert_matches_choice(weights / weights.sum(), size, seed)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
+    def test_categorical_uniform_on_a_cdf_step_lands_above_it(self, monkeypatch, count):
+        self.force(monkeypatch, count)
+
+        class Fixed(np.random.Generator):
+            def __init__(self):
+                super().__init__(np.random.Philox(0))
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])[:size]
+
+        p = [0.25, 0.25, 0.0, 0.5]
+        assert np.array_equal(categorical(np.array(p), 6, Fixed()),
+                              Fixed().choice(4, size=6, p=p))
 
 
 class TestTvDistance:

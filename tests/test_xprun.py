@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -164,6 +166,12 @@ class TestTaskSerialization:
         assert task.data_dist.support == reference.data_dist.support
         assert task.domain_points() == reference.domain_points()
 
+    def test_integral_float_k_counts_as_the_integer(self):
+        family = dict(T1_TASK["families"][0], k=2.0)
+        task = task_from_dict(dict(T1_TASK, families=[family, T1_TASK["families"][1]]))
+        assert task.family_of == task_from_dict(T1_TASK).family_of
+        assert type(task.family_of[0.0].k) is int
+
     def test_gaussian_member(self):
         spec = {
             "atoms": [[0.0, -1, 1.0]],
@@ -255,6 +263,15 @@ class TestFiniteViewEquivalence:
             assert witness == direct
             assert best == pytest.approx(empirical_dr_loss(direct, s), abs=1e-12)
 
+
+# the builtin t1 task written inline
+T1_TASK = {
+    "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
+    "distributions": {"d0": [[0.0, 1.0]], "u01": [[0.0, 0.5], [1.0, 0.5]],
+                      "d3": [[3.0, 1.0]], "u23": [[2.0, 0.5], [3.0, 0.5]]},
+    "families": [{"x": 0.0, "true": ["d0", "u01"], "k": 2},
+                 {"x": 3.0, "true": ["d3", "u23"], "k": 2}],
+}
 
 # one negative atom at 0 with a point-mass member
 POINT_TASK = {
@@ -563,6 +580,42 @@ class TestSuites:
         assert loss == pytest.approx(0.5, abs=1e-4)
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
+
+
+def render_csv_by_rows(report) -> str:
+    """The row-wise CSV renderer that the column-wise ``render_csv`` replaced.
+
+    Kept as the slow reference: every cell of every row through ``_cell``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def table(columns, rows):
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row.get(c, "")) for c in columns])
+
+    buf.write(f"# drloss report schema={report.schema_version} kind={report.kind}\n")
+    buf.write("# config: " + json.dumps(report.config, sort_keys=True) + "\n")
+    buf.write("# sections follow: per-trial rows, then aggregates, then assertions\n")
+    table(report.columns, list(report.rows))
+    buf.write("# aggregates\n")
+    table(report.agg_columns, report.aggregates)
+    buf.write("# assertions\n")
+    table(["name", "observed", "bound", "slack_rule", "passed"],
+          [vars(a) for a in report.assertions])
+    buf.write(f"# passed={1 if report.passed else 0}\n")
+    return buf.getvalue()
+
+
 class TestReports:
     def test_emit_byte_identical_across_runs(self, tmp_path):
         for fmt in ("csv", "json"):
@@ -595,10 +648,43 @@ class TestReports:
         assert int(first["trial"]) == rep.rows[0]["trial"]
         assert len(sections["assertions"]) == len(rep.assertions)
 
+    # small trial counts; smoothing and hoeffding interleave or mix cell types
+    ORACLE_TRIALS = {"hoeffding": 300, "double-sampling": 3, "smoothing": 3}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_csv_matches_row_wise_oracle(self, kind):
+        cfg = tiny_config(kind, trials=self.ORACLE_TRIALS.get(kind, 20))
+        if kind == "double-sampling":
+            cfg.params = dict(cfg.params, draws=500)
+        rep = run_suite(cfg)
+        assert render_csv(rep) == render_csv_by_rows(rep)
+
+    def test_rows_view_keeps_cell_types(self):
+        rep = run_suite(tiny_config("hoeffding", trials=3))
+        inner, outer = rep.rows[0], rep.rows[-1]
+        assert (inner["target"], inner["n"], outer["target"]) == ("inner", "", "outer")
+        assert type(outer["n"]) is int and type(inner["m"]) is int
+        assert type(inner["deviation"]) is float and type(inner["exceeded"]) is bool
+        assert len(rep.rows) == 12 and list(rep.rows)[-1] == outer
+        assert rep.rows[10:] == list(rep.rows)[10:] and rep.rows[::-1][0] == outer
+        assert rep.rows[3:3] == []
+
+        cfg = tiny_config("realizable", trials=3)
+        cfg.grid = [{"n": 10.0, "m": 10, "epsilon": 0.1}]
+        rep = run_suite(cfg)
+        row = rep.rows[0]
+        assert type(row["n"]) is int and type(rep.aggregates[0]["n"]) is float
+        lines = render_csv(rep).splitlines()  # 4 header lines, the rows, 2 more headers
+        agg = dict(zip(lines[len(rep.rows) + 5].split(","), lines[len(rep.rows) + 6].split(",")))
+        assert (agg["n"], agg["m"], agg["asserted"]) == ("10.0", "10", "0")
+        assert type(row["viol_erm"]) is bool and type(row["loss_emp"]) is float
+        assert row["hypothesis"] == {"classTag": "threshold-1d",
+                                     "params": {"t": row["hypothesis"]["params"]["t"]}}
+        assert [type(v) for v in row.values()] == [type(v) for v in list(rep.rows)[0].values()]
+
     def test_empty_report_renders_headers(self):
-        rep = ExperimentReport(kind="realizable", config={}, columns=["a", "b"],
-                               rows=[], agg_columns=["c"], aggregates=[],
-                               assertions=[], passed=True)
+        rep = ExperimentReport(kind="realizable", config={}, table={"a": [], "b": []},
+                               agg_columns=["c"], aggregates=[], assertions=[], passed=True)
         text = render_csv(rep)
         assert "a,b" in text and "# aggregates" in text
 
@@ -738,6 +824,18 @@ class TestCli:
         ("hoeffding", {"params": {"hypothesis": {"classTag": "threshold-1d",
                                                  "params": {"t": 0.5, "lo": 0}}}}, {}),
         ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 10 ** 400}]}, {}),
+        ("realizable", {"task": {"builtin": "t1", "params": {"rate": 0.1}}}, {}),
+        ("agnostic", {"task": {"builtin": "t1-noise", "params": {"rate": "0.1"}}}, {}),
+        ("realizable", {"task": {"builtin": ["t1"]}}, {}),
+        ("realizable", {"task": {"inline": dict(T1_TASK, families=[
+            {"x": 0.0, "true": ["d0", "u01"], "k": 2.5},
+            {"x": 3.0, "true": ["d3", "u23"], "k": 2}])}}, {}),
+        ("realizable", {"task": {"inline": dict(T1_TASK, atoms=[[0.0, -1, "0.5"],
+                                                               [3.0, 1, "0.5"]])}}, {}),
+        ("realizable", {"task": {"inline": dict(T1_TASK, distributions=dict(
+            T1_TASK["distributions"], u01=[[0.0, "0.5"], [1.0, 0.5]]))}}, {}),
+        ("realizable", {"task": {"inline": 5}}, {}),
+        ("realizable", {"task": {"file": 5}}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -755,7 +853,10 @@ class TestCli:
             "hoeffding-outer-entry-with-m", "realizable-task-null", "derand-task-unread",
             "hypothesis-class-unknown-key", "finite-table-label-not-pm-one",
             "task-label-not-pm-one", "hypothesis-t-a-string", "hypothesis-params-unknown-key",
-            "epsilon-past-float-range"])
+            "epsilon-past-float-range", "builtin-task-unknown-param",
+            "builtin-task-param-a-string", "builtin-task-name-a-list", "family-k-not-integral",
+            "atom-probability-a-string", "member-probability-a-string",
+            "inline-task-not-a-mapping", "task-file-not-a-path"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
