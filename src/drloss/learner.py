@@ -2,9 +2,11 @@
 
 ERM is exact because behaviors are enumerated on the drawn point set and
 each canonical witness is scored; nothing is approximated beyond the
-sampling itself.  Ties are broken by the enumeration order of the class,
-which is canonical and deterministic, so identical (task, config, seed)
-reproduce the identical hypothesis bit for bit.
+sampling itself.  Each class has one scoring path: sorted candidate cuts
+for thresholds, ``loss.dr_scores`` (the finite engine's contraction) for
+the rest.  Ties are broken by the enumeration order of the class, which is
+canonical and deterministic, so identical (task, config, seed) reproduce
+the identical hypothesis bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import seeding
 from .hypo import Threshold, ThresholdClass, enumerate_behaviors
-from .loss import SampleSet, TaskInstance, empirical_dr_loss, population_dr_loss_exact
+from .loss import SampleSet, TaskInstance, dr_scores, empirical_dr_loss, population_dr_loss_exact
 from .perturb import sample
 
 
@@ -52,39 +54,17 @@ def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Gener
     return SampleSet(clean=clean, perturbed=perturbed, m=cfg.m, sampled_from=cfg.sample_from)
 
 
-def _scores_generic(behaviors, points, s: SampleSet) -> np.ndarray:
-    """Empirical DR loss of each behavior via per-batch counts over distinct points."""
+def _batch_counts(s: SampleSet, points) -> np.ndarray:
+    """(n, k, D) draws of each batch on each point; a missing member's row stays 0."""
     index = {z: d for d, z in enumerate(points)}
-    n_pts = len(points)
-    batch_counts = []
-    batch_owner = []
-    batch_label = []
-    for i, (_, y) in enumerate(s.clean):
-        j = 0
-        while (i, j) in s.perturbed:
-            row = np.zeros(n_pts)
-            for z in s.perturbed[(i, j)]:
-                row[index[z]] += 1
-            batch_counts.append(row)
-            batch_owner.append(i)
-            batch_label.append(y)
-            j += 1
-    counts = np.asarray(batch_counts)  # (batches, points)
-    owner = np.asarray(batch_owner)
-    ylab = np.asarray(batch_label)
-    labels = np.asarray([b.labels for b in behaviors])  # (B, points)
-    mistakes = (labels[:, None, :] != ylab[None, :, None]).astype(float)  # (B, batches, points)
-    per_batch = np.einsum("bqd,qd->bq", mistakes, counts) / s.m
-    scores = np.zeros((len(behaviors),))
-    for b in range(len(behaviors)):
-        worst = np.zeros(s.n)
-        np.maximum.at(worst, owner, per_batch[b])
-        scores[b] = worst.mean()
-    return scores
+    counts = np.zeros((s.n, 1 + max(j for _, j in s.perturbed), len(points)), dtype=np.int64)
+    for (i, j), batch in s.perturbed.items():
+        counts[i, j] = np.bincount([index[z] for z in batch], minlength=len(points))
+    return counts
 
 
 def _scores_threshold(points, s: SampleSet) -> np.ndarray:
-    """Threshold fast path: candidate cuts are the sorted points plus a sentinel.
+    """Empirical DR loss of each candidate cut: the sorted points plus a sentinel.
 
     For a batch with label y, the misclassified count at cut t is the
     number of draws >= t (y = -1) or < t (y = +1); both come from one
@@ -92,16 +72,11 @@ def _scores_threshold(points, s: SampleSet) -> np.ndarray:
     size instead of quadratic.
     """
     candidates = np.asarray(list(points) + [points[-1] + 1.0])
-    n_cand = len(candidates)
-    worst = np.zeros((n_cand, s.n))
-    for i, (_, y) in enumerate(s.clean):
-        j = 0
-        while (i, j) in s.perturbed:
-            batch = np.sort(np.asarray(s.perturbed[(i, j)], dtype=float))
-            below = np.searchsorted(batch, candidates, side="left")
-            wrong = below if y == 1 else (s.m - below)
-            np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
-            j += 1
+    worst = np.zeros((len(candidates), s.n))
+    for (i, _), batch in s.perturbed.items():
+        below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
+        wrong = below if s.clean[i][1] == 1 else (s.m - below)
+        np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
     return worst.mean(axis=1)
 
 
@@ -110,18 +85,19 @@ def drerm(hclass, s: SampleSet):
 
     Behaviors are enumerated on every distinct point of the set (clean and
     perturbed); the first behavior attaining the minimum, in canonical
-    enumeration order, supplies the returned witness.
+    enumeration order, supplies the returned witness.  Thresholds score their
+    candidate cuts, every other class its behaviors through ``dr_scores``.
     """
     points = s.all_points()
-    if isinstance(hclass, ThresholdClass) and len(points) > 64:
-        scores = _scores_threshold(points, s)
-        best = int(np.argmin(scores))
+    if isinstance(hclass, ThresholdClass):
         # Candidates match the enumeration order: ascending cut, sentinel last.
         candidates = list(points) + [points[-1] + 1.0]
-        return Threshold(float(candidates[best]))
+        return Threshold(float(candidates[int(np.argmin(_scores_threshold(points, s)))]))
     behaviors = enumerate_behaviors(hclass, points)
-    scores = _scores_generic(behaviors, points, s)
-    return behaviors[int(np.argmin(scores))].witness
+    labels = np.array([b.labels for b in behaviors], dtype=np.int8)
+    positive = np.array([y == 1 for _, y in s.clean])
+    _, scores = dr_scores(labels, positive, _batch_counts(s, points), 1, s.n, s.m, True)
+    return behaviors[int(np.argmin(scores[:, 0]))].witness
 
 
 class LearnResult(NamedTuple):

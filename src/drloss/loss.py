@@ -6,6 +6,9 @@ across the example's perturbation distributions, of the expected 0-1 loss
 under that distribution.  On finite tasks it is computed exactly by
 summation; with Gaussian members a Monte Carlo estimate with a standard
 error is used instead.
+
+``dr_scores`` scores many behaviors on finite samples at once, as one
+integer contraction of per-batch counts against the behaviors' labels.
 """
 
 from __future__ import annotations
@@ -94,9 +97,17 @@ class SampleSet:
     def __post_init__(self):
         if not self.clean:
             raise ValueError("empty sample set")
+        members = {i: set() for i in range(self.n)}
         for key, batch in self.perturbed.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in members):
+                raise ValueError(f"batch key {key!r} is not (i, j) with 0 <= i < n={self.n}")
+            members[key[0]].add(key[1])
             if len(batch) != self.m:
                 raise ValueError(f"batch {key} has {len(batch)} draws, expected m={self.m}")
+        for i, js in members.items():
+            if not js or js != set(range(len(js))):
+                raise ValueError(f"clean example {i} has members {sorted(js, key=repr)}, "
+                                 "expected 0, ..., k - 1 with k >= 1")
 
     @property
     def n(self) -> int:
@@ -125,10 +136,74 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
             wrong = sum(1 for z in batch if h.predict(z) != y)
             worst = max(worst, wrong / s.m)
             j += 1
-        if j == 0:
-            raise ValueError(f"clean example {i} has no perturbation batches")
         total += worst
     return total / s.n
+
+
+DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_scores
+
+
+def _member_rows(counts: np.ndarray, sign: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """(k * slots, D + 1) member-major rows of one block's slots for ``dr_scores``.
+
+    Member-major, so the max over members runs over whole slot rows.
+    """
+    kmax, n_d = counts.shape[1], counts.shape[2]
+    rows = np.empty((kmax, len(counts), n_d + 1))
+    np.multiply(counts.transpose(1, 0, 2), sign[:, None], out=rows[:, :, :n_d])
+    flat = rows.reshape(-1, n_d + 1)
+    # a negated row sums to minus its batch size
+    np.matmul(flat[:, :n_d], -np.ones(n_d), out=flat[:, n_d])
+    rows[:, :, n_d] *= positive
+    return flat
+
+
+def dr_scores(labels: np.ndarray, positive: np.ndarray, counts: np.ndarray,
+              trials: int, n: int, m: int, with_scores: bool = False):
+    """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
+
+    ``labels`` (B, D) holds each behavior's +-1 labels; ``positive``
+    (slots,) marks the slots labeled +1 and ``counts`` (slots, k, D) their
+    batches, flat over trials * n slots, zero rows padding missing members.
+    A y = -1 slot's mistakes are its hits on the +1 labels, a y = +1 slot's
+    its batch size less those hits.  So each member row becomes its counts,
+    negated on a positive slot, then its batch size there and 0 elsewhere,
+    and one product with ``plus`` ((D + 1, B): each behavior's +1 indicator
+    over a row of ones) per block of trials scores every slot.  A block
+    stays within ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns
+    ``(dr, scores)``, the same means summed in the ERM's order.
+    """
+    n_b, kmax, n_d = len(labels), counts.shape[1], counts.shape[2]
+    plus = np.ones((n_d + 1, n_b))
+    plus[:n_d] = labels.T == 1
+    sign = 1.0 - 2.0 * positive
+    # a block's temporaries, per slot: k member rows of D + 1 and k hit rows
+    # of B, then the worst row and the previous block's or the scores' mean
+    block = max(1, DR_S_BLOCK_BYTES // (8 * n * (kmax * (n_d + 1 + n_b) + 2 * n_b)))
+    dr = np.empty((n_b, trials))
+    scores = np.empty((n_b, trials)) if with_scores else None
+    for t0 in range(0, trials, block):
+        t1 = min(t0 + block, trials)
+        s0, s1 = t0 * n, t1 * n
+        # integer counts times 0/1 entries: exact in any summation order
+        hits = plus.T @ _member_rows(counts[s0:s1], sign[s0:s1], positive[s0:s1]).T
+        worst = hits.reshape(n_b, kmax, s1 - s0).max(axis=1)
+        del hits  # freed before the next block allocates its own
+        worst /= m
+        # The two means sum the same n values in different orders, and
+        # report bytes depend on both: dr (it feeds max_gap and viol_any)
+        # adds left to right, the ERM scores (they feed loss_emp and the
+        # tie-break among minimizers) pairwise, as numpy sums a contiguous
+        # axis.
+        per_trial = worst.reshape(n_b, t1 - t0, n)
+        out = dr[:, t0:t1]
+        np.copyto(out, per_trial[:, :, 0])
+        for i in range(1, n):
+            out += per_trial[:, :, i]
+        out /= n
+        if with_scores:
+            scores[:, t0:t1] = per_trial.mean(axis=2)
+    return (dr, scores) if with_scores else dr
 
 
 def member_error(h, u: FiniteDistribution, y) -> float:

@@ -77,6 +77,12 @@ def flag(name: str, value) -> bool:
     return value
 
 
+def true_only(name: str, value) -> bool:
+    if value is not True:
+        raise ConfigError(f"{name} must be true, got {value!r}")
+    return value
+
+
 def mapping(name: str, value) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a mapping, got {value!r}")
@@ -224,7 +230,7 @@ SCHEMA = {
     "agnostic": Schema({}, _ERM_GRID, _ERM_OPTIONAL),
     "model1": Schema(_COVER, _ERM_GRID, _ERM_OPTIONAL),
     "model2": Schema(_COVER, _ERM_GRID, _ERM_OPTIONAL),
-    "double-sampling": Schema({"draws": positive_int}, _ERM_GRID, _ASSERT),
+    "double-sampling": Schema({"draws": positive_int}, _ERM_GRID, {"assert": (true_only, True)}),
     "hoeffding": Schema(
         {"inner_task": mapping, "outer_task": mapping, "outer_m": positive_int,
          "hypothesis": mapping},

@@ -7,18 +7,13 @@ enumerated once per run, on the full domain point set; they capture every
 loss-relevant distinction a hypothesis class can make, which is what lets
 the suites test "for every h in H" events exactly.
 
-Two facts keep a sweep small.  Labels are +-1, so a y = -1 slot's mistakes
-are its hits on the +1 labels and a y = +1 slot's are its batch size (m on
-a member row, 0 on a padding row) less those hits.  ``dr_s`` therefore
-sign-flips each slot's counts, appends the batch size as one more column,
-and contracts every slot of a block of trials against a single (D + 1, B)
-matrix.  A block holds k * (D + 1 + B) + 2 * B floats per slot, and is
-sized to stay within ``DR_S_BLOCK_BYTES``; nothing grows with
-B * slots * D.  And the behaviors a sample can tell apart are the
-projections of the full-domain behaviors onto its points, with the same
-scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the score
-matrix and asks the class which witness its enumeration on the sample
-would have picked (``sample_witness`` in ``hypo``).
+The count contraction and its per-block byte budget ``DR_S_BLOCK_BYTES``
+live in ``loss.dr_scores``, which ``learner.drerm`` runs too.  The behaviors
+a sample can tell apart are the projections of the full-domain behaviors
+onto its points, with the same scores, so ``erm_on_sample`` reads the
+per-trial ERM minimum off the score matrix and asks the class which witness
+its enumeration on the sample would have picked (``sample_witness`` in
+``hypo``).
 """
 
 from __future__ import annotations
@@ -28,24 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from ..hypo import enumerate_behaviors
+from ..loss import dr_scores
 from ..perturb import FiniteDistribution, categorical
-
-DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_s
-
-
-def _member_rows(counts: np.ndarray, sign: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """(k * slots, D + 1) member-major rows of one block's slots for ``dr_s``.
-
-    Member-major, so the max over members runs over whole slot rows.
-    """
-    kmax, n_d = counts.shape[1], counts.shape[2]
-    rows = np.empty((kmax, len(counts), n_d + 1))
-    np.multiply(counts.transpose(1, 0, 2), sign[:, None], out=rows[:, :, :n_d])
-    flat = rows.reshape(-1, n_d + 1)
-    # a negated row sums to minus its batch size
-    np.matmul(flat[:, :n_d], -np.ones(n_d), out=flat[:, n_d])
-    rows[:, :, n_d] *= positive
-    return flat
 
 
 class FiniteView:
@@ -89,12 +68,14 @@ class FiniteView:
         """(B, atoms, points) indicator that a behavior mislabels a point for an atom."""
         return (labels[:, None, :] != self.atom_y[None, :, None]).astype(float)
 
+    def worst_member(self, labels: np.ndarray, view: str) -> np.ndarray:
+        """(B, atoms) exact error of each behavior's worst member at each atom."""
+        probs, _ = self._members[view]
+        return np.einsum("bad,akd->bak", self.mistakes(labels), probs).max(axis=2)
+
     def dr_exact(self, labels: np.ndarray, view: str) -> np.ndarray:
         """Exact DR loss of each behavior: weighted worst member error per atom."""
-        mist = self.mistakes(labels)
-        probs, _ = self._members[view]
-        member_loss = np.einsum("bad,akd->bak", mist, probs)
-        return member_loss.max(axis=2) @ self.atom_p
+        return self.worst_member(labels, view) @ self.atom_p
 
     def draw_clean_slots(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. atom indices from the data distribution."""
@@ -122,49 +103,8 @@ class FiniteView:
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, counts: np.ndarray,
              trials: int, n: int, m: int, with_scores: bool = False):
-        """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
-
-        ``slot_atoms`` and ``counts`` are flat over trials*n slots; padding
-        member rows hold zero counts.  Each member row becomes its counts,
-        negated on a slot labeled +1, followed by its batch size on such a
-        slot and 0 otherwise.  Against ``plus`` ((D + 1, B): whether each
-        behavior labels each point +1, over a row of ones) that row gives
-        its mistake count, so one product per block of trials scores every
-        slot.  With ``with_scores`` it returns ``(dr_s, scores)``;
-        ``scores`` holds the same means summed in the ERM's order.
-        """
-        n_b, kmax, n_d = len(labels), counts.shape[1], counts.shape[2]
-        plus = np.ones((n_d + 1, n_b))
-        plus[:n_d] = labels.T == 1
-        positive = self.atom_y[slot_atoms] == 1
-        sign = 1.0 - 2.0 * positive
-        # a block's temporaries, per slot: k member rows of D + 1 and k hit rows
-        # of B, then the worst row and the previous block's or the scores' mean
-        block = max(1, DR_S_BLOCK_BYTES // (8 * n * (kmax * (n_d + 1 + n_b) + 2 * n_b)))
-        dr = np.empty((n_b, trials))
-        scores = np.empty((n_b, trials)) if with_scores else None
-        for t0 in range(0, trials, block):
-            t1 = min(t0 + block, trials)
-            s0, s1 = t0 * n, t1 * n
-            # integer counts times 0/1 entries: exact in any summation order
-            hits = plus.T @ _member_rows(counts[s0:s1], sign[s0:s1], positive[s0:s1]).T
-            worst = hits.reshape(n_b, kmax, s1 - s0).max(axis=1)
-            del hits  # freed before the next block allocates its own
-            worst /= m
-            # The two means sum the same n values in different orders, and
-            # report bytes depend on both: dr_s (it feeds max_gap and
-            # viol_any) adds left to right, the ERM scores (they feed
-            # loss_emp and the tie-break among minimizers) pairwise, as
-            # numpy sums a contiguous axis.
-            per_trial = worst.reshape(n_b, t1 - t0, n)
-            out = dr[:, t0:t1]
-            np.copyto(out, per_trial[:, :, 0])
-            for i in range(1, n):
-                out += per_trial[:, :, i]
-            out /= n
-            if with_scores:
-                scores[:, t0:t1] = per_trial.mean(axis=2)
-        return (dr, scores) if with_scores else dr
+        """``loss.dr_scores`` of the slots ``slot_atoms``, flat over trials*n: (B, trials)."""
+        return dr_scores(labels, self.atom_y[slot_atoms] == 1, counts, trials, n, m, with_scores)
 
     def dr_s_exact_inner(self, labels: np.ndarray, slot_atoms: np.ndarray,
                          trials: int, n: int, view: str) -> np.ndarray:
@@ -172,9 +112,7 @@ class FiniteView:
 
         Models the m -> infinity limit: only the clean-sample noise remains.
         """
-        mist = self.mistakes(labels)
-        probs, _ = self._members[view]
-        worst = np.einsum("bad,akd->bak", mist, probs).max(axis=2)  # (B, atoms)
+        worst = self.worst_member(labels, view)
         return worst[:, slot_atoms].reshape(len(labels), trials, n).mean(axis=2)
 
     def labels_of(self, h) -> np.ndarray:

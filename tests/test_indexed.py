@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import drloss
-import drloss.xprun.indexed as indexed
+import drloss.loss as loss
 from drloss.hypo import (
     AxisRectClass,
     FiniteClass,
@@ -177,11 +177,11 @@ PADDED_TASK = {
 }
 
 
-@pytest.mark.parametrize("block_bytes", [1, 5000, indexed.DR_S_BLOCK_BYTES],
+@pytest.mark.parametrize("block_bytes", [1, 5000, loss.DR_S_BLOCK_BYTES],
                          ids=["one-trial-blocks", "small-blocks", "default"])
 def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
     # n = 2 and 50 sit on either side of numpy's 8-element pairwise-sum switch
-    monkeypatch.setattr(indexed, "DR_S_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
     runs = []
     for seed in range(30):
         case = CASES[seed % len(CASES)]

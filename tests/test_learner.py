@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from drloss.hypo import FiniteClass, TableHypothesis, Threshold, ThresholdClass, enumerate_behaviors
+from drloss.hypo import (
+    AxisRectClass,
+    FiniteClass,
+    IntervalClass,
+    TableHypothesis,
+    Threshold,
+    ThresholdClass,
+    enumerate_behaviors,
+)
 from drloss.learner import LearnConfig, draw_training_set, drerm, learn
-from drloss.loss import TaskInstance, empirical_dr_loss
+from drloss.loss import SampleSet, TaskInstance, empirical_dr_loss
 from drloss.perturb import DistributionError, DistributionFamily, FiniteDistribution
-from drloss.tasks import random_finite_task, t1, with_label_noise
+from drloss.tasks import random_finite_task, random_table_hypothesis, t1, with_label_noise
 from drloss.xprun.indexed import FiniteView
 
 
@@ -75,9 +83,8 @@ class TestDrerm:
             for b in enumerate_behaviors(ThresholdClass(), s.all_points()):
                 assert best <= empirical_dr_loss(b.witness, s) + 1e-12
 
-    def test_threshold_fast_path_matches_generic(self):
-        # >64 distinct points forces the fast path; rebuild the same set below
-        # the cutoff is impossible, so compare against direct behavior scoring
+    def test_threshold_sorted_cuts_match_enumeration(self):
+        # a set of more than 64 distinct points, against direct behavior scoring
         data = FiniteDistribution([(0.0, -1), (3.0, 1)], [0.5, 0.5])
         fams = {
             0.0: DistributionFamily([FiniteDistribution.uniform([float(i) / 40 for i in range(80)])], k=1),
@@ -96,6 +103,51 @@ class TestDrerm:
         # canonical tie-break: first behavior attaining the minimum
         first_min = next(i for sc, i in scores if sc <= min_score + 1e-12)
         assert h == enumerate_behaviors(ThresholdClass(), s.all_points())[first_min].witness
+
+
+def random_sample_set(r, pool, n: int, m: int) -> SampleSet:
+    """n clean examples from ``pool`` with random labels, 1-3 members, m draws each."""
+    clean = tuple((pool[int(r.integers(len(pool)))], int(r.choice([-1, 1]))) for _ in range(n))
+    perturbed = {(i, j): tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
+                 for i in range(n) for j in range(int(r.integers(1, 4)))}
+    return SampleSet(clean=clean, perturbed=perturbed, m=m)
+
+
+DRERM_CASES = ["threshold-few-points", "threshold-many-points", "interval", "axis-rect-2",
+               "finite-table"]
+
+
+@pytest.mark.parametrize("case", DRERM_CASES)
+def test_drerm_returns_first_minimizer(case):
+    """Each class's scoring path against scoring every enumerated behavior.
+
+    m is a power of two, so every loss is an exact dyadic sum and tied
+    behaviors compare equal whatever order a path sums in.
+    """
+    ties = 0
+    for seed in range(40):
+        r = rng_for(700 + seed)
+        n, m = int(r.integers(1, 9)), int(2 ** r.integers(0, 4))
+        if case == "axis-rect-2":
+            size = int(r.integers(1, 5))
+            pool = [(float(i), float(j)) for i in range(size) for j in range(size)]
+        elif case == "threshold-many-points":
+            n, m = 8, 16
+            pool = [float(v) for v in r.choice(400, size=int(r.integers(65, 120)), replace=False) / 4]
+        else:
+            pool = [float(v) for v in r.choice(40, size=int(r.integers(1, 11)), replace=False) / 4]
+        s = random_sample_set(r, pool, n, m)
+        points = s.all_points()
+        hclass = {"interval": IntervalClass(), "axis-rect-2": AxisRectClass(2),
+                  "finite-table": FiniteClass([random_table_hypothesis(r, points)
+                                               for _ in range(int(r.integers(1, 12)))])
+                  }.get(case, ThresholdClass())
+        assert (len(points) > 64) == (case == "threshold-many-points")
+        behaviors = enumerate_behaviors(hclass, points)
+        losses = [empirical_dr_loss(b.witness, s) for b in behaviors]
+        assert drerm(hclass, s) == behaviors[losses.index(min(losses))].witness
+        ties += losses.count(min(losses)) > 1
+    assert ties > 0  # the canonical tie-break among minimizers was exercised
 
 
 class TestLearn:

@@ -79,6 +79,19 @@ class TestEmpiricalLoss:
         with pytest.raises(ValueError):
             SampleSet(clean=((0.0, -1),), perturbed={(0, 0): (0.0,)}, m=2)
 
+    @pytest.mark.parametrize("clean, keys", [
+        (((0.0, -1),), [(0, 0), (0, 2)]),
+        (((0.0, -1),), [(0, 0), (5, 0)]),
+        (((0.0, -1), (3.0, 1)), [(0, 0)]),
+        (((0.0, -1),), [(0, 1)]),
+        (((0.0, -1),), [0]),
+    ], ids=["member-gap", "example-out-of-range", "example-without-batch",
+            "no-member-zero", "key-not-a-pair"])
+    def test_rejects_malformed_batch_keys(self, clean, keys):
+        # every scorer walks batches (i, 0), ..., (i, k - 1) for each clean example i
+        with pytest.raises(ValueError):
+            SampleSet(clean=clean, perturbed={key: (0.0, 0.0) for key in keys}, m=2)
+
 
 class TestExactPopulationLoss:
     def test_t1_zero_loss_threshold(self):

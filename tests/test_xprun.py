@@ -836,6 +836,7 @@ class TestCli:
             T1_TASK["distributions"], u01=[[0.0, "0.5"], [1.0, 0.5]]))}}, {}),
         ("realizable", {"task": {"inline": 5}}, {}),
         ("realizable", {"task": {"file": 5}}, {}),
+        ("double-sampling", {"grid": [{"n": 2, "m": 3, "epsilon": 0.2, "assert": False}]}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -856,7 +857,7 @@ class TestCli:
             "epsilon-past-float-range", "builtin-task-unknown-param",
             "builtin-task-param-a-string", "builtin-task-name-a-list", "family-k-not-integral",
             "atom-probability-a-string", "member-probability-a-string",
-            "inline-task-not-a-mapping", "task-file-not-a-path"])
+            "inline-task-not-a-mapping", "task-file-not-a-path", "double-sampling-assert-false"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
