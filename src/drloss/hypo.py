@@ -125,6 +125,18 @@ def _distinct_sorted(values):
     return sorted(set(values))
 
 
+def threshold_cuts(values: Sequence[float]) -> list:
+    """The cuts of the threshold behaviors on sorted distinct ``values``.
+
+    Each value, then the sentinel ``values[-1] + 1.0`` for the all-minus
+    behavior.  Tuple points raise ``DomainError``, as ``Threshold.predict``
+    does.
+    """
+    if isinstance(values[-1], tuple):
+        raise DomainError("threshold hypotheses are one-dimensional")
+    return list(values) + [values[-1] + 1.0]
+
+
 class ThresholdClass:
     """All thresholds on the line; VC dimension 1."""
 
@@ -139,10 +151,8 @@ class ThresholdClass:
         """
         if not points:
             raise ValueError("points must be nonempty")
-        values = _distinct_sorted(points)
-        candidates = list(values) + [values[-1] + 1.0]
         out = []
-        for t in candidates:
+        for t in threshold_cuts(_distinct_sorted(points)):
             h = Threshold(float(t))
             out.append(Behavior(tuple(h.predict(x) for x in points), h))
         return out

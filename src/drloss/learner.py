@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding
-from .hypo import Threshold, ThresholdClass, enumerate_behaviors
+from .hypo import Threshold, ThresholdClass, enumerate_behaviors, threshold_cuts
 from .loss import SampleSet, TaskInstance, dr_scores, empirical_dr_loss, population_dr_loss_exact
 from .perturb import sample
 
@@ -63,15 +63,15 @@ def _batch_counts(s: SampleSet, points) -> np.ndarray:
     return counts
 
 
-def _scores_threshold(points, s: SampleSet) -> np.ndarray:
-    """Empirical DR loss of each candidate cut: the sorted points plus a sentinel.
+def _scores_threshold(cuts: list, s: SampleSet) -> np.ndarray:
+    """Empirical DR loss of each cut of ``threshold_cuts`` on the sorted points.
 
     For a batch with label y, the misclassified count at cut t is the
     number of draws >= t (y = -1) or < t (y = +1); both come from one
     searchsorted pass per batch, so the cost is near-linear in the sample
     size instead of quadratic.
     """
-    candidates = np.asarray(list(points) + [points[-1] + 1.0])
+    candidates = np.asarray(cuts)
     worst = np.zeros((len(candidates), s.n))
     for (i, _), batch in s.perturbed.items():
         below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
@@ -91,8 +91,8 @@ def drerm(hclass, s: SampleSet):
     points = s.all_points()
     if isinstance(hclass, ThresholdClass):
         # Candidates match the enumeration order: ascending cut, sentinel last.
-        candidates = list(points) + [points[-1] + 1.0]
-        return Threshold(float(candidates[int(np.argmin(_scores_threshold(points, s)))]))
+        cuts = threshold_cuts(points)
+        return Threshold(float(cuts[int(np.argmin(_scores_threshold(cuts, s)))]))
     behaviors = enumerate_behaviors(hclass, points)
     labels = np.array([b.labels for b in behaviors], dtype=np.int8)
     positive = np.array([y == 1 for _, y in s.clean])

@@ -28,6 +28,7 @@ from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     SortedSampler,
+    binomial,
     categorical,
     gaussian_shift_tv,
     pointwise_cover_violation,
@@ -338,7 +339,7 @@ def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: 
         slots = categorical(s.view.atom_p, (trials, n), rng)
         worst = np.zeros((trials, n))
         for j in range(s.p_members.shape[1]):
-            draws = rng.binomial(m, s.p_members[slots, j]) / m
+            draws = binomial(m, s.p_members[:, j], slots, rng) / m
             np.maximum(worst, draws, out=worst)
         devs = np.abs(worst.mean(axis=1) - s.expected)
     return {

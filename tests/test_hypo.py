@@ -81,6 +81,10 @@ class TestThresholdEnumeration:
         assert behaviors[0].labels == (1, 1)
         assert behaviors[-1].labels == (-1, -1)
 
+    def test_tuple_points_raise_domain_error(self):
+        with pytest.raises(DomainError):
+            enumerate_behaviors(ThresholdClass(), [(0.0, 1.0), (2.0, 3.0)])
+
 
 class TestIntervalEnumeration:
     def test_two_points_shattered(self):

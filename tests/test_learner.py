@@ -3,6 +3,7 @@ import pytest
 
 from drloss.hypo import (
     AxisRectClass,
+    DomainError,
     FiniteClass,
     IntervalClass,
     TableHypothesis,
@@ -148,6 +149,12 @@ def test_drerm_returns_first_minimizer(case):
         assert drerm(hclass, s) == behaviors[losses.index(min(losses))].witness
         ties += losses.count(min(losses)) > 1
     assert ties > 0  # the canonical tie-break among minimizers was exercised
+
+
+def test_drerm_threshold_on_tuple_points_raises_domain_error():
+    s = SampleSet(clean=(((0.0, 1.0), -1),), perturbed={(0, 0): ((0.0, 1.0), (2.0, 3.0))}, m=2)
+    with pytest.raises(DomainError):
+        drerm(ThresholdClass(), s)
 
 
 class TestLearn:

@@ -580,6 +580,58 @@ class TestSuites:
         assert loss == pytest.approx(0.5, abs=1e-4)
 
 
+def hoeffding_exact_tail(cfg, s, g: int) -> float:
+    """P(deviation >= threshold) at grid point ``g``, from the exact law of the statistic.
+
+    Inner: the mistake vector is 0/1, so the mistake count of m draws is
+    Binomial(m, p) with p the member's mistake mass, and the deviation is
+    |K / m - inner_p|.  Outer: each example's worst member count is the
+    largest of independent Binomial(outer_m, p_j), mixed over the atoms;
+    the n examples' counts are convolved.  Deviations use the suite's float
+    arithmetic and its ``>=``.
+    """
+    entry = cfg.grid[g]
+    threshold = s.tails[g][0]
+    if entry["target"] == "inner":
+        m = entry["m"]
+        k = np.arange(m + 1)
+        pmf = binom.pmf(k, m, float(s.inner_probs[s.inner_mist == 1].sum()))
+        return math.fsum(pmf[np.abs(k / m - s.inner_p) >= threshold])
+    n, m = entry["n"], cfg.params["outer_m"]
+    # with outer_m = 1 each worst loss is 0.0 or 1.0, so the suite's float
+    # mean over the n examples is the integer sum S over n, rounded once
+    assert m == 1
+    k = np.arange(m + 1)
+    worst = np.zeros(m + 1)
+    for a, p_atom in enumerate(s.view.atom_p):
+        cdf = np.prod([binom.cdf(k, m, p) for p in s.p_members[a]], axis=0)
+        worst += p_atom * np.diff(cdf, prepend=0.0)
+    pmf = np.array([1.0])
+    for _ in range(n):
+        pmf = np.convolve(pmf, worst)
+    total = np.arange(len(pmf))
+    return math.fsum(pmf[np.abs(total / n - s.expected) >= threshold])
+
+
+def test_hoeffding_exact_tails_inside_bound_and_wilson_interval():
+    """Both concentration steps, checked in law at each default grid point.
+
+    The exact tail must respect the paper's Hoeffding bound and lie in the
+    Wilson interval of the observed exceed frequency.  A sampler that
+    drew from the wrong law would leave the interval; the bound alone is
+    too loose to notice.
+    """
+    from drloss.xprun.suites import _hoeffding_setup
+    cfg = load_config("hoeffding")
+    s = _hoeffding_setup(cfg)
+    rep = run_suite(cfg)
+    assert len(rep.aggregates) == len(cfg.grid) == 4
+    for g, agg in enumerate(rep.aggregates):
+        exact = hoeffding_exact_tail(cfg, s, g)
+        assert 0.0 < exact <= agg["bound"] == s.tails[g][1], (g, exact)
+        assert agg["wilson_lo"] <= exact <= agg["wilson_hi"], (g, exact, agg)
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
