@@ -4,7 +4,8 @@ ERM is exact because behaviors are enumerated on the drawn point set and
 each canonical witness is scored; nothing is approximated beyond the
 sampling itself.  Each class has one scoring path: sorted candidate cuts
 for thresholds, ``loss.dr_scores`` (the finite engine's contraction) for
-the rest.  Ties are broken by the enumeration order of the class, which is
+the rest, on member rows built from the batches as ``FiniteView`` draws
+them.  Ties are broken by the enumeration order of the class, which is
 canonical and deterministic, so identical (task, config, seed) reproduce
 the identical hypothesis bit for bit.
 """
@@ -18,7 +19,14 @@ import numpy as np
 
 from . import seeding
 from .hypo import Threshold, ThresholdClass, enumerate_behaviors, threshold_cuts
-from .loss import SampleSet, TaskInstance, dr_scores, empirical_dr_loss, population_dr_loss_exact
+from .loss import (
+    SampleSet,
+    TaskInstance,
+    dr_scores,
+    empirical_dr_loss,
+    population_dr_loss_exact,
+    put_member_rows,
+)
 from .perturb import sample
 
 
@@ -54,13 +62,14 @@ def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Gener
     return SampleSet(clean=clean, perturbed=perturbed, m=cfg.m, sampled_from=cfg.sample_from)
 
 
-def _batch_counts(s: SampleSet, points) -> np.ndarray:
-    """(n, k, D) draws of each batch on each point; a missing member's row stays 0."""
+def _batch_rows(s: SampleSet, points) -> np.ndarray:
+    """(k, n, D + 1) ``dr_scores`` rows of the batches; a missing member's row stays 0."""
     index = {z: d for d, z in enumerate(points)}
-    counts = np.zeros((s.n, 1 + max(j for _, j in s.perturbed), len(points)), dtype=np.int64)
+    rows = np.zeros((1 + max(j for _, j in s.perturbed), s.n, len(points) + 1))
     for (i, j), batch in s.perturbed.items():
-        counts[i, j] = np.bincount([index[z] for z in batch], minlength=len(points))
-    return counts
+        counts = np.bincount([index[z] for z in batch], minlength=len(points))
+        put_member_rows(rows, j, i, counts, s.clean[i][1] == 1, s.m)
+    return rows
 
 
 def _scores_threshold(cuts: list, s: SampleSet) -> np.ndarray:
@@ -95,8 +104,7 @@ def drerm(hclass, s: SampleSet):
         return Threshold(float(cuts[int(np.argmin(_scores_threshold(cuts, s)))]))
     behaviors = enumerate_behaviors(hclass, points)
     labels = np.array([b.labels for b in behaviors], dtype=np.int8)
-    positive = np.array([y == 1 for _, y in s.clean])
-    _, scores = dr_scores(labels, positive, _batch_counts(s, points), 1, s.n, s.m, True)
+    _, scores = dr_scores(labels, _batch_rows(s, points), 1, s.n, s.m, True)
     return behaviors[int(np.argmin(scores[:, 0]))].witness
 
 

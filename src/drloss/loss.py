@@ -8,7 +8,8 @@ summation; with Gaussian members a Monte Carlo estimate with a standard
 error is used instead.
 
 ``dr_scores`` scores many behaviors on finite samples at once, as one
-integer contraction of per-batch counts against the behaviors' labels.
+integer contraction of per-batch member rows (signed counts and a batch
+size column) against the behaviors' labels.
 """
 
 from __future__ import annotations
@@ -143,52 +144,49 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
 DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_scores
 
 
-def _member_rows(counts: np.ndarray, sign: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """(k * slots, D + 1) member-major rows of one block's slots for ``dr_scores``.
+def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: int) -> None:
+    """Write member j's batches of ``slots`` into ``rows`` as ``dr_scores`` multiplies them.
 
-    Member-major, so the max over members runs over whole slot rows.
+    ``counts`` are the batches' counts on the D points, one row per slot or
+    one row for all of them; ``positive`` says the slots are labeled +1.
+    ``rows`` starts zeroed, so a member never written stays a padding row.
     """
-    kmax, n_d = counts.shape[1], counts.shape[2]
-    rows = np.empty((kmax, len(counts), n_d + 1))
-    np.multiply(counts.transpose(1, 0, 2), sign[:, None], out=rows[:, :, :n_d])
-    flat = rows.reshape(-1, n_d + 1)
-    # a negated row sums to minus its batch size
-    np.matmul(flat[:, :n_d], -np.ones(n_d), out=flat[:, n_d])
-    rows[:, :, n_d] *= positive
-    return flat
+    rows[j, slots, :-1] = np.negative(counts) if positive else counts
+    if positive:
+        rows[j, slots, -1] = m
 
 
-def dr_scores(labels: np.ndarray, positive: np.ndarray, counts: np.ndarray,
-              trials: int, n: int, m: int, with_scores: bool = False):
+def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
+              with_scores: bool = False):
     """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
 
-    ``labels`` (B, D) holds each behavior's +-1 labels; ``positive``
-    (slots,) marks the slots labeled +1 and ``counts`` (slots, k, D) their
-    batches, flat over trials * n slots, zero rows padding missing members.
-    A y = -1 slot's mistakes are its hits on the +1 labels, a y = +1 slot's
-    its batch size less those hits.  So each member row becomes its counts,
-    negated on a positive slot, then its batch size there and 0 elsewhere,
-    and one product with ``plus`` ((D + 1, B): each behavior's +1 indicator
-    over a row of ones) per block of trials scores every slot.  A block
-    stays within ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns
-    ``(dr, scores)``, the same means summed in the ERM's order.
+    ``labels`` (B, D) holds each behavior's +-1 labels.  ``rows`` (k, slots,
+    D + 1) holds member j's batch of slot i at (j, i), flat over trials * n
+    slots: a y = -1 slot's mistakes are its hits on the +1 labels, a y = +1
+    slot's its batch size less those hits.  So a row is the batch's counts,
+    negated on a positive slot, then its batch size m there and 0 elsewhere
+    (``put_member_rows`` writes them); a zero row pads a missing member.
+    One product with ``plus`` ((D + 1, B): each behavior's +1 indicator over
+    a row of ones) per member and block of trials scores every slot, and
+    with k = 1 there is no max over members.  A block stays within
+    ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns ``(dr, scores)``,
+    the same means summed in the ERM's order.
     """
-    n_b, kmax, n_d = len(labels), counts.shape[1], counts.shape[2]
+    n_b, kmax, n_d = len(labels), rows.shape[0], rows.shape[2] - 1
     plus = np.ones((n_d + 1, n_b))
     plus[:n_d] = labels.T == 1
-    sign = 1.0 - 2.0 * positive
-    # a block's temporaries, per slot: k member rows of D + 1 and k hit rows
-    # of B, then the worst row and the previous block's or the scores' mean
-    block = max(1, DR_S_BLOCK_BYTES // (8 * n * (kmax * (n_d + 1 + n_b) + 2 * n_b)))
+    # a block's temporaries, per slot: the worst hit row of B, with k > 1 the
+    # next member's hit row, then the previous block's or the scores' mean
+    block = max(1, DR_S_BLOCK_BYTES // (8 * n * n_b * (2 + (kmax > 1))))
     dr = np.empty((n_b, trials))
     scores = np.empty((n_b, trials)) if with_scores else None
     for t0 in range(0, trials, block):
         t1 = min(t0 + block, trials)
         s0, s1 = t0 * n, t1 * n
         # integer counts times 0/1 entries: exact in any summation order
-        hits = plus.T @ _member_rows(counts[s0:s1], sign[s0:s1], positive[s0:s1]).T
-        worst = hits.reshape(n_b, kmax, s1 - s0).max(axis=1)
-        del hits  # freed before the next block allocates its own
+        worst = plus.T @ rows[0, s0:s1].T
+        for j in range(1, kmax):
+            np.maximum(worst, plus.T @ rows[j, s0:s1].T, out=worst)
         worst /= m
         # The two means sum the same n values in different orders, and
         # report bytes depend on both: dr (it feeds max_gap and viol_any)
@@ -203,6 +201,7 @@ def dr_scores(labels: np.ndarray, positive: np.ndarray, counts: np.ndarray,
         out /= n
         if with_scores:
             scores[:, t0:t1] = per_trial.mean(axis=2)
+        del worst, per_trial  # freed before the next block allocates its own
     return (dr, scores) if with_scores else dr
 
 

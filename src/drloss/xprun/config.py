@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
-
 from ..hypo import (
     AxisRectClass,
     FiniteClass,
@@ -261,6 +259,8 @@ def _read_config_file(path: str) -> dict:
     text = p.read_text()
     try:
         if p.suffix in (".yaml", ".yml"):
+            import yaml  # only YAML configs pay its import
+
             data = yaml.safe_load(text)
         else:
             data = json.loads(text)

@@ -7,12 +7,15 @@ enumerated once per run, on the full domain point set; they capture every
 loss-relevant distinction a hypothesis class can make, which is what lets
 the suites test "for every h in H" events exactly.
 
-The count contraction and its per-block byte budget ``DR_S_BLOCK_BYTES``
-live in ``loss.dr_scores``, which ``learner.drerm`` runs too.  The behaviors
-a sample can tell apart are the projections of the full-domain behaviors
-onto its points, with the same scores, so ``erm_on_sample`` reads the
-per-trial ERM minimum off the score matrix and asks the class which witness
-its enumeration on the sample would have picked (``sample_witness`` in
+``draw_slot_counts`` writes each multinomial batch straight into the
+member row that ``loss.dr_scores`` multiplies (signed counts and a batch
+size column); no count tensor is kept beside the rows.  The contraction and
+its per-block byte budget ``DR_S_BLOCK_BYTES`` live in ``loss.dr_scores``,
+which ``learner.drerm`` runs too.  The behaviors a sample can tell apart
+are the projections of the full-domain behaviors onto its points, with the
+same scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the
+score matrix and asks the class which witness its enumeration on the
+sample's points (``seen_points``) would have picked (``sample_witness`` in
 ``hypo``).
 """
 
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hypo import enumerate_behaviors
-from ..loss import dr_scores
+from ..loss import dr_scores, put_member_rows
 from ..perturb import FiniteDistribution, categorical
 
 
@@ -43,6 +46,7 @@ class FiniteView:
         self.n_atoms = len(atoms)
         self.n_points = len(self.points)
         self._members = {}
+        self._point_mass = {}
         for view in self.views:
             sizes = [len(task.members_for(x, view)) for x in self.atom_x]
             kmax = max(sizes)
@@ -56,6 +60,9 @@ class FiniteView:
                         probs[a, j, self.point_index[z]] = q
                     valid[a, j] = True
             self._members[view] = (probs, valid)
+            # the point of each member that is a point mass, else -1
+            single = (np.count_nonzero(probs, axis=2) == 1) & (probs.max(axis=2) == 1.0)
+            self._point_mass[view] = np.where(single, probs.argmax(axis=2), -1)
         self.max_k = {view: self._members[view][0].shape[1] for view in self.views}
 
     def behaviors(self, hclass):
@@ -83,28 +90,51 @@ class FiniteView:
 
     def draw_slot_counts(self, rng: np.random.Generator, slot_atoms: np.ndarray,
                          m: int, view: str) -> np.ndarray:
-        """Per-slot multinomial batch counts, one batch per (slot, member).
+        """(k, slots, D + 1) member rows of the slots' multinomial batches, for ``dr_s``.
 
-        Draw order is fixed by (atom, member), so results do not depend on
-        how slots are arranged across trials.
+        Row (j, i) is slot i's member-j batch of m draws as ``loss.dr_scores``
+        multiplies it (``loss.put_member_rows``); a member the slot's atom
+        lacks leaves a zero row.  Draw order is fixed by (atom, member), one
+        ``rng.multinomial(m, member, size=slots of the atom)`` each, so results
+        do not depend on how slots are arranged across trials.  A point-mass
+        member is not drawn: numpy's multinomial returns m at its point,
+        taking one uniform per batch there, or none at the last point, so
+        every batch is m times the member and ``rng.random`` advances the
+        stream past those uniforms.
         """
         probs, valid = self._members[view]
-        kmax = probs.shape[1]
-        counts = np.zeros((len(slot_atoms), kmax, self.n_points), dtype=np.int64)
+        point_mass = self._point_mass[view]
+        rows = np.zeros((probs.shape[1], len(slot_atoms), self.n_points + 1))
         for a in range(self.n_atoms):
             idx = np.flatnonzero(slot_atoms == a)
             if len(idx) == 0:
                 continue
-            for j in range(kmax):
-                if not valid[a, j]:
-                    continue
-                counts[idx, j, :] = rng.multinomial(m, probs[a, j], size=len(idx))
-        return counts
+            positive = self.atom_y[a] == 1
+            for j in np.flatnonzero(valid[a]):
+                point = point_mass[a, j]
+                if point < 0:
+                    counts = rng.multinomial(m, probs[a, j], size=len(idx))
+                else:
+                    counts = m * probs[a, j]
+                    if point < self.n_points - 1:
+                        rng.random(len(idx))
+                put_member_rows(rows, j, idx, counts, positive, m)
+        return rows
 
-    def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, counts: np.ndarray,
+    def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, rows: np.ndarray,
              trials: int, n: int, m: int, with_scores: bool = False):
-        """``loss.dr_scores`` of the slots ``slot_atoms``, flat over trials*n: (B, trials)."""
-        return dr_scores(labels, self.atom_y[slot_atoms] == 1, counts, trials, n, m, with_scores)
+        """``loss.dr_scores`` of the rows ``draw_slot_counts`` drew for ``slot_atoms``: (B, trials).
+
+        The rows carry the slots' labels, so ``slot_atoms`` is not read.
+        """
+        return dr_scores(labels, rows, trials, n, m, with_scores)
+
+    def seen_points(self, slot_atoms: np.ndarray, rows: np.ndarray, trials: int,
+                    n: int) -> np.ndarray:
+        """(trials, D) mask of the points in each trial's sample: its draws and clean instances."""
+        seen = np.any(rows[:, :, :-1], axis=0).reshape(trials, n, self.n_points).any(axis=1)
+        seen[np.arange(trials).repeat(n), self.atom_point_idx[slot_atoms]] = True
+        return seen
 
     def dr_s_exact_inner(self, labels: np.ndarray, slot_atoms: np.ndarray,
                          trials: int, n: int, view: str) -> np.ndarray:
@@ -120,19 +150,16 @@ class FiniteView:
         return np.array([[h.predict(z) for z in self.points]], dtype=np.int8)
 
     def erm_on_sample(self, hclass, labels: np.ndarray, witnesses: list,
-                      scores: np.ndarray, slot_atoms: np.ndarray, counts: np.ndarray):
+                      scores: np.ndarray, seen: np.ndarray):
         """Exact ERM restricted to the points one trial's sample contains.
 
         ``scores`` is the trial's column of ERM scores for the full-domain
-        behaviors ``labels``/``witnesses``; ``slot_atoms`` and ``counts`` are
-        the trial's slots.  The sampled points are the perturbation points
-        plus the clean instances (clean points carry no loss).  The result
-        is what enumerating behaviors on those points, scoring each and
-        taking the first minimum in canonical order gives.  Returns
-        (witness, min empirical loss).
+        behaviors ``labels``/``witnesses``, and ``seen`` its row of
+        ``seen_points``: the perturbation points plus the clean instances
+        (clean points carry no loss).  The result is what enumerating
+        behaviors on those points, scoring each and taking the first minimum
+        in canonical order gives.  Returns (witness, min empirical loss).
         """
-        seen = counts.any(axis=(0, 1))
-        seen[self.atom_point_idx[slot_atoms]] = True
         best = scores.min()
         rows = np.flatnonzero(scores == best)
         witness = hclass.sample_witness(self.points, np.flatnonzero(seen), labels[rows],

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from statistics import median
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -141,14 +140,13 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         loss_emp = dr_s[best, np.arange(trials)]
         loss_pop = s.dr_true[best]
     else:
-        counts = view.draw_slot_counts(rng, slots, m, s.train_view)
-        dr_s, scores = view.dr_s(s.labels, slots, counts, trials, n, m, True)
+        rows = view.draw_slot_counts(rng, slots, m, s.train_view)
+        dr_s, scores = view.dr_s(s.labels, slots, rows, trials, n, m, True)
+        seen = view.seen_points(slots, rows, trials, n)
         loss_pop_of = {}  # ERM witness -> its exact DR loss
         hypotheses, loss_emp = [], []
         for t in range(trials):
-            trial = slice(t * n, (t + 1) * n)
-            erm_h, emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t],
-                                            slots[trial], counts[trial])
+            erm_h, emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t], seen[t])
             if erm_h not in loss_pop_of:
                 loss_pop_of[erm_h] = float(view.dr_exact(view.labels_of(erm_h), "true")[0])
             hypotheses.append(erm_h)
@@ -197,8 +195,8 @@ def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) ->
 def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
     """Empirical DR loss of every behavior on ``draws`` fresh training sets."""
     slots = s.view.draw_clean_slots(rng, draws * n)
-    counts = s.view.draw_slot_counts(rng, slots, m, "true")
-    return s.view.dr_s(s.labels, slots, counts, draws, n, m)
+    rows = s.view.draw_slot_counts(rng, slots, m, "true")
+    return s.view.dr_s(s.labels, slots, rows, draws, n, m)
 
 
 def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
@@ -637,6 +635,8 @@ def _collect(cfg: ExperimentConfig, suite: Suite, setup, jobspecs: list) -> list
     """Each work unit's columns, in ``jobspecs`` order."""
     if cfg.jobs == 1:
         return [suite.chunk(cfg, setup, *spec) for spec in jobspecs]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
     with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
                              initargs=(cfg,)) as ex:
         return list(ex.map(_worker_chunk, *zip(*jobspecs)))

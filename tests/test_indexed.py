@@ -1,11 +1,16 @@
 """The finite engine's fast paths against the slow computations they replaced.
 
-``reference_dr_s`` is the dense contraction over a (B, slots, D) mistake
-tensor, and ``reference_erm`` the per-trial ERM: enumerate the behaviors on
-the sampled points, score each, take the first minimum.  The fast paths
-must agree with them bit for bit, because report bytes depend on both.
+``oracle_counts`` is the batch draw as a (slots, k, D) count tensor, one
+``rng.multinomial`` per (atom, member) even for point masses, and
+``oracle_rows`` turns it into the contraction's member rows the way the
+engine once did.  ``reference_dr_s`` is the dense contraction over a
+(B, slots, D) mistake tensor on those counts, and ``reference_erm`` the
+per-trial ERM: enumerate the behaviors on the sampled points, score each,
+take the first minimum.  The fast paths must agree with them bit for bit,
+because report bytes depend on all three.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -31,6 +36,49 @@ from drloss.xprun.indexed import FiniteView
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def oracle_counts(view, rng, slot_atoms, m, member_view):
+    """(slots, k, D) int64 batch counts: one multinomial per (atom, member) with slots."""
+    probs, valid = view._members[member_view]
+    counts = np.zeros((len(slot_atoms), probs.shape[1], view.n_points), dtype=np.int64)
+    for a in range(view.n_atoms):
+        idx = np.flatnonzero(slot_atoms == a)
+        if len(idx) == 0:
+            continue
+        for j in range(probs.shape[1]):
+            if valid[a, j]:
+                counts[idx, j, :] = rng.multinomial(m, probs[a, j], size=len(idx))
+    return counts
+
+
+def oracle_rows(counts, positive):
+    """(k, slots, D + 1) rows of ``counts``: negated on positive slots, then the batch size there."""
+    kmax, n_d = counts.shape[1], counts.shape[2]
+    rows = np.empty((kmax, len(counts), n_d + 1))
+    np.multiply(counts.transpose(1, 0, 2), (1.0 - 2.0 * positive)[:, None], out=rows[:, :, :n_d])
+    flat = rows.reshape(-1, n_d + 1)
+    # a negated row sums to minus its batch size
+    np.matmul(flat[:, :n_d], -np.ones(n_d), out=flat[:, n_d])
+    rows[:, :, n_d] *= positive
+    return rows
+
+
+def draw_with_oracle(view, r, slot_atoms, m, member_view="true"):
+    """The engine's rows and the oracle's counts, drawn from the same state of ``r``.
+
+    Asserts the rows equal the oracle's and the two draws leave the bit
+    generator in the same state.  Rows are compared as values: the oracle's
+    zero entries may be -0.0, which the contraction sums like 0.0.
+    """
+    ref = copy.deepcopy(r)
+    rows = view.draw_slot_counts(r, slot_atoms, m, member_view)
+    counts = oracle_counts(view, ref, slot_atoms, m, member_view)
+    want = oracle_rows(counts, view.atom_y[slot_atoms] == 1)
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert np.array_equal(rows, want)
+    assert repr(r.bit_generator.state) == repr(ref.bit_generator.state)
+    return rows, counts
 
 
 def reference_dr_s(view, labels, slot_atoms, counts, trials, n, m):
@@ -119,13 +167,13 @@ def test_erm_on_sample_matches_enumeration(case, n):
         labels, witnesses = view.behaviors(hclass)
         trials, m = 3, int(r.integers(1, 6))
         slots = view.draw_clean_slots(r, trials * n)
-        counts = view.draw_slot_counts(r, slots, m, "true")
-        _, scores = view.dr_s(labels, slots, counts, trials, n, m, True)
+        rows, counts = draw_with_oracle(view, r, slots, m)
+        _, scores = view.dr_s(labels, slots, rows, trials, n, m, True)
+        seen = view.seen_points(slots, rows, trials, n)
         for t in range(trials):
             trial = slice(t * n, (t + 1) * n)
             want, want_loss = reference_erm(view, hclass, slots[trial], counts[trial], m)
-            got, got_loss = view.erm_on_sample(hclass, labels, witnesses, scores[:, t],
-                                               slots[trial], counts[trial])
+            got, got_loss = view.erm_on_sample(hclass, labels, witnesses, scores[:, t], seen[t])
             assert got == want
             assert got.to_json() == want.to_json()
             assert got_loss == want_loss
@@ -196,14 +244,115 @@ def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
         labels, _ = view.behaviors(hclass)
         trials, m = int(r.integers(1, 7)), int(r.integers(1, 51))
         slots = view.draw_clean_slots(r, trials * n)
-        counts = view.draw_slot_counts(r, slots, m, member_view)
+        rows, counts = draw_with_oracle(view, r, slots, m, member_view)
         want, want_scores = reference_dr_s(view, labels, slots, counts, trials, n, m)
-        assert np.array_equal(view.dr_s(labels, slots, counts, trials, n, m), want)
-        dr_s, scores = view.dr_s(labels, slots, counts, trials, n, m, True)
+        assert np.array_equal(view.dr_s(labels, slots, rows, trials, n, m), want)
+        dr_s, scores = view.dr_s(labels, slots, rows, trials, n, m, True)
         assert np.array_equal(dr_s, want)
         assert np.array_equal(scores, want_scores)
     # the last run was the padded task's, with y = +1 slots to pad
     assert counts.shape[1] == 3 and np.any(view.atom_y[slots] == 1)
+
+
+# Every kind of member row: point masses at the first (0.0), a middle (2.0)
+# and the last (4.0) domain point, one written with an explicit zero, on
+# y = -1 and y = +1 atoms; fractional members; and padding rows below the
+# one- and two-member families.
+MEMBER_ROWS_TASK = {
+    "atoms": [[0.0, -1, 0.3], [4.0, 1, 0.3], [2.0, 1, 0.2], [1.0, -1, 0.2]],
+    "distributions": {"at0": [[0.0, 1.0]], "at2": [[1.0, 0.0], [2.0, 1.0]],
+                      "at4": [[4.0, 1.0]], "spread": [[1.0, 0.2], [2.0, 0.5], [3.0, 0.3]],
+                      "high": [[3.0, 0.3], [4.0, 0.7]]},
+    "families": [{"x": 0.0, "true": ["at0", "spread", "at2"], "k": 3},
+                 {"x": 4.0, "true": ["at4", "high"], "k": 2},
+                 {"x": 2.0, "true": ["at0"], "k": 1},
+                 {"x": 1.0, "true": ["at4"], "k": 1}],
+}
+
+MEMBER_ROWS_CASES = {
+    # k = 1: a fractional member on y = -1, a last-point mass on y = +1
+    "near-threshold": (lambda: build_task({"builtin": "near-threshold"}), "true", 1),
+    # k = 2: first- and last-point masses beside uniform members
+    "t1": (lambda: build_task({"builtin": "t1"}), "true", 2),
+    "mixed": (lambda: task_from_dict(MEMBER_ROWS_TASK), "true", 3),
+    "model2-rep": (lambda: build_task({"builtin": "model2"}), "rep", 2),
+    "padded": (lambda: task_from_dict(PADDED_TASK), "true", 3),
+}
+
+
+class CountingMultinomial(np.random.Generator):
+    """A Philox generator that counts its own ``multinomial`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(seed))
+        self.multinomial_calls = 0
+
+    def multinomial(self, *args, **kwargs):
+        self.multinomial_calls += 1
+        return super().multinomial(*args, **kwargs)
+
+
+@pytest.mark.parametrize("m", [1, 3, 50, 200])  # m = 200 takes numpy's BTPE binomials
+@pytest.mark.parametrize("case", list(MEMBER_ROWS_CASES))
+def test_multinomial_rows_match_oracle(case, m):
+    build, member_view, k = MEMBER_ROWS_CASES[case]
+    view = FiniteView(build(), views=(member_view,))
+    assert view.max_k[member_view] == k
+    probs, valid = view._members[member_view]
+    point_mass = (np.count_nonzero(probs, axis=2) == 1) & (probs.max(axis=2) == 1.0)
+    for seed in range(6):
+        r = CountingMultinomial(seed)
+        # one slot leaves most atoms without slots; the rest cover them all
+        slots = view.draw_clean_slots(r, (1, 2, 7, 40, 300, 2000)[seed])
+        if seed:
+            r.random(seed)  # start the draw at each of Philox's buffer positions
+        ref = copy.deepcopy(r)
+        rows = view.draw_slot_counts(r, slots, m, member_view)
+        counts = oracle_counts(view, ref, slots, m, member_view)
+        want = oracle_rows(counts, view.atom_y[slots] == 1)
+        assert rows.dtype == np.float64 and rows.shape == want.shape
+        assert np.array_equal(rows, want)
+        assert r.random() == ref.random()
+        drawn = valid & ~point_mass & np.isin(np.arange(view.n_atoms), slots)[:, None]
+        assert r.multinomial_calls == np.count_nonzero(drawn)
+
+
+def test_multinomial_rows_skip_point_masses_at_every_point():
+    # a point mass at the last point takes no uniform, at any other point one
+    # per batch; a y = +1 atom's rows are negated.  The mass sits at the
+    # first, a middle (d = 1 and 2) and the last of the domain points
+    for d in range(4):
+        task = task_from_dict({
+            "atoms": [[0.0, -1, 0.5], [1.0, 1, 0.5]],
+            "distributions": {"mass": [[float(d), 1.0]], "rest": [[0.0, 0.25], [3.0, 0.75]]},
+            "families": [{"x": 0.0, "true": ["mass", "rest"], "k": 2},
+                         {"x": 1.0, "true": ["rest", "mass"], "k": 2}],
+        })
+        view = FiniteView(task)
+        at = view.point_index[float(d)]
+        assert at == {0: 0, 1: 1, 2: 2, 3: view.n_points - 1}[d]
+        for m in (1, 3, 50, 200):
+            r = rng_for(10 * d + m)
+            slots = view.draw_clean_slots(r, 64)
+            rows, _ = draw_with_oracle(view, r, slots, m)
+            mass = rows[np.where(slots == 0, 0, 1), np.arange(len(slots)), at]
+            assert np.array_equal(mass, np.where(slots == 0, m, -m))
+
+
+def test_seen_points_match_counts():
+    for seed in range(20):
+        case = CASES[seed % len(CASES)]
+        r, task, _ = case_task(case, 700 + seed)
+        view = FiniteView(task)
+        trials, n, m = int(r.integers(1, 5)), int(r.integers(1, 9)), int(r.integers(1, 6))
+        slots = view.draw_clean_slots(r, trials * n)
+        rows, counts = draw_with_oracle(view, r, slots, m)
+        seen = view.seen_points(slots, rows, trials, n)
+        for t in range(trials):
+            trial = slice(t * n, (t + 1) * n)
+            want = counts[trial].any(axis=(0, 1))
+            want[view.atom_point_idx[slots[trial]]] = True
+            assert np.array_equal(seen[t], want)
 
 
 # Runs the CLI in a child whose address space is capped; the cap covers that

@@ -2,12 +2,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from scipy.stats import binom
 
+import drloss
 from drloss import seeding
 from drloss.cli import main as cli_main
 from drloss.hypo import FiniteClass, IntervalClass, ThresholdClass
@@ -218,8 +224,9 @@ class TestFiniteViewEquivalence:
             for val, w in zip(exact, witnesses):
                 assert val == pytest.approx(population_dr_loss_exact(w, task), abs=1e-12)
 
-    def _materialize(self, view, slots, counts, m, sampled_from="true"):
-        """Rebuild an explicit SampleSet whose batches realize the given counts."""
+    def _materialize(self, view, slots, rows, m, sampled_from="true"):
+        """Rebuild an explicit SampleSet whose batches realize the given member rows."""
+        counts = np.abs(rows[:, :, :-1]).transpose(1, 0, 2).astype(int)
         clean = tuple((view.atom_x[a], int(view.atom_y[a])) for a in slots)
         perturbed = {}
         for i, a in enumerate(slots):
@@ -240,9 +247,9 @@ class TestFiniteViewEquivalence:
                 labels, witnesses = view.behaviors(hclass)
                 n, m = 4, 3
                 slots = view.draw_clean_slots(r, n)
-                counts = view.draw_slot_counts(r, slots, m, "true")
-                dr_s = view.dr_s(labels, slots, counts, 1, n, m)[:, 0]
-                s = self._materialize(view, slots, counts, m)
+                rows = view.draw_slot_counts(r, slots, m, "true")
+                dr_s = view.dr_s(labels, slots, rows, 1, n, m)[:, 0]
+                s = self._materialize(view, slots, rows, m)
                 for val, w in zip(dr_s, witnesses):
                     assert val == pytest.approx(empirical_dr_loss(w, s), abs=1e-12)
 
@@ -253,12 +260,12 @@ class TestFiniteViewEquivalence:
             view = FiniteView(task)
             n, m = 5, 4
             slots = view.draw_clean_slots(r, n)
-            counts = view.draw_slot_counts(r, slots, m, "true")
+            rows = view.draw_slot_counts(r, slots, m, "true")
             labels, witnesses = view.behaviors(ThresholdClass())
-            _, scores = view.dr_s(labels, slots, counts, 1, n, m, True)
+            _, scores = view.dr_s(labels, slots, rows, 1, n, m, True)
             witness, best = view.erm_on_sample(ThresholdClass(), labels, witnesses, scores[:, 0],
-                                               slots, counts)
-            s = self._materialize(view, slots, counts, m)
+                                               view.seen_points(slots, rows, 1, n)[0])
+            s = self._materialize(view, slots, rows, m)
             direct = drerm(ThresholdClass(), s)
             assert witness == direct
             assert best == pytest.approx(empirical_dr_loss(direct, s), abs=1e-12)
@@ -769,7 +776,33 @@ class TestReports:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Prints the CLI's exit code, then which of the lazily imported modules a
+# fresh interpreter holds after one run.
+LAZY_IMPORTS = textwrap.dedent("""
+    import sys
+    import drloss.cli
+    code = drloss.cli.main(sys.argv[1:])
+    print(code, *[m for m in ("yaml", "concurrent.futures.process") if m in sys.modules])
+""")
+
+
 class TestCli:
+    @pytest.mark.parametrize("args,imported", [
+        ([], []),
+        (["--jobs", "2"], ["concurrent.futures.process"]),
+        (["--config", "cfg.yaml"], ["yaml"]),
+    ], ids=["default-jobs-1", "jobs-2", "yaml-config"])
+    def test_yaml_and_process_pool_imported_only_when_used(self, tmp_path, args, imported):
+        (tmp_path / "cfg.yaml").write_text("kind: smoothing\ntrials: 1\n")
+        src = str(Path(drloss.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORTS, "smoothing", "--out", "r.csv", "--jobs", "1",
+             "--quiet", *args],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", *imported]
+
     def test_exit_zero_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         cfg = tmp_path / "cfg.json"
