@@ -149,9 +149,11 @@ def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: 
 
     ``counts`` are the batches' counts on the D points, one row per slot or
     one row for all of them; ``positive`` says the slots are labeled +1.
-    ``rows`` starts zeroed, so a member never written stays a padding row.
+    The function consumes ``counts``: a positive slot's are negated in
+    place, so callers pass a fresh array.  ``rows`` starts zeroed, so a
+    member never written stays a padding row.
     """
-    rows[j, slots, :-1] = np.negative(counts) if positive else counts
+    rows[j, slots, :-1] = np.negative(counts, out=counts) if positive else counts
     if positive:
         rows[j, slots, -1] = m
 

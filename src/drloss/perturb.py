@@ -187,33 +187,6 @@ def categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def binomial(n: int, p: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``rng.binomial(n, p[codes])``, read off the table where every used entry is 0 or 1.
-
-    The values, their int64 dtype and shape, and the state ``rng`` is left
-    in are those of numpy's ``Generator.binomial``, whose C routine runs once
-    per element.  For p = 0 it returns 0 and takes no uniform.  For p = 1 it
-    inverts Binomial(n, 0) with one uniform U: px starts at (1 - 0)^n = 1,
-    U < 1 never exceeds it, so X = 0 and the result is n - X = n.  So where
-    every entry that ``codes`` points at is 0 or 1, the values come from the
-    table and one ``rng.random`` call draws the uniforms the p = 1 elements
-    take, only to advance the stream past them.  Everything else goes to
-    numpy itself: an n that is not a positive integer, a used entry strictly
-    between 0 and 1, and a ``p`` outside [0, 1] (numpy raises its own error).
-    ``codes`` are nonnegative indices into ``p``.
-    """
-    p = np.asarray(p, dtype=float)
-    codes = np.asarray(codes)
-    counts = np.bincount(codes.ravel(), minlength=len(p))
-    # an out-of-range code makes counts longer than p; numpy then raises IndexError
-    if (not isinstance(n, (int, np.integer)) or n < 1 or len(counts) > len(p)
-            or not np.all((p[counts > 0] == 0) | (p[counts > 0] == 1))):
-        return rng.binomial(n, p[codes])
-    ones = p == 1
-    rng.random(int(counts[ones].sum()))
-    return np.where(ones, np.int64(n), np.int64(0))[codes]
-
-
 def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``dist.support`` of ``count`` i.i.d. draws from ``dist``.
 

@@ -3,8 +3,8 @@
 A report holds its per-trial rows as a column table: column name -> a numpy
 array (bool, integer or float) or a list of Python values (strings, JSON
 cells, or a column whose cells mix types, such as hoeffding's ``n``, ""
-on inner rows and an integer on outer ones).  Each column is formatted
-once, by its type, when the CSV is rendered.  ``ExperimentReport.rows`` is
+on inner rows and an integer on outer ones).  The CSV writer formats each
+column by its type, each distinct value once.  ``ExperimentReport.rows`` is
 a read-only view of the same table as row dicts of Python scalars; the JSON
 report and callers that want rows read it.
 
@@ -100,21 +100,37 @@ class ExperimentReport:
         return lines
 
 
+def _escaped(texts: list) -> list:
+    """``texts`` as the csv module escapes them inside a row, each distinct text once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    escaped = {}
+    for text in set(texts):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([text, ""])
+        escaped[text] = buf.getvalue()[:-2]  # less the empty field's "," and the "\n"
+    return [escaped[t] for t in texts]
+
+
 def _cells(col) -> list:
-    """One column's CSV cells.
+    """One column's CSV cells, as they stand between the commas of a row.
 
     Bools are "1"/"0", floats their ``repr``, ints and strings ``str``, and a
     list of dicts (the hypothesis column) is JSON with sorted keys.  A list
     that mixes types goes through ``str``, which writes a float as its
-    ``repr`` too.
+    ``repr`` too.  Each distinct value is formatted once, numbers keyed on
+    their bits so that -0.0 and 0.0 stay apart; no number needs quoting.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == bool:
             return np.where(col, "1", "0").tolist()
-        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+        keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        text = map(repr if col.dtype.kind == "f" else str, keys.view(col.dtype).tolist())
+        return np.array(list(text), dtype=object)[inverse].tolist()
     if col and isinstance(col[0], (dict, list)):
-        return [json.dumps(v, sort_keys=True) for v in col]
-    return list(map(str, col))
+        return _escaped([json.dumps(v, sort_keys=True) for v in col])
+    return _escaped(list(map(str, col)))
 
 
 def _assertion_dict(a: Assertion) -> dict:
@@ -137,7 +153,10 @@ def render_csv(report: ExperimentReport) -> str:
 
     def table(columns, table):
         writer.writerow(columns)
-        writer.writerows(zip(*[_cells(table[c]) for c in columns]))
+        lines = map(",".join, zip(*[_cells(table[c]) for c in columns]))
+        if len(columns) == 1:  # the csv writer quotes a row's lone empty field
+            lines = (line or '""' for line in lines)
+        buf.writelines(line + "\n" for line in lines)
 
     comment(f"# drloss report schema={report.schema_version} kind={report.kind}")
     comment("# config: " + json.dumps(report.config, sort_keys=True))

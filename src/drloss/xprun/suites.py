@@ -27,7 +27,6 @@ from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     SortedSampler,
-    binomial,
     categorical,
     gaussian_shift_tv,
     pointwise_cover_violation,
@@ -318,6 +317,9 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
             view.atom_p[a] * _exact_mean_worst(cfg.params["outer_m"], list(s.p_members[a, :len(us)]))
             for a, us in enumerate(members)
         )
+        # Binomial(m, p) / m is p when p is 0 or 1: a slot's worst loss is then its atom's
+        zero_one = np.all((s.p_members == 0) | (s.p_members == 1))
+        s.worst_atom = s.p_members.max(axis=1) if zero_one else None
     return s
 
 
@@ -335,10 +337,12 @@ def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: 
         n, m = entry["n"], cfg.params["outer_m"]
         n_col = np.full(trials, n)
         slots = categorical(s.view.atom_p, (trials, n), rng)
-        worst = np.zeros((trials, n))
-        for j in range(s.p_members.shape[1]):
-            draws = binomial(m, s.p_members[:, j], slots, rng) / m
-            np.maximum(worst, draws, out=worst)
+        if s.worst_atom is not None:  # the member draws would be the stream's last reads
+            worst = s.worst_atom[slots]
+        else:
+            worst = np.zeros((trials, n))
+            for j in range(s.p_members.shape[1]):
+                np.maximum(worst, rng.binomial(m, s.p_members[:, j][slots]) / m, out=worst)
         devs = np.abs(worst.mean(axis=1) - s.expected)
     return {
         "grid_index": np.full(trials, g),

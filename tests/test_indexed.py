@@ -6,8 +6,9 @@
 engine once did.  ``reference_dr_s`` is the dense contraction over a
 (B, slots, D) mistake tensor on those counts, and ``reference_erm`` the
 per-trial ERM: enumerate the behaviors on the sampled points, score each,
-take the first minimum.  The fast paths must agree with them bit for bit,
-because report bytes depend on all three.
+take the first minimum.  ``outer_oracle`` is the hoeffding suite's outer
+chunk with every member's batch drawn by numpy's binomial.  The fast paths
+must agree with them bit for bit, because report bytes depend on them all.
 """
 
 import copy
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 
 import drloss
 import drloss.loss as loss
+from drloss import seeding
 from drloss.hypo import (
     AxisRectClass,
     FiniteClass,
@@ -31,6 +34,7 @@ from drloss.hypo import (
     enumerate_behaviors,
 )
 from drloss.tasks import build_task, random_finite_task, random_table_hypothesis, task_from_dict
+from drloss.xprun import load_config
 from drloss.xprun.indexed import FiniteView
 
 
@@ -339,6 +343,21 @@ def test_multinomial_rows_skip_point_masses_at_every_point():
             assert np.array_equal(mass, np.where(slots == 0, m, -m))
 
 
+def test_put_member_rows_negates_positive_counts_in_place():
+    # a y = +1 batch is written negated without a copy of its counts
+    counts = rng_for(3).multinomial(50, np.full(1024, 1 / 1024), size=1000)  # 8 MB of int64
+    want = oracle_rows(counts[:, None, :], np.ones(1000, dtype=bool))
+    rows = np.zeros((2, 1000, 1025))
+    tracemalloc.start()
+    try:
+        loss.put_member_rows(rows, 0, np.arange(1000), counts, True, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < counts.nbytes, peak
+    assert np.array_equal(rows[:1], want) and not rows[1].any()
+
+
 def test_seen_points_match_counts():
     for seed in range(20):
         case = CASES[seed % len(CASES)]
@@ -353,6 +372,70 @@ def test_seen_points_match_counts():
             want = counts[trial].any(axis=(0, 1))
             want[view.atom_point_idx[slots[trial]]] = True
             assert np.array_equal(seen[t], want)
+
+
+def outer_oracle(cfg, s, g, chunk, lo, hi):
+    """The outer chunk's deviations, with every member's batch drawn as numpy's binomial."""
+    rng = seeding.stream(cfg.master_seed, g, chunk)
+    n, m = cfg.grid[g]["n"], cfg.params["outer_m"]
+    slots = rng.choice(len(s.view.atom_p), size=(hi - lo, n), p=s.view.atom_p)
+    worst = np.zeros((hi - lo, n))
+    for j in range(s.p_members.shape[1]):
+        worst = np.maximum(worst, rng.binomial(m, s.p_members[:, j][slots]) / m)
+    devs = np.abs(worst.mean(axis=1) - s.expected)
+    return devs, devs >= s.tails[g][0]
+
+
+def outer_task(r, tables: str) -> dict:
+    """Inline outer task for the threshold at 0.5; a member's error is 0/1 or fractional.
+
+    ``tables`` is "zero-one", "fractional" or "mixed".  Atoms have one to
+    three members, so atoms with fewer than the most are padded.
+    """
+    n_atoms = int(r.integers(1, 4))
+    k = int(r.integers(1, 4))
+    atom_p = r.dirichlet(np.ones(n_atoms))
+    atoms, dists, families = [], {}, []
+    for a, x in enumerate(r.choice(8, size=n_atoms, replace=False) / 4):
+        names = []
+        for j in range(k if a == 0 else int(r.integers(1, k + 1))):
+            name = f"u{a}_{j}"
+            if tables == "fractional" or (tables == "mixed" and r.random() < 0.5):
+                w = float(r.uniform(0.05, 0.95))
+                dists[name] = [[0.25, w], [0.75, 1.0 - w]]
+            else:
+                dists[name] = [[float(r.choice([0.25, 0.75])), 1.0]]
+            names.append(name)
+        atoms.append([float(x), int(r.choice([-1, 1])), float(atom_p[a])])
+        families.append({"x": float(x), "true": names, "k": len(names)})
+    return {"atoms": atoms, "distributions": dists, "families": families}
+
+
+@pytest.mark.parametrize("tables", ["zero-one", "fractional", "mixed"])
+def test_hoeffding_outer_chunk_matches_binomial_oracle(monkeypatch, tables):
+    # a 0/1 table reads each slot's worst loss off its atom and draws no
+    # member batch; any other table draws every member through numpy
+    from drloss.xprun import suites
+    exact = suites._exact_mean_worst
+    # the exact mean covers two members; a third only needs some expectation
+    monkeypatch.setattr(suites, "_exact_mean_worst",
+                        lambda m, probs: exact(m, probs) if len(probs) < 3 else 0.4)
+    for seed in range(8):
+        r = rng_for(900 + seed)
+        cfg = load_config("hoeffding", seed=seed)
+        cfg.params = dict(cfg.params, outer_task={"inline": outer_task(r, tables)},
+                          outer_m=int(r.choice([1, 2, 5, 40])))
+        cfg.grid = [{"target": "outer", "n": int(r.choice([1, 7, 30])), "epsilon": 0.3}]
+        s = suites._hoeffding_setup(cfg)
+        zero_one = np.all((s.p_members == 0) | (s.p_members == 1))
+        assert zero_one == (tables == "zero-one") or tables == "mixed"
+        assert (s.worst_atom is not None) == zero_one
+        trials = suites.CHUNK + 44
+        for chunk, lo, hi in suites._chunk_ranges(trials, suites.CHUNK):
+            got = suites._hoeffding_chunk(cfg, s, 0, chunk, lo, hi)
+            devs, exceeded = outer_oracle(cfg, s, 0, chunk, lo, hi)
+            assert got["deviation"].tobytes() == devs.tobytes()
+            assert np.array_equal(got["exceeded"], exceeded)
 
 
 # Runs the CLI in a child whose address space is capped; the cap covers that

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from drloss.perturb import (
     FiniteDistribution,
     GaussianDistribution,
     SortedSampler,
-    binomial,
     build_representative_cover,
     categorical,
     gaussian_shift_tv,
@@ -222,77 +220,42 @@ class TestCategorical:
                               Fixed().choice(4, size=6, p=p))
 
 
-class CountingBinomial(np.random.Generator):
-    """A Philox generator that counts its own ``binomial`` calls."""
-
-    def __init__(self, seed):
-        super().__init__(np.random.Philox(seed))
-        self.binomial_calls = 0
-
-    def binomial(self, *args, **kwargs):
-        self.binomial_calls += 1
-        return super().binomial(*args, **kwargs)
-
-
 class TestBinomial:
-    """``binomial`` against the numpy draw it reproduces, ``rng.binomial(n, p[codes])``."""
+    """numpy's ``Generator.binomial`` on a 0/1 table is the closed form hoeffding reads.
+
+    Where every member mistake rate is exactly 0 or 1, the hoeffding suite's
+    outer chunk takes a slot's worst loss as ``p_members.max(axis=1)[slots]``
+    in place of ``rng.binomial(m, p_members[:, j][slots]) / m``.  These tests
+    hold numpy to that: its draws divided by n are p, bit for bit.
+    """
 
     @staticmethod
-    def assert_matches_numpy(n, p, codes, seed, fallback=None):
+    def assert_matches_numpy(n, p, codes, seed):
         p, codes = np.asarray(p, dtype=float), np.asarray(codes)
-        ref_rng, rng = rng_for(seed), CountingBinomial(seed)
-        expected = ref_rng.binomial(n, p[codes])
-        got = binomial(n, p, codes, rng)
-        assert got.dtype == np.int64
-        assert got.shape == expected.shape and np.array_equal(got, expected)
-        assert rng.random() == ref_rng.random()  # the same number of uniforms taken
-        if fallback is not None:
-            assert (rng.binomial_calls > 0) == fallback
+        draws = rng_for(seed).binomial(n, p[codes])
+        assert draws.dtype == np.int64 and draws.shape == codes.shape
+        assert (draws / n).tobytes() == p[codes].tobytes()
 
-    @pytest.mark.parametrize("n,p,shape,fallback", [
-        (1, [0.0, 1.0], (256, 200), False),
-        (5, [1.0, 0.0, 1.0], 300, False),
-        (200, [0.0, 1.0], (9, 11), False),
-        (1, [1.0], 1, False),
-        (3, [0.4, 0.9], 0, False),
-        (5, [0.0, 1.0, 0.5], 300, True),
-        (7, [0.2, 0.8, 0.35, 0.65, 0.999, 0.5], (9, 11), True),
-        (200, [0.3, 0.6, 0.1, 0.5], (50, 4), True),
-    ], ids=["hoeffding-outer-chunk", "zero-one", "zero-one-large-n", "one-draw",
-            "no-draws", "one-fractional-entry", "both-sides-2d", "btpe"])
-    def test_binomial_matches_numpy(self, n, p, shape, fallback):
+    @pytest.mark.parametrize("n,p,shape", [
+        (1, [0.0, 1.0], (256, 200)),
+        (5, [1.0, 0.0, 1.0], 300),
+        (200, [0.0, 1.0], (9, 11)),
+        (1, [1.0], 1),
+        (3, [0.0, 1.0], 0),
+    ], ids=["hoeffding-outer-chunk", "zero-one", "zero-one-large-n", "one-draw", "no-draws"])
+    def test_binomial_matches_numpy(self, n, p, shape):
         for seed in range(3):
             codes = rng_for(100 + seed).integers(0, len(p), size=shape)
-            self.assert_matches_numpy(n, p, codes, seed, fallback)
-
-    def test_unused_entries_are_ignored(self):
-        # entries no code points at may lie strictly between 0 and 1
-        p = [0.3, 0.5, 0.0, 1.0, 0.45]
-        codes = rng_for(7).choice([2, 3], size=(40, 30))
-        for n in (1, 40, 200):
-            self.assert_matches_numpy(n, p, codes, n, fallback=False)
-        self.assert_matches_numpy(40, p, np.where(codes == 2, 0, codes), 3, fallback=True)
+            self.assert_matches_numpy(n, p, codes, seed)
 
     @given(st.integers(0, 10**6))
     def test_binomial_matches_numpy_on_random_tables(self, seed):
         r = rng_for(seed)
         k = int(r.integers(1, 9))
-        # half the tables are 0/1 only; in the rest about half the entries
-        # lie strictly between 0 and 1 and send the draw to numpy
-        p = r.choice([0.0, 1.0] if r.random() < 0.5 else [0.0, 1.0, 0.5, -1.0], size=k)
-        p = np.where(p < 0, r.random(k), p)
+        p = r.choice([0.0, 1.0], size=k)
         n = int(r.choice([1, 2, 5, 20, 60, 100, 1000]))
         shape = int(r.integers(0, 300)) if r.random() < 0.5 else tuple(r.integers(1, 30, size=2))
         self.assert_matches_numpy(n, p, r.integers(0, k, size=shape), seed)
-
-    @pytest.mark.parametrize("p", [[0.5, 1.5], [0.5, -0.1], [np.nan, 0.5]],
-                             ids=["above-one", "negative", "nan"])
-    def test_invalid_p_raises_numpys_error(self, p):
-        p, codes = np.array(p), np.array([0, 1, 0])
-        with pytest.raises(ValueError) as expected:
-            rng_for(0).binomial(5, p[codes])
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            binomial(5, p, codes, rng_for(0))
 
 
 class TestTvDistance:

@@ -19,7 +19,7 @@ from drloss.cli import main as cli_main
 from drloss.hypo import FiniteClass, IntervalClass, ThresholdClass
 from drloss.learner import drerm
 from drloss.loss import SampleSet, empirical_dr_loss
-from drloss.stats import wilson_interval
+from drloss.stats import Assertion, wilson_interval
 from drloss.tasks import build_task, random_finite_task, t1, task_from_dict
 from drloss.xprun import (
     KINDS,
@@ -746,6 +746,33 @@ class TestReports:
                                agg_columns=["c"], aggregates=[], assertions=[], passed=True)
         text = render_csv(rep)
         assert "a,b" in text and "# aggregates" in text
+
+    def test_csv_edge_cells_match_row_wise_oracle(self):
+        # text the csv module must quote, floats whose repr is unusual, a list
+        # mixing "" and ints; the aggregates are a one-column table, whose
+        # lone empty fields the csv module writes as ""
+        text = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "crlf\r\n", "", '""']
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -0.0, 1.5]
+        table = {
+            "text": text,
+            "mixed": ["", 3, "", -7, 0, "", 12, ""],
+            "x": np.array(floats),
+            "flag": np.array([True, False, False, True, True, False, True, False]),
+            "count": np.array([0, -1, 2 ** 62, 5, 5, 0, 3, -1]),
+            "hypothesis": [{"name": t, "t": x} for t, x in zip(text, floats)],
+        }
+        rep = ExperimentReport(
+            kind="hoeffding", config={"note": 'a,"b"\n'}, table=table, agg_columns=["only"],
+            aggregates=[{"only": v} for v in ("", "x,y", 1.0, "", "\r", 3)],
+            assertions=[Assertion('tail, "grid 0"', -0.0, 5e-324, "rule\nnext", False)],
+            passed=False)
+        assert render_csv(rep) == render_csv_by_rows(rep)
+        assert '\nonly\n""\n' in render_csv(rep)
+
+        empty = ExperimentReport(
+            kind="smoothing", config={}, table={"a": np.array([], dtype=float), "b": []},
+            agg_columns=["c"], aggregates=[], assertions=[], passed=True)
+        assert render_csv(empty) == render_csv_by_rows(empty)
 
     def test_json_structure(self, tmp_path):
         cfg = tiny_config("smoothing", trials=1)
