@@ -24,6 +24,7 @@ from .loss import (
     TaskInstance,
     dr_scores,
     empirical_dr_loss,
+    member_rows,
     population_dr_loss_exact,
     put_member_rows,
 )
@@ -65,7 +66,7 @@ def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Gener
 def _batch_rows(s: SampleSet, points) -> np.ndarray:
     """(k, n, D + 1) ``dr_scores`` rows of the batches; a missing member's row stays 0."""
     index = {z: d for d, z in enumerate(points)}
-    rows = np.zeros((1 + max(j for _, j in s.perturbed), s.n, len(points) + 1))
+    rows = member_rows(1 + max(j for _, j in s.perturbed), s.n, len(points), s.m)
     for (i, j), batch in s.perturbed.items():
         counts = np.bincount([index[z] for z in batch], minlength=len(points))
         put_member_rows(rows, j, i, counts, s.clean[i][1] == 1, s.m)

@@ -9,7 +9,8 @@ error is used instead.
 
 ``dr_scores`` scores many behaviors on finite samples at once, as one
 integer contraction of per-batch member rows (signed counts and a batch
-size column) against the behaviors' labels.
+size column) against the behaviors' labels.  ``member_rows`` allocates the
+rows in float32 while the batch size keeps every product exact.
 """
 
 from __future__ import annotations
@@ -144,6 +145,17 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
 DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_scores
 
 
+def member_rows(kmax: int, slots: int, n_points: int, m: int) -> np.ndarray:
+    """Zeroed (k, slots, D + 1) rows for batches of m draws, for ``put_member_rows``.
+
+    float32 while m <= 2**24, else float64.  A row holds counts summing to
+    m, or negated counts summing to -m beside one m, and ``dr_scores``
+    multiplies it by 0/1 entries: every partial sum is an integer of
+    magnitude at most m, which float32 holds exactly in any summation order.
+    """
+    return np.zeros((kmax, slots, n_points + 1), np.float32 if m <= 1 << 24 else np.float64)
+
+
 def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: int) -> None:
     """Write member j's batches of ``slots`` into ``rows`` as ``dr_scores`` multiplies them.
 
@@ -167,19 +179,21 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     slots: a y = -1 slot's mistakes are its hits on the +1 labels, a y = +1
     slot's its batch size less those hits.  So a row is the batch's counts,
     negated on a positive slot, then its batch size m there and 0 elsewhere
-    (``put_member_rows`` writes them); a zero row pads a missing member.
-    One product with ``plus`` ((D + 1, B): each behavior's +1 indicator over
-    a row of ones) per member and block of trials scores every slot, and
-    with k = 1 there is no max over members.  A block stays within
-    ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns ``(dr, scores)``,
-    the same means summed in the ERM's order.
+    (``put_member_rows`` writes them into ``member_rows``); a zero row pads
+    a missing member.  One product with ``plus`` ((D + 1, B): each
+    behavior's +1 indicator over a row of ones) per member and block of
+    trials scores every slot, and with k = 1 there is no max over members.
+    The products and their max stay in the rows' dtype, where they are
+    exact integers, and are divided by m into float64 once.  A block
+    stays within ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns
+    ``(dr, scores)``, the same means summed in the ERM's order.
     """
     n_b, kmax, n_d = len(labels), rows.shape[0], rows.shape[2] - 1
-    plus = np.ones((n_d + 1, n_b))
+    plus = np.ones((n_d + 1, n_b), rows.dtype)
     plus[:n_d] = labels.T == 1
-    # a block's temporaries, per slot: the worst hit row of B, with k > 1 the
-    # next member's hit row, then the previous block's or the scores' mean
-    block = max(1, DR_S_BLOCK_BYTES // (8 * n * n_b * (2 + (kmax > 1))))
+    # a block's temporaries, per slot: the worst hit row of B and, with k > 1,
+    # the next member's, in the rows' dtype, then the float64 losses
+    block = max(1, DR_S_BLOCK_BYTES // (n * n_b * (rows.itemsize * (1 + (kmax > 1)) + 8)))
     dr = np.empty((n_b, trials))
     scores = np.empty((n_b, trials)) if with_scores else None
     for t0 in range(0, trials, block):
@@ -189,13 +203,12 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
         worst = plus.T @ rows[0, s0:s1].T
         for j in range(1, kmax):
             np.maximum(worst, plus.T @ rows[j, s0:s1].T, out=worst)
-        worst /= m
         # The two means sum the same n values in different orders, and
         # report bytes depend on both: dr (it feeds max_gap and viol_any)
         # adds left to right, the ERM scores (they feed loss_emp and the
         # tie-break among minimizers) pairwise, as numpy sums a contiguous
         # axis.
-        per_trial = worst.reshape(n_b, t1 - t0, n)
+        per_trial = np.divide(worst, m, dtype=float).reshape(n_b, t1 - t0, n)
         out = dr[:, t0:t1]
         np.copyto(out, per_trial[:, :, 0])
         for i in range(1, n):

@@ -9,14 +9,16 @@ the suites test "for every h in H" events exactly.
 
 ``draw_slot_counts`` writes each multinomial batch straight into the
 member row that ``loss.dr_scores`` multiplies (signed counts and a batch
-size column); no count tensor is kept beside the rows.  The contraction and
-its per-block byte budget ``DR_S_BLOCK_BYTES`` live in ``loss.dr_scores``,
-which ``learner.drerm`` runs too.  The behaviors a sample can tell apart
-are the projections of the full-domain behaviors onto its points, with the
-same scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the
-score matrix and asks the class which witness its enumeration on the
-sample's points (``seen_points``) would have picked (``sample_witness`` in
-``hypo``).
+size column, float32 while m <= 2**24: ``loss.member_rows``); no count
+tensor is kept beside the rows.  The contraction and its per-block byte
+budget ``DR_S_BLOCK_BYTES`` live in ``loss.dr_scores``, which
+``learner.drerm`` runs too.  The behaviors a sample can tell apart are the
+projections of the full-domain behaviors onto its points, with the same
+scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the score
+matrix and asks the class which witness its enumeration on the sample's
+points (``seen_points``) would have picked (``sample_witness`` in
+``hypo``).  The witness depends on nothing but the behaviors at the minimum
+and the seen points, so the ERM suites call it once per distinct pair.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..hypo import enumerate_behaviors
-from ..loss import dr_scores, put_member_rows
+from ..loss import dr_scores, member_rows, put_member_rows
 from ..perturb import FiniteDistribution, categorical
 
 
@@ -104,7 +106,7 @@ class FiniteView:
         """
         probs, valid = self._members[view]
         point_mass = self._point_mass[view]
-        rows = np.zeros((probs.shape[1], len(slot_atoms), self.n_points + 1))
+        rows = member_rows(probs.shape[1], len(slot_atoms), self.n_points, m)
         for a in range(self.n_atoms):
             idx = np.flatnonzero(slot_atoms == a)
             if len(idx) == 0:

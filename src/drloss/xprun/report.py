@@ -120,7 +120,8 @@ def _cells(col) -> list:
     list of dicts (the hypothesis column) is JSON with sorted keys.  A list
     that mixes types goes through ``str``, which writes a float as its
     ``repr`` too.  Each distinct value is formatted once, numbers keyed on
-    their bits so that -0.0 and 0.0 stay apart; no number needs quoting.
+    their bits so that -0.0 and 0.0 stay apart, JSON cells on their object
+    (the ERM suites share one per witness); no number needs quoting.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == bool:
@@ -129,7 +130,9 @@ def _cells(col) -> list:
         text = map(repr if col.dtype.kind == "f" else str, keys.view(col.dtype).tolist())
         return np.array(list(text), dtype=object)[inverse].tolist()
     if col and isinstance(col[0], (dict, list)):
-        return _escaped([json.dumps(v, sort_keys=True) for v in col])
+        unique = {id(v): v for v in col}
+        text = {key: json.dumps(v, sort_keys=True) for key, v in unique.items()}
+        return _escaped([text[id(v)] for v in col])
     return _escaped(list(map(str, col)))
 
 
@@ -198,19 +201,23 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
 
 
 def read_csv_sections(path) -> dict:
-    """Re-parse an emitted CSV into its three sections (for round-trip checks)."""
-    lines = Path(path).read_text().splitlines()
+    """Re-parse an emitted CSV into its three sections (for round-trip checks).
+
+    "#" starts a comment only where a record starts, not inside a quoted cell.
+    """
+    with open(path, newline="") as fh:
+        text = io.StringIO(fh.read())
+    records = csv.reader(text)
     sections: dict = {"rows": [], "aggregates": [], "assertions": []}
     current = "rows"
     header: list | None = None
-    for line in lines:
+    while line := text.readline():
         if line.startswith("#"):
-            if line == "# aggregates":
-                current, header = "aggregates", None
-            elif line == "# assertions":
-                current, header = "assertions", None
+            if line.rstrip() in ("# aggregates", "# assertions"):
+                current, header = line.rstrip()[2:], None
             continue
-        (cells,) = csv.reader([line])
+        text.seek(text.tell() - len(line))  # the reader parses the record from its start
+        cells = next(records)
         if header is None:
             header = cells
             sections[current + "_columns"] = header

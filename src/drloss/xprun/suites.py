@@ -135,23 +135,24 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         # no sampled points to restrict to; minimize over the full-domain behaviors
         dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
         best = dr_s.argmin(axis=0)
-        hypotheses = [s.witnesses[b] for b in best]
         loss_emp = dr_s[best, np.arange(trials)]
         loss_pop = s.dr_true[best]
+        picks, inverse = np.unique(best, return_inverse=True)
+        hypotheses = [s.witnesses[b] for b in picks]
     else:
         rows = view.draw_slot_counts(rng, slots, m, s.train_view)
         dr_s, scores = view.dr_s(s.labels, slots, rows, trials, n, m, True)
         seen = view.seen_points(slots, rows, trials, n)
-        loss_pop_of = {}  # ERM witness -> its exact DR loss
-        hypotheses, loss_emp = [], []
-        for t in range(trials):
-            erm_h, emp = view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t], seen[t])
-            if erm_h not in loss_pop_of:
-                loss_pop_of[erm_h] = float(view.dr_exact(view.labels_of(erm_h), "true")[0])
-            hypotheses.append(erm_h)
-            loss_emp.append(emp)
-        loss_pop = np.array([loss_pop_of[h] for h in hypotheses])
-        loss_emp = np.array(loss_emp)
+        loss_emp = scores.min(axis=0)
+        # a trial's witness is fixed by the behaviors at its minimum and the
+        # points it saw, so ERM runs once per distinct (tie set, seen set)
+        keys = np.hstack([np.packbits(scores == loss_emp, axis=0).T, np.packbits(seen, axis=1)])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        hypotheses = [view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t], seen[t])[0]
+                      for t in first]
+        loss_pop_of = {h: float(view.dr_exact(view.labels_of(h), "true")[0])
+                       for h in set(hypotheses)}
+        loss_pop = np.array([loss_pop_of[h] for h in hypotheses])[inverse]
 
     cols = {"grid_index": np.full(trials, g), "trial": np.arange(lo, hi),
             "n": np.full(trials, n), "m": np.full(trials, m), "k": np.full(trials, s.k),
@@ -168,7 +169,8 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         zero_train = dr_s <= EXACT_ZERO_TOL
         cols.update(viol_erm=(loss_emp <= EXACT_ZERO_TOL) & (loss_pop >= level),
                     viol_any=np.any(zero_train & (s.dr_true >= level)[:, None], axis=0))
-    cols["hypothesis"] = [h.to_json() for h in hypotheses]
+    cells = [h.to_json() for h in hypotheses]
+    cols["hypothesis"] = [cells[i] for i in inverse.tolist()]
     return cols
 
 
@@ -284,7 +286,9 @@ def _exact_mean_worst(m: int, probs: list) -> float:
         pmf_b = _binom_pmf(m, probs[1])
         grid = np.maximum.outer(np.arange(m + 1), np.arange(m + 1))
         return float(pmf_a @ grid @ pmf_b) / m
-    raise ConfigError("exact outer mean implemented for at most 2 members per example")
+    # past two members: the sum over t = 1..m of P(max >= t) = 1 - prod_j F_j(t - 1)
+    cdfs = np.cumsum([_binom_pmf(m, p) for p in probs], axis=1)
+    return float(np.sum(1.0 - np.prod(cdfs[:, :-1], axis=0))) / m
 
 
 def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:

@@ -19,6 +19,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +34,14 @@ from drloss.hypo import (
     ThresholdClass,
     enumerate_behaviors,
 )
-from drloss.tasks import build_task, random_finite_task, random_table_hypothesis, task_from_dict
-from drloss.xprun import load_config
+from drloss.tasks import (
+    build_task,
+    random_finite_task,
+    random_table_hypothesis,
+    task_from_dict,
+    with_label_noise,
+)
+from drloss.xprun import load_config, suites
 from drloss.xprun.indexed import FiniteView
 
 
@@ -79,7 +86,7 @@ def draw_with_oracle(view, r, slot_atoms, m, member_view="true"):
     rows = view.draw_slot_counts(r, slot_atoms, m, member_view)
     counts = oracle_counts(view, ref, slot_atoms, m, member_view)
     want = oracle_rows(counts, view.atom_y[slot_atoms] == 1)
-    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.dtype == loss.member_rows(0, 0, 0, m).dtype and rows.shape == want.shape
     assert np.array_equal(rows, want)
     assert repr(r.bit_generator.state) == repr(ref.bit_generator.state)
     return rows, counts
@@ -186,6 +193,68 @@ def test_erm_on_sample_matches_enumeration(case, n):
     assert ties > 0  # the canonical tie-break among minimizers was exercised
 
 
+def erm_chunk_oracle(cfg, s, g, chunk, lo, hi):
+    """The ERM chunk's ERM columns with one ``erm_on_sample`` per trial."""
+    n, m = cfg.grid[g]["n"], cfg.grid[g]["m"]
+    trials, view, level = hi - lo, s.view, s.levels[g]
+    rng = seeding.stream(cfg.master_seed, g, chunk)
+    slots = view.draw_clean_slots(rng, trials * n)
+    rows = view.draw_slot_counts(rng, slots, m, s.train_view)
+    dr_s, scores = view.dr_s(s.labels, slots, rows, trials, n, m, True)
+    seen = view.seen_points(slots, rows, trials, n)
+    hypotheses, loss_emp = zip(*(view.erm_on_sample(s.hclass, s.labels, s.witnesses,
+                                                    scores[:, t], seen[t])
+                                 for t in range(trials)))
+    loss_emp = np.array(loss_emp)
+    loss_pop = np.array([view.dr_exact(view.labels_of(h), "true")[0] for h in hypotheses])
+    keys = {(tuple(np.flatnonzero(scores[:, t] == loss_emp[t])), tuple(seen[t]))
+            for t in range(trials)}
+    return {"hypothesis": [h.to_json() for h in hypotheses], "loss_emp": loss_emp,
+            "loss_pop": loss_pop, "max_gap": np.abs(dr_s - s.dr_true[:, None]).max(axis=0),
+            "viol_erm": (loss_emp <= suites.EXACT_ZERO_TOL) & (loss_pop >= level),
+            "viol_any": np.any((dr_s <= suites.EXACT_ZERO_TOL) & (s.dr_true >= level)[:, None],
+                               axis=0)}, len(keys)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("noise", [False, True], ids=["clean", "label-noise"])
+@pytest.mark.parametrize("case", CASES)
+def test_erm_chunk_matches_per_trial_erm(monkeypatch, case, noise, n):
+    # the chunk runs ERM once per distinct (tie set, seen set); label noise
+    # puts both labels on one point, which forces ties at the minimum
+    calls = []
+    erm_on_sample = FiniteView.erm_on_sample
+    monkeypatch.setattr(FiniteView, "erm_on_sample",
+                        lambda *a: calls.append(a) or erm_on_sample(*a))
+    shared = 0
+    for seed in range(12):
+        r, task, hclass = case_task(case, 1200 + seed)
+        if noise:
+            task = with_label_noise(task, 0.25)
+        view = FiniteView(task)
+        labels, witnesses = view.behaviors(hclass)
+        dr_true = view.dr_exact(labels, "true")
+        epsilon = float(r.choice([0.0, 0.1, 0.3]))
+        s = SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
+                            dr_true=dr_true, train_view="true", levels=[epsilon],
+                            eps_prime=float("nan"), k=task.max_family_size("true"))
+        for kind, viol in (("realizable", ("viol_erm", "viol_any")), ("agnostic", ("max_gap",))):
+            cfg = load_config(kind, seed=seed)
+            cfg.grid = [{"n": n, "m": int(r.integers(1, 6)), "epsilon": epsilon, "delta": 0.05,
+                         "exact_inner": False}]
+            trials = int(r.integers(1, 60))
+            want, keys = erm_chunk_oracle(cfg, s, 0, 0, 0, trials)
+            calls.clear()
+            got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+            assert len(calls) == keys
+            assert [json.dumps(h) for h in got["hypothesis"]] == [json.dumps(h) for h in
+                                                                  want["hypothesis"]]
+            for col in ("loss_emp", "loss_pop") + viol:
+                assert got[col].tobytes() == want[col].tobytes(), col
+            shared += keys < trials
+    assert shared > 0  # some trials did reuse another's ERM
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_sample_witness_matches_first_projection(case):
     """The class rule against enumeration on random subsets of the domain.
@@ -258,6 +327,35 @@ def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
     assert counts.shape[1] == 3 and np.any(view.atom_y[slots] == 1)
 
 
+@pytest.mark.parametrize("block_bytes", [1, 5000, loss.DR_S_BLOCK_BYTES],
+                         ids=["one-trial-blocks", "small-blocks", "default"])
+def test_dr_scores_float32_rows_match_float64(monkeypatch, block_bytes):
+    # rows built by hand over D = 17 points, so m = 2**24 needs no multinomial;
+    # float32 must score exactly as float64 up to m = 2**24, then rows are float64
+    monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
+    r = rng_for(24)
+    n_d, trials, n, kmax = 17, 6, 4, 3
+    labels = r.choice(np.array([-1, 1], dtype=np.int8), size=(40, n_d))
+    for m in (1, 3, 200, 1 << 24, (1 << 24) + 1):
+        rows = loss.member_rows(kmax, trials * n, n_d, m)
+        assert rows.dtype == (np.float32 if m <= 1 << 24 else np.float64)
+        for i in range(trials * n):
+            cuts = np.sort(r.integers(0, m + 1, size=n_d - 1))
+            counts = np.diff(cuts, prepend=0, append=m)
+            if i % 5 == 0:  # the whole batch on one point
+                counts = np.where(np.arange(n_d) == i % n_d, m, 0)
+            # the first member always, the others not always: padding rows
+            for j in range(1 + int(r.integers(kmax))):
+                loss.put_member_rows(rows, j, i, r.permutation(counts), bool(r.integers(2)), m)
+        wide = rows.astype(np.float64)
+        assert np.array_equal(rows, wide)
+        got = (loss.dr_scores(labels, rows, trials, n, m),
+               *loss.dr_scores(labels, rows, trials, n, m, True))
+        dr, scores = loss.dr_scores(labels, wide, trials, n, m, True)
+        for a, b in zip(got, (dr, dr, scores)):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
 # Every kind of member row: point masses at the first (0.0), a middle (2.0)
 # and the last (4.0) domain point, one written with an explicit zero, on
 # y = -1 and y = +1 atoms; fractional members; and padding rows below the
@@ -314,7 +412,7 @@ def test_multinomial_rows_match_oracle(case, m):
         rows = view.draw_slot_counts(r, slots, m, member_view)
         counts = oracle_counts(view, ref, slots, m, member_view)
         want = oracle_rows(counts, view.atom_y[slots] == 1)
-        assert rows.dtype == np.float64 and rows.shape == want.shape
+        assert rows.dtype == loss.member_rows(0, 0, 0, m).dtype and rows.shape == want.shape
         assert np.array_equal(rows, want)
         assert r.random() == ref.random()
         drawn = valid & ~point_mass & np.isin(np.arange(view.n_atoms), slots)[:, None]
@@ -412,14 +510,9 @@ def outer_task(r, tables: str) -> dict:
 
 
 @pytest.mark.parametrize("tables", ["zero-one", "fractional", "mixed"])
-def test_hoeffding_outer_chunk_matches_binomial_oracle(monkeypatch, tables):
+def test_hoeffding_outer_chunk_matches_binomial_oracle(tables):
     # a 0/1 table reads each slot's worst loss off its atom and draws no
     # member batch; any other table draws every member through numpy
-    from drloss.xprun import suites
-    exact = suites._exact_mean_worst
-    # the exact mean covers two members; a third only needs some expectation
-    monkeypatch.setattr(suites, "_exact_mean_worst",
-                        lambda m, probs: exact(m, probs) if len(probs) < 3 else 0.4)
     for seed in range(8):
         r = rng_for(900 + seed)
         cfg = load_config("hoeffding", seed=seed)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -568,6 +569,19 @@ class TestSuites:
             expected = float(pa @ np.maximum.outer(ks, ks) @ pb) / m
             assert _exact_mean_worst(m, list(probs)) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_exact_mean_worst_matches_brute_force_past_two_members(self, k):
+        # the sum over every outcome of the k batches' counts, pmf products as weights
+        from drloss.xprun.suites import _binom_pmf, _exact_mean_worst
+        r = rng_for(k)
+        for m in range(1, 7):
+            for probs in ([0.0] * k, [1.0] + [0.5] * (k - 1), list(r.random(k))):
+                pmfs = [_binom_pmf(m, p) for p in probs]
+                outcomes = itertools.product(range(m + 1), repeat=k)
+                expected = math.fsum(math.prod(pmf[i] for pmf, i in zip(pmfs, counts)) * max(counts)
+                                     for counts in outcomes) / m
+                assert _exact_mean_worst(m, probs) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_binom_pmf_keeps_every_float_range_term_bit_for_bit(self):
         from drloss.xprun.suites import _binom_pmf
         for m, p in ((1000, 0.5), (1000, 0.3), (1100, 0.3)):
@@ -706,6 +720,22 @@ class TestReports:
         assert float(first["loss_pop"]) == rep.rows[0]["loss_pop"]
         assert int(first["trial"]) == rep.rows[0]["trial"]
         assert len(sections["assertions"]) == len(rep.assertions)
+
+    def test_csv_round_trip_keeps_line_breaks_and_commas_in_cells(self, tmp_path):
+        # a quoted cell may hold a line break, and a "#" line inside it is text
+        text = ["two\nlines", "crlf\r\nend", "a,b", "\n# aggregates\n", "plain"]
+        rep = ExperimentReport(
+            kind="smoothing", config={}, table={"text": text, "i": np.arange(5)},
+            agg_columns=["note"], aggregates=[{"note": "x,\ny"}],
+            assertions=[Assertion("rule\r\nnext", 0.5, 1.0, "a,b", True)], passed=True)
+        path = tmp_path / "report.csv"
+        emit_report(rep, "csv", path)
+        sections = read_csv_sections(path)
+        assert [row["text"] for row in sections["rows"]] == text
+        assert [row["i"] for row in sections["rows"]] == ["0", "1", "2", "3", "4"]
+        assert sections["aggregates"] == [{"note": "x,\ny"}]
+        assert [(a["name"], a["slack_rule"]) for a in sections["assertions"]] == [
+            ("rule\r\nnext", "a,b")]
 
     # small trial counts; smoothing and hoeffding interleave or mix cell types
     ORACLE_TRIALS = {"hoeffding": 300, "double-sampling": 3, "smoothing": 3}
@@ -988,6 +1018,21 @@ class TestCli:
             "grid": [{"target": "outer", "n": 20, "epsilon": 0.4}],
         }))
         assert cli_main(["hoeffding", "--config", str(path), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_hoeffding_outer_task_with_three_members_runs(self, tmp_path, capsys):
+        # a valid family of three members is a statistical check, not a config error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "hoeffding", "trials": 50,
+            "params": {"outer_m": 5, "outer_task": {"inline": {
+                "atoms": [[0.0, -1, 1.0]],
+                "distributions": {"at0": [[0.0, 1.0]], "at1": [[1.0, 1.0]],
+                                  "mix": [[0.0, 0.5], [1.0, 0.5]]},
+                "families": [{"x": 0.0, "true": ["at0", "mix", "at1"], "k": 3}]}}},
+            "grid": [{"target": "outer", "n": 20, "epsilon": 0.4}],
+        }))
+        assert cli_main(["hoeffding", "--config", str(path), "--quiet"]) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_exit_two_on_negative_seed_flag(self, capsys):
