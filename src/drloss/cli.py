@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per experiment kind.
+"""Command-line entry point: ``drloss KIND [options]``, the first argument naming the kind.
 
 Exit codes: 0 when every statistical assertion passes, 1 on a statistical
 assertion failure, 2 on configuration or I/O errors.
@@ -15,17 +15,17 @@ from .xprun import KINDS, ConfigError, emit_report, load_config, run_suite
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drloss",
+        usage="%(prog)s KIND [options]",
         description="Seeded statistical experiments for worst-case-over-distributions learning.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} suite")
-        p.add_argument("--config", help="JSON or YAML config file (defaults are built in)")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", help="report output path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, help="worker processes (default 1)")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary lines")
+    parser.add_argument("kind", choices=KINDS, metavar="KIND",
+                        help="the suite to run: " + ", ".join(KINDS))
+    parser.add_argument("--config", help="JSON or YAML config file (defaults are built in)")
+    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--out", help="report output path")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary lines")
     return parser
 
 

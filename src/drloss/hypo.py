@@ -3,7 +3,10 @@
 Enumeration is what makes worst-case empirical risk minimization exact at
 desk scale: every labeling the class realizes on a finite point set is
 produced together with a canonical witness hypothesis, so the ERM oracle
-is an argmin over finitely many behaviors.
+is an argmin over finitely many behaviors.  ``behavior_table(points)`` gives
+them as (B, N) int8 labels plus witnesses in canonical order, built in closed
+form (no ``predict`` calls) except for ``FiniteClass``; ``enumerate_behaviors``
+is the table as a list of ``Behavior`` tuples.
 
 Each class also names, without enumerating again, the witness its
 enumeration on a subset of the points would pick.  ``sample_witness(points,
@@ -121,8 +124,19 @@ class Behavior(NamedTuple):
     witness: object
 
 
-def _distinct_sorted(values):
-    return sorted(set(values))
+def _signs(mask: np.ndarray) -> np.ndarray:
+    """+1 where ``mask`` holds, else -1, as int8 labels."""
+    return np.where(mask, np.int8(1), np.int8(-1))
+
+
+def _line(points, tag: str) -> tuple:
+    """One-dimensional ``points`` as a float array, and their sorted distinct values."""
+    if not points:
+        raise ValueError("points must be nonempty")
+    values = sorted(set(points))
+    if isinstance(values[-1], tuple):
+        raise DomainError(f"{tag} hypotheses are one-dimensional")
+    return np.array(points, dtype=float), values
 
 
 def threshold_cuts(values: Sequence[float]) -> list:
@@ -137,25 +151,31 @@ def threshold_cuts(values: Sequence[float]) -> list:
     return list(values) + [values[-1] + 1.0]
 
 
-class ThresholdClass:
+class _Enumerable:
+    """``enumerate_behaviors`` as the ``Behavior`` view of a class's ``behavior_table``."""
+
+    def enumerate_behaviors(self, points) -> list[Behavior]:
+        labels, witnesses = self.behavior_table(points)
+        return [Behavior(tuple(row), w) for row, w in zip(labels.tolist(), witnesses)]
+
+
+class ThresholdClass(_Enumerable):
     """All thresholds on the line; VC dimension 1."""
 
     tag = "threshold-1d"
     vc_dim = 1
 
-    def enumerate_behaviors(self, points: Sequence[float]) -> list[Behavior]:
-        """The n+1 sign patterns on n distinct points, ordered by ascending t.
+    def behavior_table(self, points: Sequence[float]) -> tuple:
+        """(B, N) int8 labels and witnesses of the n+1 sign patterns on n
+        distinct points, ordered by ascending t.
 
         Canonical witness per behavior: the smallest point labeled +1, or
         max(points) + 1 for the all-minus behavior.
         """
-        if not points:
-            raise ValueError("points must be nonempty")
-        out = []
-        for t in threshold_cuts(_distinct_sorted(points)):
-            h = Threshold(float(t))
-            out.append(Behavior(tuple(h.predict(x) for x in points), h))
-        return out
+        x, values = _line(points, self.tag)
+        cuts = threshold_cuts(values)
+        labels = _signs(x >= np.array(cuts, dtype=float)[:, None])
+        return labels, [Threshold(float(t)) for t in cuts]
 
     def sample_witness(self, points, seen, labels, first) -> Threshold:
         """The smallest seen point any row labels +1, else max + 1."""
@@ -166,23 +186,22 @@ class ThresholdClass:
         return Threshold(float(max(values) + 1.0))
 
 
-class IntervalClass:
+class IntervalClass(_Enumerable):
     """All closed intervals on the line; VC dimension 2."""
 
     tag = "interval-1d"
     vc_dim = 2
 
-    def enumerate_behaviors(self, points: Sequence[float]) -> list[Behavior]:
-        if not points:
-            raise ValueError("points must be nonempty")
-        values = _distinct_sorted(points)
-        empty = Interval(values[0] - 1.0, values[0] - 1.0)
-        out = [Behavior(tuple(empty.predict(x) for x in points), empty)]
-        for i, lo in enumerate(values):
-            for hi in values[i:]:
-                h = Interval(float(lo), float(hi))
-                out.append(Behavior(tuple(h.predict(x) for x in points), h))
-        return out
+    def behavior_table(self, points: Sequence[float]) -> tuple:
+        """(B, N) int8 labels and witnesses: the empty interval at min - 1, then
+        [lo, hi] over the sorted distinct values, by lo and then hi."""
+        x, values = _line(points, self.tag)
+        empty = values[0] - 1.0
+        lo, hi = np.triu_indices(len(values))
+        v = np.array(values, dtype=float)
+        los, his = np.append(empty, v[lo]), np.append(empty, v[hi])
+        labels = _signs((los[:, None] <= x) & (x <= his[:, None]))
+        return labels, [Interval(empty, empty), *map(Interval, los[1:].tolist(), his[1:].tolist())]
 
     def sample_witness(self, points, seen, labels, first) -> Interval:
         """The empty interval at min - 1 if a row is all -1 on the seen points,
@@ -198,7 +217,7 @@ class IntervalClass:
         return Interval(float(lo[i]), float(hi[i]))
 
 
-class AxisRectClass:
+class AxisRectClass(_Enumerable):
     """Axis-aligned boxes in dimension ``dim``; VC dimension 2*dim.
 
     Enumeration cost grows as the product over axes of the squared number
@@ -213,34 +232,37 @@ class AxisRectClass:
         self.dim = dim
         self.vc_dim = 2 * dim
 
-    def enumerate_behaviors(self, points: Sequence[tuple]) -> list[Behavior]:
+    def behavior_table(self, points: Sequence[tuple]) -> tuple:
+        """(B, N) int8 labels of the candidate boxes' distinct labelings, first
+        occurrences in candidate order (the box below every point, then (lo, hi)
+        pairs of sorted distinct coordinates per axis, axis 0 outermost), and
+        witnesses: the bounding box of the positive points, which realizes the
+        same labeling whenever any box does, in the points' own coordinates."""
         if not points:
             raise ValueError("points must be nonempty")
         if any(not isinstance(p, tuple) or len(p) != self.dim for p in points):
             raise DomainError(f"expected {self.dim}-dimensional tuple points")
-        axis_values = [_distinct_sorted(p[a] for p in points) for a in range(self.dim)]
-        boxes = [[]]
-        for vals in axis_values:
-            pairs = [(lo, hi) for i, lo in enumerate(vals) for hi in vals[i:]]
-            boxes = [b + [pq] for b in boxes for pq in pairs]
+        coords = np.array(points, dtype=float)
+        axis_values = [sorted({p[a] for p in points}) for a in range(self.dim)]
         below = tuple(vals[0] - 1.0 for vals in axis_values)
-        candidates = [AxisRect(below, below)]
-        candidates += [AxisRect(tuple(lo for lo, _ in b), tuple(hi for _, hi in b)) for b in boxes]
-        seen = {}
-        for h in candidates:
-            labels = tuple(h.predict(x) for x in points)
-            if labels in seen:
-                continue
-            # Canonical witness: bounding box of the positive points, which
-            # realizes the same labeling whenever any box does.
-            pos = [x for x, lab in zip(points, labels) if lab == 1]
-            if pos:
-                witness = AxisRect(tuple(min(p[a] for p in pos) for a in range(self.dim)),
-                                   tuple(max(p[a] for p in pos) for a in range(self.dim)))
-            else:
-                witness = AxisRect(below, below)
-            seen[labels] = witness
-        return [Behavior(labels, w) for labels, w in seen.items()]
+        inside = np.ones((1, len(points)), dtype=bool)
+        for a, vals in enumerate(axis_values):
+            v = np.array(vals, dtype=float)
+            lo, hi = np.triu_indices(len(v))
+            pairs = (v[lo, None] <= coords[:, a]) & (coords[:, a] <= v[hi, None])
+            inside = (inside[:, None] & pairs).reshape(-1, len(points))
+        in_below = (coords == np.array(below)).all(axis=1)
+        candidates = _signs(np.vstack([in_below, inside]))
+        labels = candidates[np.sort(np.unique(candidates, axis=0, return_index=True)[1])]
+        # per behavior, the first positive point at each axis's min and max, as min() and max() pick
+        pos = labels == 1
+        order = np.argsort(np.hstack([coords, -coords]), axis=0, kind="stable").T
+        ends = np.stack([o[pos[:, o].argmax(axis=1)] for o in order], axis=1).tolist()
+        witnesses = [AxisRect(tuple(points[i][a] for a, i in enumerate(e[:self.dim])),
+                              tuple(points[i][a] for a, i in enumerate(e[self.dim:])))
+                     if any_pos else AxisRect(below, below)
+                     for any_pos, e in zip(pos.any(axis=1).tolist(), ends)]
+        return labels, witnesses
 
     def sample_witness(self, points, seen, labels, first) -> AxisRect:
         """The below box if a row is all -1 on the seen points; else the bounding
@@ -279,7 +301,7 @@ class AxisRectClass:
                         tuple(max(p[a] for p in pos) for a in range(self.dim)))
 
 
-class FiniteClass:
+class FiniteClass(_Enumerable):
     """An explicit finite list of hypotheses.
 
     The VC dimension bound is floor(log2 |H|) (at least one): shattering d
@@ -294,15 +316,14 @@ class FiniteClass:
             raise ValueError("empty hypothesis list")
         self.vc_dim = max(1, int(math.floor(math.log2(len(self.hypotheses)))))
 
-    def enumerate_behaviors(self, points) -> list[Behavior]:
+    def behavior_table(self, points) -> tuple:
+        """(B, N) int8 labels of the distinct labelings, each with its first hypothesis."""
         if not points:
             raise ValueError("points must be nonempty")
         seen = {}
         for h in self.hypotheses:
-            labels = tuple(h.predict(x) for x in points)
-            if labels not in seen:
-                seen[labels] = h
-        return [Behavior(labels, w) for labels, w in seen.items()]
+            seen.setdefault(tuple(h.predict(x) for x in points), h)
+        return np.array(list(seen), dtype=np.int8), list(seen.values())
 
     def sample_witness(self, points, seen, labels, first):
         """The first hypothesis in list order among the rows: ``first``."""

@@ -4,10 +4,11 @@ ERM is exact because behaviors are enumerated on the drawn point set and
 each canonical witness is scored; nothing is approximated beyond the
 sampling itself.  Each class has one scoring path: sorted candidate cuts
 for thresholds, ``loss.dr_scores`` (the finite engine's contraction) for
-the rest, on member rows built from the batches as ``FiniteView`` draws
-them.  Ties are broken by the enumeration order of the class, which is
-canonical and deterministic, so identical (task, config, seed) reproduce
-the identical hypothesis bit for bit.
+the rest, on the class's behavior table (``behavior_table`` in ``hypo``)
+and member rows built from the batches as ``FiniteView`` draws them.  Ties
+are broken by the enumeration order of the class, which is canonical and
+deterministic, so identical (task, config, seed) reproduce the identical
+hypothesis bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding
-from .hypo import Threshold, ThresholdClass, enumerate_behaviors, threshold_cuts
+from .hypo import Threshold, ThresholdClass, threshold_cuts
 from .loss import (
     SampleSet,
     TaskInstance,
@@ -96,17 +97,16 @@ def drerm(hclass, s: SampleSet):
     Behaviors are enumerated on every distinct point of the set (clean and
     perturbed); the first behavior attaining the minimum, in canonical
     enumeration order, supplies the returned witness.  Thresholds score their
-    candidate cuts, every other class its behaviors through ``dr_scores``.
+    candidate cuts, every other class its behavior table through ``dr_scores``.
     """
     points = s.all_points()
     if isinstance(hclass, ThresholdClass):
         # Candidates match the enumeration order: ascending cut, sentinel last.
         cuts = threshold_cuts(points)
         return Threshold(float(cuts[int(np.argmin(_scores_threshold(cuts, s)))]))
-    behaviors = enumerate_behaviors(hclass, points)
-    labels = np.array([b.labels for b in behaviors], dtype=np.int8)
+    labels, witnesses = hclass.behavior_table(points)
     _, scores = dr_scores(labels, _batch_rows(s, points), 1, s.n, s.m, True)
-    return behaviors[int(np.argmin(scores[:, 0]))].witness
+    return witnesses[int(np.argmin(scores[:, 0]))]
 
 
 class LearnResult(NamedTuple):

@@ -3,9 +3,11 @@
 Because the losses only depend on how many draws land on each domain
 point, an m-sample batch is summarized by its multinomial count vector and
 whole trial sweeps become a handful of array contractions.  Behaviors are
-enumerated once per run, on the full domain point set; they capture every
-loss-relevant distinction a hypothesis class can make, which is what lets
-the suites test "for every h in H" events exactly.
+enumerated once per run, on the full domain point set, as the class's
+behavior table (``behavior_table`` in ``hypo``: (B, D) int8 labels and the
+witnesses); they capture every loss-relevant distinction a hypothesis class
+can make, which is what lets the suites test "for every h in H" events
+exactly.
 
 ``draw_slot_counts`` writes each multinomial batch straight into the
 member row that ``loss.dr_scores`` multiplies (signed counts and a batch
@@ -27,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hypo import enumerate_behaviors
 from ..loss import dr_scores, member_rows, put_member_rows
 from ..perturb import FiniteDistribution, categorical
 
@@ -68,10 +69,8 @@ class FiniteView:
         self.max_k = {view: self._members[view][0].shape[1] for view in self.views}
 
     def behaviors(self, hclass):
-        """All behaviors on the full domain point set: (labels (B, D), witnesses)."""
-        bs = enumerate_behaviors(hclass, self.points)
-        labels = np.array([b.labels for b in bs], dtype=np.int8)
-        return labels, [b.witness for b in bs]
+        """All behaviors on the full domain point set: (labels (B, D) int8, witnesses)."""
+        return hclass.behavior_table(self.points)
 
     def mistakes(self, labels: np.ndarray) -> np.ndarray:
         """(B, atoms, points) indicator that a behavior mislabels a point for an atom."""

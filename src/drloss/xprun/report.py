@@ -20,6 +20,7 @@ import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,11 @@ class ExperimentReport:
         return lines
 
 
-def _escaped(texts: list) -> list:
-    """``texts`` as the csv module escapes them inside a row, each distinct text once."""
+def _escaped(texts: list, lead: bool = False) -> list:
+    """``texts`` as the csv module escapes them inside a row, each distinct text once.
+
+    A ``lead`` text (a record's first cell) that starts with "#" is quoted too,
+    or ``read_csv_sections`` would take its record for a comment."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     escaped = {}
@@ -109,11 +113,12 @@ def _escaped(texts: list) -> list:
         buf.seek(0)
         buf.truncate()
         writer.writerow([text, ""])
-        escaped[text] = buf.getvalue()[:-2]  # less the empty field's "," and the "\n"
+        cell = buf.getvalue()[:-2]  # less the empty field's "," and the "\n"
+        escaped[text] = f'"{cell}"' if lead and cell.startswith("#") else cell
     return [escaped[t] for t in texts]
 
 
-def _cells(col) -> list:
+def _cells(col, lead: bool = False) -> list:
     """One column's CSV cells, as they stand between the commas of a row.
 
     Bools are "1"/"0", floats their ``repr``, ints and strings ``str``, and a
@@ -121,7 +126,8 @@ def _cells(col) -> list:
     that mixes types goes through ``str``, which writes a float as its
     ``repr`` too.  Each distinct value is formatted once, numbers keyed on
     their bits so that -0.0 and 0.0 stay apart, JSON cells on their object
-    (the ERM suites share one per witness); no number needs quoting.
+    (the ERM suites share one per witness); no number needs quoting.  ``lead``
+    is ``_escaped``'s.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == bool:
@@ -132,8 +138,8 @@ def _cells(col) -> list:
     if col and isinstance(col[0], (dict, list)):
         unique = {id(v): v for v in col}
         text = {key: json.dumps(v, sort_keys=True) for key, v in unique.items()}
-        return _escaped([text[id(v)] for v in col])
-    return _escaped(list(map(str, col)))
+        return _escaped([text[id(v)] for v in col], lead)
+    return _escaped(list(map(str, col)), lead)
 
 
 def _assertion_dict(a: Assertion) -> dict:
@@ -149,14 +155,14 @@ def _assertion_dict(a: Assertion) -> dict:
 def render_csv(report: ExperimentReport) -> str:
     """One file, three sections (rows, aggregates, assertions), comment-framed."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
 
     def comment(text):
         buf.write(text + "\n")
 
     def table(columns, table):
-        writer.writerow(columns)
-        lines = map(",".join, zip(*[_cells(table[c]) for c in columns]))
+        header = [_escaped(list(columns), lead=True)]
+        cells = [_cells(table[c], lead=i == 0) for i, c in enumerate(columns)]
+        lines = map(",".join, chain(header, zip(*cells)))
         if len(columns) == 1:  # the csv writer quotes a row's lone empty field
             lines = (line or '""' for line in lines)
         buf.writelines(line + "\n" for line in lines)

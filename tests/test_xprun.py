@@ -16,6 +16,7 @@ from scipy.stats import binom
 
 import drloss
 from drloss import seeding
+from drloss.cli import _build_parser
 from drloss.cli import main as cli_main
 from drloss.hypo import FiniteClass, IntervalClass, ThresholdClass
 from drloss.learner import drerm
@@ -737,6 +738,26 @@ class TestReports:
         assert [(a["name"], a["slack_rule"]) for a in sections["assertions"]] == [
             ("rule\r\nnext", "a,b")]
 
+    def test_csv_round_trip_keeps_first_cells_that_start_with_a_hash(self, tmp_path):
+        # the csv writer leaves a leading "#" bare, where the reader would see a comment
+        text = ["#note", "# aggregates", "# assertions", "plain", "a#b"]
+        rep = ExperimentReport(
+            kind="smoothing", config={}, table={"text": text, "i": np.arange(5)},
+            agg_columns=["#note"], aggregates=[{"#note": "# aggregates"}],
+            assertions=[Assertion("#rule", 0.5, 1.0, "#slack", True)], passed=True)
+        path = tmp_path / "report.csv"
+        emit_report(rep, "csv", path)
+        lines = path.read_text().splitlines()
+        assert lines[4:10] == ['"#note",0', '"# aggregates",1', '"# assertions",2', "plain,3",
+                               "a#b,4", "# aggregates"]
+        sections = read_csv_sections(path)
+        assert [row["text"] for row in sections["rows"]] == text
+        assert [row["i"] for row in sections["rows"]] == ["0", "1", "2", "3", "4"]
+        assert sections["aggregates_columns"] == ["#note"]
+        assert sections["aggregates"] == [{"#note": "# aggregates"}]
+        assert [(a["name"], a["slack_rule"]) for a in sections["assertions"]] == [
+            ("#rule", "#slack")]
+
     # small trial counts; smoothing and hoeffding interleave or mix cell types
     ORACLE_TRIALS = {"hoeffding": 300, "double-sampling": 3, "smoothing": 3}
 
@@ -859,6 +880,36 @@ class TestCli:
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", *imported]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_parses_with_every_option(self, kind):
+        options = ["--config", "c.yaml", "--seed", "7", "--out", "r.json", "--format", "json",
+                   "--jobs", "2", "--quiet"]
+        for argv in ([kind, *options], [*options, kind]):
+            args = _build_parser().parse_args(argv)
+            assert vars(args) == {"kind": kind, "config": "c.yaml", "seed": 7, "out": "r.json",
+                                  "format": "json", "jobs": 2, "quiet": True}
+        assert vars(_build_parser().parse_args([kind])) == {
+            "kind": kind, "config": None, "seed": None, "out": None, "format": "csv",
+            "jobs": None, "quiet": False}
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], 0),
+        (["smoothing", "--help"], 0),
+        (["no-such-kind"], 2),
+        ([], 2),
+        (["--quiet"], 2),
+        (["smoothing", "--format", "xml"], 2),
+        (["smoothing", "--seed", "x"], 2),
+        (["smoothing", "--no-such-option"], 2),
+    ], ids=["help", "kind-help", "unknown-kind", "no-kind", "options-without-kind",
+            "format-xml", "bad-seed", "unknown-option"])
+    def test_parser_exit_codes(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert "usage: drloss KIND [options]" in (out if code == 0 else err)
 
     def test_exit_zero_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
