@@ -18,7 +18,6 @@ from .derand import (
     evaluate_cert_band,
     evaluate_derand_dr,
     required_trials,
-    smoothed_classifier,
 )
 from .hypo import (
     AxisRect,
@@ -30,14 +29,11 @@ from .hypo import (
     TableHypothesis,
     Threshold,
     ThresholdClass,
-    enumerate_behaviors,
-    sauer_bound,
 )
-from .learner import LearnConfig, LearnResult, draw_training_set, drerm, learn
+from .learner import LearnConfig, draw_training_set, drerm
 from .loss import (
     SampleSet,
     TaskInstance,
-    adversarial_point_loss,
     empirical_dr_loss,
     population_dr_loss_exact,
     population_dr_loss_mc,
@@ -51,7 +47,6 @@ from .perturb import (
     gaussian_shift_tv,
     sample,
     tv_distance,
-    verify_pointwise_cover,
 )
 from .seeding import stream
 

@@ -17,11 +17,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .hypo import AxisRect, Interval, Threshold
 from .perturb import (
     DistributionError,
     FiniteDistribution,
-    GaussianDistribution,
     PerturbationDistribution,
     sample,
 )
@@ -224,69 +222,6 @@ def epsilon_eta(task: AttackTask, point_errors: Mapping, eta: float) -> float:
     if not 0 < eta < 0.5:
         raise ValueError("eta must be in (0, 1/2)")
     return math.fsum(p for x, y, p in task.atoms() if point_errors[(x, y)] >= 0.5 - eta)
-
-
-def _shift(x, noise):
-    if isinstance(x, tuple):
-        return tuple(xi + ni for xi, ni in zip(x, noise))
-    return x + noise
-
-
-def _hypothesis_dim(h) -> int:
-    if isinstance(h, (Threshold, Interval)):
-        return 1
-    if isinstance(h, AxisRect):
-        return len(h.lows)
-    raise ValueError("cannot infer input dimension; pass dim explicitly")
-
-
-@dataclass(frozen=True)
-class SmoothedClassifier(RandomizedClassifier):
-    """Gaussian-noise randomized classifier built from a deterministic base.
-
-    One randomness draw is one noise vector; the infinite-vote plurality
-    recovers the noise-majority classifier g(x) = argmax_c Pr(base(x + noise) = c).
-    Vote counts are exposed for finite-trial estimates of g.
-    """
-
-    base_hypothesis: object = None
-    sigma: float = 0.0
-    default_trials: int = 10000
-
-    def votes(self, x, trials: int = None, rng: np.random.Generator = None) -> dict:
-        """Label -> vote count over fresh noise draws."""
-        if rng is None:
-            raise ValueError("an explicit rng is required")
-        t = self.default_trials if trials is None else trials
-        if t < 1:
-            raise ValueError("trials must be >= 1")
-        counts: dict = {}
-        for noise in sample(self.randomness, t, rng):
-            lab = self.evaluate(x, noise)
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
-
-    def predict_smoothed(self, x, trials: int = None, rng: np.random.Generator = None) -> int:
-        counts = self.votes(x, trials, rng)
-        best = max(counts.values())
-        return min(lab for lab, c in counts.items() if c == best)
-
-
-def smoothed_classifier(base, sigma: float, trials: int = 10000,
-                        dim: int = None) -> SmoothedClassifier:
-    """Wrap a deterministic hypothesis as a Gaussian-noise randomized classifier."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = _hypothesis_dim(base) if dim is None else dim
-    center = 0.0 if d == 1 else tuple(0.0 for _ in range(d))
-    noise_dist = GaussianDistribution(center, sigma)
-    return SmoothedClassifier(
-        evaluate=lambda x, noise: base.predict(_shift(x, noise)),
-        randomness=noise_dist,
-        base_hypothesis=base,
-        sigma=sigma,
-        default_trials=trials,
-    )
 
 
 def encode_seeds(seeds: Sequence) -> list:

@@ -328,21 +328,3 @@ class FiniteClass(_Enumerable):
     def sample_witness(self, points, seen, labels, first):
         """The first hypothesis in list order among the rows: ``first``."""
         return first
-
-
-def enumerate_behaviors(cls, points) -> list[Behavior]:
-    """Every labeling ``cls`` realizes on ``points``, each with one witness."""
-    fn = getattr(cls, "enumerate_behaviors", None)
-    if fn is None:
-        raise TypeError(f"behavior enumeration is not implemented for {type(cls).__name__}")
-    return fn(points)
-
-
-def sauer_bound(n: int, d: int) -> float:
-    """Upper bound on the growth function at n points for VC dimension d.
-
-    Uses (e n / d)^d for n >= d and the exact shattering cap 2^n below.
-    """
-    if n <= d:
-        return float(2 ** n)
-    return (math.e * n / d) ** d

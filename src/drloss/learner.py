@@ -5,28 +5,26 @@ each canonical witness is scored; nothing is approximated beyond the
 sampling itself.  Each class has one scoring path: sorted candidate cuts
 for thresholds, ``loss.dr_scores`` (the finite engine's contraction) for
 the rest, on the class's behavior table (``behavior_table`` in ``hypo``)
-and member rows built from the batches as ``FiniteView`` draws them.  Ties
-are broken by the enumeration order of the class, which is canonical and
-deterministic, so identical (task, config, seed) reproduce the identical
+and member rows built from the batches as ``FiniteView`` draws them.  The
+smoothing suite runs the threshold path; the other is the reference the
+tests hold ``FiniteView.erm_on_sample`` to.  Ties are broken by the
+enumeration order of the class, which is canonical and deterministic, so
+identical (task, config, generator state) reproduce the identical
 hypothesis bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from . import seeding
 from .hypo import Threshold, ThresholdClass, threshold_cuts
 from .loss import (
     SampleSet,
     TaskInstance,
     dr_scores,
-    empirical_dr_loss,
     member_rows,
-    population_dr_loss_exact,
     put_member_rows,
 )
 from .perturb import sample
@@ -34,13 +32,11 @@ from .perturb import sample
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Sampling schedule and class for one learning run."""
+    """Sampling schedule of one training set."""
 
     n: int
     m: int
-    hypothesis_class: object
     sample_from: str = "true"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -107,23 +103,3 @@ def drerm(hclass, s: SampleSet):
     labels, witnesses = hclass.behavior_table(points)
     _, scores = dr_scores(labels, _batch_rows(s, points), 1, s.n, s.m, True)
     return witnesses[int(np.argmin(scores[:, 0]))]
-
-
-class LearnResult(NamedTuple):
-    hypothesis: object
-    empirical_loss: float
-    population_loss: float
-
-
-def learn(task: TaskInstance, cfg: LearnConfig) -> LearnResult:
-    """Draw a training set, run exact ERM, and score the result exactly.
-
-    The exact population score is taken against the true family view, which
-    requires a fully finite task; Gaussian-family training should call
-    ``draw_training_set`` and ``drerm`` directly and evaluate with a
-    domain-specific oracle.
-    """
-    rng = seeding.stream(cfg.seed, 0)
-    s = draw_training_set(task, cfg, rng)
-    h = drerm(cfg.hypothesis_class, s)
-    return LearnResult(h, empirical_dr_loss(h, s), population_dr_loss_exact(h, task, view="true"))

@@ -58,14 +58,6 @@ class TaskInstance:
     def members_for(self, x, view: str) -> tuple:
         return self.family_of[x].members(view)
 
-    def is_finite(self, view: str = "true") -> bool:
-        """True when every family member in ``view`` has finite support."""
-        return all(
-            isinstance(u, FiniteDistribution)
-            for x, _, _ in self.atoms()
-            for u in self.members_for(x, view)
-        )
-
     def domain_points(self, views: Sequence[str] = ("true",)) -> list:
         """Sorted distinct instance points: clean x's plus all member supports."""
         pts = {x for x, _, _ in self.atoms()}
@@ -289,32 +281,3 @@ def population_dr_loss_mc(h, task: TaskInstance, n: int, m: int,
         outer_var = 0.0
     stderr = math.sqrt(outer_var / n + float(weights ** 2 @ inner_var))
     return McEstimate(value, stderr)
-
-
-def adversarial_point_loss(classifier, x, y, a_set: Sequence, trials: int,
-                           rng: np.random.Generator = None) -> float:
-    """Worst expected error over the attack set A(x) for a randomized classifier.
-
-    ``trials=0`` requests exact enumeration over a finite randomness
-    distribution; otherwise one shared batch of ``trials`` randomness draws
-    is evaluated at every attack point.
-    """
-    a_set = list(a_set)
-    if not a_set:
-        raise ValueError("attack set must be nonempty")
-    if trials == 0:
-        dist = classifier.randomness
-        if not isinstance(dist, FiniteDistribution):
-            raise DistributionError("exact enumeration needs finite randomness")
-        return max(
-            math.fsum(q for r, q in zip(dist.support, dist.probs)
-                      if classifier.evaluate(xp, r) != y)
-            for xp in a_set
-        )
-    if rng is None:
-        raise ValueError("rng required when trials > 0")
-    draws = sample(classifier.randomness, trials, rng)
-    return max(
-        sum(1 for r in draws if classifier.evaluate(xp, r) != y) / trials
-        for xp in a_set
-    )

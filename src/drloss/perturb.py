@@ -20,7 +20,6 @@ import numpy as np
 Point = Union[float, int, tuple]
 
 RENORMALIZE_TOL = 1e-9
-SUM_TOL = 1e-12
 COVER_TOL = 1e-12
 # categorical() counts cdf steps for up to COUNT_MAX_K categories and at least
 # COUNT_MIN_DRAWS draws, and binary-searches otherwise; see ROADMAP.md for the
@@ -73,15 +72,6 @@ class FiniteDistribution:
     def prob_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def to_pairs(self) -> list:
-        """JSON-ready list of (point, prob) pairs."""
-        return [[list(z) if isinstance(z, tuple) else z, p] for z, p in zip(self.support, self.probs)]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "FiniteDistribution":
-        support = [tuple(z) if isinstance(z, list) else z for z, _ in pairs]
-        return cls(support, [p for _, p in pairs])
-
     @classmethod
     def point_mass(cls, point: Point) -> "FiniteDistribution":
         return cls([point], [1.0])
@@ -111,10 +101,6 @@ class GaussianDistribution:
             object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         else:
             object.__setattr__(self, "center", float(self.center))
-
-    @property
-    def dim(self) -> int:
-        return len(self.center) if isinstance(self.center, tuple) else 1
 
 
 PerturbationDistribution = Union[FiniteDistribution, GaussianDistribution]
@@ -315,8 +301,3 @@ def pointwise_cover_violation(u: FiniteDistribution, rep_set: Sequence[FiniteDis
         if p > ceiling + COVER_TOL:
             return (z, p, ceiling)
     return None
-
-
-def verify_pointwise_cover(u: FiniteDistribution, rep_set: Sequence[FiniteDistribution]) -> bool:
-    """True iff the density of ``u`` is pointwise at most the max over ``rep_set``."""
-    return pointwise_cover_violation(u, rep_set) is None

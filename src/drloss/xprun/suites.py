@@ -514,7 +514,7 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         raise ConfigError("the smoothing suite's exact loss oracle covers thresholds only")
     return SimpleNamespace(task=task, hclass=hclass,
                            learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"],
-                                             hypothesis_class=hclass, sample_from="rep"))
+                                             sample_from="rep"))
 
 
 def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> dict:

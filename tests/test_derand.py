@@ -19,12 +19,12 @@ from drloss.derand import (
     lower_median,
     plurality,
     required_trials,
-    smoothed_classifier,
     worst_point_errors,
 )
 from drloss.hypo import Threshold
 from drloss.perturb import FiniteDistribution
 from drloss.tasks import derand_classifier_setup, grid_randomness
+from drloss.xprun.suites import smoothed_threshold_error
 
 
 def rng_for(seed):
@@ -281,33 +281,45 @@ class TestCertifier:
         assert abs(hits / runs - p_exact) <= 4 * se
 
 
+def noisy_error(cut, x, y, sigma, trials, rng) -> float:
+    """Share of ``trials`` Gaussian noise draws on which the threshold at ``cut``
+    mislabels x + noise."""
+    labels = np.where(x + rng.normal(0.0, sigma, trials) >= cut, 1, -1)
+    return float(np.mean(labels != y))
+
+
 class TestSmoothedClassifier:
+    """A threshold under Gaussian input noise, as the smoothing suite scores it:
+    ``smoothed_threshold_error`` is its exact error at a point."""
+
     def test_tiny_sigma_recovers_base(self):
         base = Threshold(1.0)
-        sc = smoothed_classifier(base, sigma=1e-12)
-        r = rng_for(0)
         for x in (-3.0, 0.0, 0.99, 1.01, 4.0):
-            assert sc.predict_smoothed(x, trials=51, rng=r) == base.predict(x)
+            y = base.predict(x)
+            assert smoothed_threshold_error(base.t, x, y, 1e-12) == 0.0
+            assert smoothed_threshold_error(base.t, x, -y, 1e-12) == 1.0
 
     def test_balanced_point_splits_votes(self):
-        sc = smoothed_classifier(Threshold(0.0), sigma=1.0)
-        votes = sc.votes(0.0, trials=10**6, rng=rng_for(8))
-        frac = votes.get(1, 0) / 10**6
-        assert 0.49 <= frac <= 0.51
+        assert smoothed_threshold_error(0.0, 0.0, 1, 1.0) == 0.5
+        assert smoothed_threshold_error(0.0, 0.0, -1, 1.0) == 0.5
+        assert 0.49 <= noisy_error(0.0, 0.0, 1, 1.0, 10**6, rng_for(8)) <= 0.51
 
     def test_far_point_votes_nearly_unanimous(self):
-        sc = smoothed_classifier(Threshold(0.0), sigma=1.0)
-        votes = sc.votes(6.0, trials=10**4, rng=rng_for(9))
-        assert votes.get(1, 0) / 10**4 >= 0.999
+        assert smoothed_threshold_error(0.0, 6.0, 1, 1.0) < 1e-8
+        assert noisy_error(0.0, 6.0, 1, 1.0, 10**4, rng_for(9)) <= 0.001
 
     def test_exact_point_error_on_grid(self):
         rc = coin_base(0.2, grid=1000)
         assert exact_point_error(rc, 0.0, 1) == pytest.approx(0.2, abs=1e-12)
 
-    def test_requires_rng(self):
-        sc = smoothed_classifier(Threshold(0.0), sigma=1.0)
-        with pytest.raises(ValueError):
-            sc.votes(0.0, trials=10)
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("x", [0.0, 1.2, 3.0, 3.4])
+    @pytest.mark.parametrize("y", [-1, 1])
+    def test_matches_seeded_monte_carlo(self, y, x, sigma):
+        trials = 20000
+        exact = smoothed_threshold_error(1.5, x, y, sigma)
+        estimate = noisy_error(1.5, x, y, sigma, trials, rng_for(17))
+        assert abs(estimate - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 class TestSeedEncoding:

@@ -21,8 +21,6 @@ from drloss.hypo import (
     TableHypothesis,
     Threshold,
     ThresholdClass,
-    enumerate_behaviors,
-    sauer_bound,
     threshold_cuts,
 )
 from drloss.xprun import load_config
@@ -70,45 +68,45 @@ class TestPredict:
 
 class TestThresholdEnumeration:
     def test_three_points_four_behaviors(self):
-        behaviors = enumerate_behaviors(ThresholdClass(), [0.0, 1.0, 2.0])
+        behaviors = ThresholdClass().enumerate_behaviors([0.0, 1.0, 2.0])
         assert len(behaviors) == 4
 
     def test_ten_points_vs_sauer(self):
         pts = [float(i) for i in range(10)]
-        behaviors = enumerate_behaviors(ThresholdClass(), pts)
+        behaviors = ThresholdClass().enumerate_behaviors(pts)
         assert len(behaviors) == 11
         assert len(behaviors) <= sauer_bound(10, 1)  # e*10 ~ 27.2
 
     def test_witnesses_reproduce_labels(self):
         pts = [3.0, 0.0, 2.0, 1.0]  # unsorted on purpose
-        for b in enumerate_behaviors(ThresholdClass(), pts):
+        for b in ThresholdClass().enumerate_behaviors(pts):
             assert tuple(b.witness.predict(x) for x in pts) == b.labels
 
     def test_canonical_order_ascending_cut(self):
-        behaviors = enumerate_behaviors(ThresholdClass(), [0.0, 1.0])
+        behaviors = ThresholdClass().enumerate_behaviors([0.0, 1.0])
         assert [b.witness.t for b in behaviors] == [0.0, 1.0, 2.0]
         assert behaviors[0].labels == (1, 1)
         assert behaviors[-1].labels == (-1, -1)
 
     def test_tuple_points_raise_domain_error(self):
         with pytest.raises(DomainError):
-            enumerate_behaviors(ThresholdClass(), [(0.0, 1.0), (2.0, 3.0)])
+            ThresholdClass().enumerate_behaviors([(0.0, 1.0), (2.0, 3.0)])
 
 
 class TestIntervalEnumeration:
     def test_two_points_shattered(self):
-        behaviors = enumerate_behaviors(IntervalClass(), [0.0, 1.0])
+        behaviors = IntervalClass().enumerate_behaviors([0.0, 1.0])
         assert len(behaviors) == 4
         assert {b.labels for b in behaviors} == {(-1, -1), (1, -1), (-1, 1), (1, 1)}
 
     def test_count_formula(self):
         pts = [float(i) for i in range(5)]
-        behaviors = enumerate_behaviors(IntervalClass(), pts)
+        behaviors = IntervalClass().enumerate_behaviors(pts)
         assert len(behaviors) == 5 * 6 // 2 + 1
 
     def test_witnesses_reproduce_labels(self):
         pts = [2.0, 0.0, 1.0]
-        for b in enumerate_behaviors(IntervalClass(), pts):
+        for b in IntervalClass().enumerate_behaviors(pts):
             assert tuple(b.witness.predict(x) for x in pts) == b.labels
 
 
@@ -136,12 +134,12 @@ class TestRectEnumeration:
         r = rng_for(seed)
         pts = [tuple(float(v) for v in r.integers(0, 4, size=2)) for _ in range(n_pts)]
         pts = list(dict.fromkeys(pts))
-        behaviors = enumerate_behaviors(AxisRectClass(2), pts)
+        behaviors = AxisRectClass(2).enumerate_behaviors(pts)
         assert {b.labels for b in behaviors} == rect_realizable_labelings(pts)
 
     def test_witnesses_reproduce_labels(self):
         pts = [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]
-        for b in enumerate_behaviors(AxisRectClass(2), pts):
+        for b in AxisRectClass(2).enumerate_behaviors(pts):
             assert tuple(b.witness.predict(x) for x in pts) == b.labels
 
     def test_vc_dim(self):
@@ -154,7 +152,7 @@ class TestFiniteClass:
         h2 = TableHypothesis({0.0: 1, 1.0: -1})
         h3 = TableHypothesis({0.0: 1, 1.0: 1})  # duplicate behavior of h1
         cls = FiniteClass([h1, h2, h3])
-        behaviors = enumerate_behaviors(cls, [0.0, 1.0])
+        behaviors = cls.enumerate_behaviors([0.0, 1.0])
         assert len(behaviors) == 2
         assert behaviors[0].witness is h1
 
@@ -163,9 +161,13 @@ class TestFiniteClass:
         assert FiniteClass(hyps).vc_dim == 1
         assert FiniteClass(hyps * 8).vc_dim == 4  # 16 tables -> floor(log2 16)
 
-    def test_rejects_unsupported_class(self):
-        with pytest.raises(TypeError):
-            enumerate_behaviors(object(), [0.0])
+
+def sauer_bound(n: int, d: int) -> float:
+    """Sauer's bound on the growth function at n points for VC dimension d:
+    (e n / d)^d for n > d, and the shattering cap 2^n otherwise."""
+    if n <= d:
+        return float(2 ** n)
+    return (math.e * n / d) ** d
 
 
 class TestSauerProperty:
@@ -176,7 +178,7 @@ class TestSauerProperty:
         if not pts:
             return
         for cls in (ThresholdClass(), IntervalClass()):
-            count = len(enumerate_behaviors(cls, pts))
+            count = len(cls.enumerate_behaviors(pts))
             assert count <= sauer_bound(len(pts), cls.vc_dim) + 1e-9
 
     @given(st.integers(0, 10**6))
@@ -185,12 +187,16 @@ class TestSauerProperty:
         pts = list(dict.fromkeys(
             tuple(float(v) for v in r.integers(0, 5, size=2)) for _ in range(6)))
         cls = AxisRectClass(2)
-        count = len(enumerate_behaviors(cls, pts))
+        count = len(cls.enumerate_behaviors(pts))
         assert count <= sauer_bound(len(pts), cls.vc_dim) + 1e-9
 
     def test_small_n_uses_exact_cap(self):
-        assert sauer_bound(1, 2) == 2.0
-        assert sauer_bound(10, 1) == pytest.approx(math.e * 10)
+        # sets of at most vc_dim points in general position are shattered,
+        # so the classes reach the cap 2^n exactly
+        assert len(IntervalClass().enumerate_behaviors([0.0])) == sauer_bound(1, 2) == 2.0
+        assert len(IntervalClass().enumerate_behaviors([0.0, 1.0])) == sauer_bound(2, 2) == 4.0
+        diamond = [(0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (1.0, 2.0)]
+        assert len(AxisRectClass(2).enumerate_behaviors(diamond)) == sauer_bound(4, 4) == 16.0
 
 
 class TestPermutationInvariance:
@@ -203,9 +209,9 @@ class TestPermutationInvariance:
         perm = list(r.permutation(len(pts)))
         shuffled = [pts[i] for i in perm]
         for cls in (ThresholdClass(), IntervalClass()):
-            base = {b.labels for b in enumerate_behaviors(cls, pts)}
+            base = {b.labels for b in cls.enumerate_behaviors(pts)}
             moved = {tuple(b.labels[perm.index(i)] for i in range(len(pts)))
-                     for b in enumerate_behaviors(cls, shuffled)}
+                     for b in cls.enumerate_behaviors(shuffled)}
             assert base == moved
 
 

@@ -32,7 +32,6 @@ from drloss.hypo import (
     FiniteClass,
     IntervalClass,
     ThresholdClass,
-    enumerate_behaviors,
 )
 from drloss.tasks import (
     build_task,
@@ -111,7 +110,7 @@ def reference_erm(view, hclass, slot_atoms, counts, m):
     seen = counts.sum(axis=(0, 1)) > 0
     seen[view.atom_point_idx[slot_atoms]] = True
     sub_idx = np.flatnonzero(seen)
-    behaviors = enumerate_behaviors(hclass, [view.points[d] for d in sub_idx])
+    behaviors = hclass.enumerate_behaviors([view.points[d] for d in sub_idx])
     labels_sub = np.array([b.labels for b in behaviors], dtype=np.int8)
     y_slots = view.atom_y[slot_atoms]
     mist = (labels_sub[:, None, :] != y_slots[None, :, None]).astype(float)
@@ -274,12 +273,12 @@ def test_sample_witness_matches_first_projection(case):
             hclass = {"threshold": ThresholdClass(), "interval": IntervalClass(),
                       "finite-table": FiniteClass([random_table_hypothesis(r, points)
                                                    for _ in range(int(r.integers(1, 10)))])}[case]
-        full = enumerate_behaviors(hclass, points)
+        full = hclass.enumerate_behaviors(points)
         labels = np.array([b.labels for b in full], dtype=np.int8)
         seen = np.flatnonzero(r.random(len(points)) < 0.6)
         if seen.size == 0:
             seen = np.array([int(r.integers(len(points)))])
-        sub = enumerate_behaviors(hclass, [points[d] for d in seen])
+        sub = hclass.enumerate_behaviors([points[d] for d in seen])
         chosen = {sub[i].labels for i in np.flatnonzero(r.random(len(sub)) < 0.3)} or {sub[-1].labels}
         rows = [i for i, row in enumerate(labels[:, seen]) if tuple(row) in chosen]
         want = next(b.witness for b in sub if b.labels in chosen)

@@ -9,11 +9,11 @@ from drloss.hypo import (
     TableHypothesis,
     Threshold,
     ThresholdClass,
-    enumerate_behaviors,
 )
-from drloss.learner import LearnConfig, draw_training_set, drerm, learn
-from drloss.loss import SampleSet, TaskInstance, empirical_dr_loss
+from drloss.learner import LearnConfig, draw_training_set, drerm
+from drloss.loss import SampleSet, TaskInstance, empirical_dr_loss, population_dr_loss_exact
 from drloss.perturb import DistributionError, DistributionFamily, FiniteDistribution
+from drloss.seeding import stream
 from drloss.tasks import random_finite_task, random_table_hypothesis, t1, with_label_noise
 from drloss.xprun.indexed import FiniteView
 
@@ -26,12 +26,12 @@ class TestDrawTrainingSet:
     def test_minimal_counts(self):
         data = FiniteDistribution([(0.0, -1)], [1.0])
         task = TaskInstance(data, {0.0: DistributionFamily([FiniteDistribution.point_mass(0.0)], k=1)})
-        cfg = LearnConfig(n=1, m=1, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=1, m=1)
         s = draw_training_set(task, cfg, rng_for(0))
         assert s.n == 1 and len(s.perturbed) == 1
 
     def test_t1_counting_bound(self):
-        cfg = LearnConfig(n=2, m=3, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=2, m=3)
         s = draw_training_set(t1(), cfg, rng_for(1))
         total_perturbations = sum(len(v) for v in s.perturbed.values())
         assert total_perturbations == 2 * 2 * 3
@@ -41,34 +41,34 @@ class TestDrawTrainingSet:
         data = FiniteDistribution([(0.0, -1), (5.0, 1)], [0.5, 0.5])
         fams = {x: DistributionFamily([FiniteDistribution.point_mass(x)], k=1) for x in (0.0, 5.0)}
         task = TaskInstance(data, fams)
-        cfg = LearnConfig(n=4, m=3, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=4, m=3)
         s = draw_training_set(task, cfg, rng_for(2))
         for (i, _), batch in s.perturbed.items():
             assert all(z == s.clean[i][0] for z in batch)
 
     def test_missing_rep_set_rejected(self):
-        cfg = LearnConfig(n=1, m=1, hypothesis_class=ThresholdClass(), sample_from="rep")
+        cfg = LearnConfig(n=1, m=1, sample_from="rep")
         with pytest.raises(DistributionError):
             draw_training_set(t1(), cfg, rng_for(3))
 
 
 class TestDrerm:
     def test_realizable_reaches_zero(self):
-        cfg = LearnConfig(n=20, m=20, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=20, m=20)
         s = draw_training_set(t1(), cfg, rng_for(4))
         h = drerm(ThresholdClass(), s)
         assert empirical_dr_loss(h, s) == 0.0
 
     def test_t1_witness_in_unit_window(self):
         # with every support point sampled, the zero behavior's canonical cut is 2
-        cfg = LearnConfig(n=30, m=30, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=30, m=30)
         s = draw_training_set(t1(), cfg, rng_for(5))
         h = drerm(ThresholdClass(), s)
         assert 1.0 < h.t <= 2.0
 
     def test_constant_class_returns_constant(self):
         const = TableHypothesis({z: -1 for z in (0.0, 1.0, 2.0, 3.0)})
-        cfg = LearnConfig(n=5, m=5, hypothesis_class=FiniteClass([const]))
+        cfg = LearnConfig(n=5, m=5)
         s = draw_training_set(t1(), cfg, rng_for(6))
         assert drerm(FiniteClass([const]), s) is const
 
@@ -77,11 +77,11 @@ class TestDrerm:
         for seed in range(15):
             r = rng_for(100 + seed)
             task = random_finite_task(r)
-            cfg = LearnConfig(n=6, m=4, hypothesis_class=ThresholdClass())
+            cfg = LearnConfig(n=6, m=4)
             s = draw_training_set(task, cfg, r)
             h = drerm(ThresholdClass(), s)
             best = empirical_dr_loss(h, s)
-            for b in enumerate_behaviors(ThresholdClass(), s.all_points()):
+            for b in ThresholdClass().enumerate_behaviors(s.all_points()):
                 assert best <= empirical_dr_loss(b.witness, s) + 1e-12
 
     def test_threshold_sorted_cuts_match_enumeration(self):
@@ -92,18 +92,18 @@ class TestDrerm:
             3.0: DistributionFamily([FiniteDistribution.point_mass(3.0)], k=1),
         }
         task = TaskInstance(data, fams)
-        cfg = LearnConfig(n=6, m=30, hypothesis_class=ThresholdClass())
+        cfg = LearnConfig(n=6, m=30)
         s = draw_training_set(task, cfg, rng_for(7))
         assert len(s.all_points()) > 64
         h = drerm(ThresholdClass(), s)
         best = empirical_dr_loss(h, s)
         scores = [(empirical_dr_loss(b.witness, s), i)
-                  for i, b in enumerate(enumerate_behaviors(ThresholdClass(), s.all_points()))]
+                  for i, b in enumerate(ThresholdClass().enumerate_behaviors(s.all_points()))]
         min_score, min_idx = min(scores)
         assert best == pytest.approx(min_score, abs=1e-12)
         # canonical tie-break: first behavior attaining the minimum
         first_min = next(i for sc, i in scores if sc <= min_score + 1e-12)
-        assert h == enumerate_behaviors(ThresholdClass(), s.all_points())[first_min].witness
+        assert h == ThresholdClass().enumerate_behaviors(s.all_points())[first_min].witness
 
 
 def random_sample_set(r, pool, n: int, m: int) -> SampleSet:
@@ -144,7 +144,7 @@ def test_drerm_returns_first_minimizer(case):
                                                for _ in range(int(r.integers(1, 12)))])
                   }.get(case, ThresholdClass())
         assert (len(points) > 64) == (case == "threshold-many-points")
-        behaviors = enumerate_behaviors(hclass, points)
+        behaviors = hclass.enumerate_behaviors(points)
         losses = [empirical_dr_loss(b.witness, s) for b in behaviors]
         assert drerm(hclass, s) == behaviors[losses.index(min(losses))].witness
         ties += losses.count(min(losses)) > 1
@@ -157,21 +157,22 @@ def test_drerm_threshold_on_tuple_points_raises_domain_error():
         drerm(ThresholdClass(), s)
 
 
+def fit_threshold(task, n: int, m: int, seed: int):
+    """Draw a training set on stream (seed, 0) and run threshold ERM on it.
+
+    Returns the hypothesis with its empirical and exact population losses.
+    """
+    s = draw_training_set(task, LearnConfig(n=n, m=m), stream(seed, 0))
+    h = drerm(ThresholdClass(), s)
+    return h, empirical_dr_loss(h, s), population_dr_loss_exact(h, task)
+
+
 class TestLearn:
     def test_reproducible_bit_for_bit(self):
-        cfg = LearnConfig(n=25, m=10, hypothesis_class=ThresholdClass(), seed=99)
-        r1 = learn(t1(), cfg)
-        r2 = learn(t1(), cfg)
-        assert r1.hypothesis == r2.hypothesis
-        assert r1.empirical_loss == r2.empirical_loss
-        assert r1.population_loss == r2.population_loss
+        assert fit_threshold(t1(), 25, 10, 99) == fit_threshold(t1(), 25, 10, 99)
 
     def test_realizable_t1_mostly_zero_population_loss(self):
-        zero = 0
-        for trial in range(200):
-            cfg = LearnConfig(n=50, m=50, hypothesis_class=ThresholdClass(), seed=trial)
-            if learn(t1(), cfg).population_loss == 0.0:
-                zero += 1
+        zero = sum(fit_threshold(t1(), 50, 50, trial)[2] == 0.0 for trial in range(200))
         assert zero >= 190  # >= 95% of 200 seeded trials
 
     def test_agnostic_never_beats_best_in_class(self):
@@ -180,17 +181,15 @@ class TestLearn:
         labels, _ = view.behaviors(ThresholdClass())
         best = float(view.dr_exact(labels, "true").min())
         for trial in range(20):
-            cfg = LearnConfig(n=30, m=30, hypothesis_class=ThresholdClass(), seed=500 + trial)
-            assert learn(task, cfg).population_loss >= best - 1e-12
+            assert fit_threshold(task, 30, 30, 500 + trial)[2] >= best - 1e-12
 
     def test_tiny_budget_still_total(self):
-        cfg = LearnConfig(n=1, m=1, hypothesis_class=ThresholdClass(), seed=3)
-        result = learn(t1(), cfg)
-        assert 0.0 <= result.empirical_loss <= 1.0
-        assert 0.0 <= result.population_loss <= 1.0
+        _, empirical, population = fit_threshold(t1(), 1, 1, 3)
+        assert 0.0 <= empirical <= 1.0
+        assert 0.0 <= population <= 1.0
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            LearnConfig(n=0, m=1, hypothesis_class=ThresholdClass())
+            LearnConfig(n=0, m=1)
         with pytest.raises(ValueError):
-            LearnConfig(n=1, m=1, hypothesis_class=ThresholdClass(), sample_from="other")
+            LearnConfig(n=1, m=1, sample_from="other")

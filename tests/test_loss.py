@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from drloss.derand import RandomizedClassifier
+from drloss.derand import AttackTask, RandomizedClassifier, worst_point_errors
 from drloss.hypo import TableHypothesis, Threshold
 from drloss.loss import (
     SampleSet,
     TaskInstance,
-    adversarial_point_loss,
     empirical_dr_loss,
     population_dr_loss_exact,
     population_dr_loss_mc,
@@ -16,6 +15,7 @@ from drloss.perturb import (
     DistributionFamily,
     FiniteDistribution,
     GaussianDistribution,
+    sample,
 )
 from drloss.tasks import random_finite_task, random_table_hypothesis, t1
 
@@ -193,7 +193,6 @@ class TestEmpiricalConvergence:
     def test_gap_shrinks_with_sample_size(self):
         # fixed h with nonzero loss; median |emp - exact| decreases over n=m grid
         from drloss.learner import LearnConfig, draw_training_set
-        from drloss.hypo import ThresholdClass
         task = t1()
         h = Threshold(2.5)
         exact = population_dr_loss_exact(h, task)
@@ -201,7 +200,7 @@ class TestEmpiricalConvergence:
         for size in (10, 100, 1000):
             gaps = []
             for seed in range(9):
-                cfg = LearnConfig(n=size, m=size, hypothesis_class=ThresholdClass())
+                cfg = LearnConfig(n=size, m=size)
                 s = draw_training_set(task, cfg, rng_for(9000 + 31 * seed + size))
                 emp = empirical_dr_loss(h, s)
                 assert 0.0 <= emp <= 1.0
@@ -220,24 +219,34 @@ def coin_classifier(p_wrong_by_point, grid=10):
     return RandomizedClassifier(evaluate=evaluate, randomness=randomness)
 
 
+def worst_error(classifier, x, y, a_set) -> float:
+    """Exact worst per-draw error over the attack set ``a_set`` of (x, y)."""
+    task = AttackTask(FiniteDistribution([(x, y)], [1.0]), {x: tuple(a_set)})
+    return worst_point_errors(classifier, task)[(x, y)]
+
+
 class TestAdversarialPointLoss:
+    """The worst expected error over A(x) that the derand suites compute exactly."""
+
     def test_deterministic_correct(self):
         rc = coin_classifier({})
-        assert adversarial_point_loss(rc, 0.0, 1, [0.0, 1.0], trials=0) == 0.0
+        assert worst_error(rc, 0.0, 1, [0.0, 1.0]) == 0.0
 
     def test_fair_coin_exact(self):
         rc = coin_classifier({1.0: 0.5})
-        assert adversarial_point_loss(rc, 0.0, 1, [0.0, 1.0], trials=0) == pytest.approx(0.5)
+        assert worst_error(rc, 0.0, 1, [0.0, 1.0]) == pytest.approx(0.5)
 
     def test_max_of_two_levels(self):
         rc = coin_classifier({0.0: 0.2, 1.0: 0.3})
-        assert adversarial_point_loss(rc, 0.0, 1, [0.0, 1.0], trials=0) == pytest.approx(0.3)
+        assert worst_error(rc, 0.0, 1, [0.0, 1.0]) == pytest.approx(0.3)
 
     def test_mc_mode_close_to_exact(self):
+        # one shared batch of randomness draws, scored at every attack point
         rc = coin_classifier({0.0: 0.2, 1.0: 0.3}, grid=1000)
-        est = adversarial_point_loss(rc, 0.0, 1, [0.0, 1.0], trials=20000, rng=rng_for(11))
-        assert abs(est - 0.3) < 0.02
+        draws = sample(rc.randomness, 20000, rng_for(11))
+        est = max(sum(rc.evaluate(xp, r) != 1 for r in draws) / len(draws) for xp in (0.0, 1.0))
+        assert abs(est - worst_error(rc, 0.0, 1, [0.0, 1.0])) < 0.02
 
     def test_rejects_empty_attack_set(self):
         with pytest.raises(ValueError):
-            adversarial_point_loss(coin_classifier({}), 0.0, 1, [], trials=0)
+            worst_error(coin_classifier({}), 0.0, 1, [])

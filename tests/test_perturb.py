@@ -20,8 +20,8 @@ from drloss.perturb import (
     sample,
     sample_indices,
     tv_distance,
-    verify_pointwise_cover,
 )
+from drloss.tasks import task_from_dict
 
 
 def rng_for(seed):
@@ -50,10 +50,13 @@ class TestFiniteDistribution:
             FiniteDistribution([], [])
 
     def test_pairs_round_trip(self):
-        d = FiniteDistribution([(0.0, 1.0), (2.0, 3.0)], [0.25, 0.75])
-        back = FiniteDistribution.from_pairs(d.to_pairs())
-        assert back.support == d.support
-        assert back.probs == d.probs
+        # a task config writes a distribution as [point, prob] pairs, a point as a list
+        spec = {"atoms": [[[0.0, 1.0], -1, 1.0]],
+                "distributions": {"d": [[[0.0, 1.0], 0.25], [[2.0, 3.0], 0.75]]},
+                "families": [{"x": [0.0, 1.0], "true": ["d"], "k": 1}]}
+        (back,) = task_from_dict(spec).members_for((0.0, 1.0), "true")
+        assert back.support == ((0.0, 1.0), (2.0, 3.0))
+        assert back.probs == (0.25, 0.75)
 
 
 class TestGaussian:
@@ -62,8 +65,11 @@ class TestGaussian:
             GaussianDistribution(0.0, 0.0)
 
     def test_dim(self):
-        assert GaussianDistribution(0.0, 1.0).dim == 1
-        assert GaussianDistribution((0.0, 1.0, 2.0), 1.0).dim == 3
+        # the center keeps its dimension, as floats
+        scalar = GaussianDistribution(1, 1.0).center
+        vector = GaussianDistribution((0, 1, 2), 1.0).center
+        assert type(scalar) is float and scalar == 1.0
+        assert vector == (0.0, 1.0, 2.0) and all(type(c) is float for c in vector)
 
 
 class TestSample:
@@ -378,12 +384,11 @@ class TestRepresentativeCover:
 class TestPointwiseCover:
     def test_self_cover(self):
         u = FiniteDistribution([0.0, 1.0], [0.4, 0.6])
-        assert verify_pointwise_cover(u, [u])
+        assert pointwise_cover_violation(u, [u]) is None
 
     def test_uncovered_mass(self):
         u = FiniteDistribution([0.0, 1.0], [0.5, 0.5])
         rep = FiniteDistribution([0.0, 1.0], [1.0, 0.0])
-        assert not verify_pointwise_cover(u, [rep])
         z, pu, pr = pointwise_cover_violation(u, [rep])
         assert z == 1.0 and pu == 0.5 and pr == 0.0
 
@@ -391,7 +396,7 @@ class TestPointwiseCover:
         u = FiniteDistribution([0.0, 1.0], [0.4, 0.6])
         reps = [FiniteDistribution([0.0, 1.0], [0.5, 0.5]),
                 FiniteDistribution([0.0, 1.0], [0.3, 0.7])]
-        assert verify_pointwise_cover(u, reps)
+        assert pointwise_cover_violation(u, reps) is None
 
 
 class TestDistributionFamily:

@@ -21,8 +21,9 @@ from drloss.cli import main as cli_main
 from drloss.hypo import FiniteClass, IntervalClass, ThresholdClass
 from drloss.learner import drerm
 from drloss.loss import SampleSet, empirical_dr_loss
+from drloss.perturb import GaussianDistribution
 from drloss.stats import Assertion, wilson_interval
-from drloss.tasks import build_task, random_finite_task, t1, task_from_dict
+from drloss.tasks import build_task, random_finite_task, random_table_hypothesis, t1, task_from_dict
 from drloss.xprun import (
     KINDS,
     SUITES,
@@ -187,7 +188,7 @@ class TestTaskSerialization:
             "families": [{"x": 0.0, "true": ["g"], "k": 1}],
         }
         task = task_from_dict(spec)
-        assert not task.is_finite()
+        assert isinstance(task.members_for(0.0, "true")[0], GaussianDistribution)
 
     def test_task_points_become_floats(self):
         # axis-rect witnesses are built from these coordinates and echoed in reports
@@ -255,22 +256,36 @@ class TestFiniteViewEquivalence:
                 for val, w in zip(dr_s, witnesses):
                     assert val == pytest.approx(empirical_dr_loss(w, s), abs=1e-12)
 
-    def test_erm_on_sample_matches_learner_drerm(self):
-        for seed in range(10):
+    @pytest.mark.parametrize("case", ["threshold", "interval", "finite-table"])
+    def test_erm_on_sample_matches_learner_drerm(self, case):
+        """``drerm`` on the sample set is the reference for the suites' ERM.
+
+        The small samples of the second ten seeds tie minimizers, so the
+        two paths' tie-breaks are compared too.
+        """
+        ties = 0
+        for seed in range(20):
             r = rng_for(200 + seed)
             task = random_finite_task(r)
             view = FiniteView(task)
-            n, m = 5, 4
+            hclass = {"threshold": ThresholdClass(), "interval": IntervalClass(),
+                      "finite-table": FiniteClass([random_table_hypothesis(r, view.points)
+                                                   for _ in range(int(r.integers(1, 12)))])}[case]
+            n, m = (5, 4) if seed < 10 else (2, 2)
             slots = view.draw_clean_slots(r, n)
             rows = view.draw_slot_counts(r, slots, m, "true")
-            labels, witnesses = view.behaviors(ThresholdClass())
+            labels, witnesses = view.behaviors(hclass)
             _, scores = view.dr_s(labels, slots, rows, 1, n, m, True)
-            witness, best = view.erm_on_sample(ThresholdClass(), labels, witnesses, scores[:, 0],
+            witness, best = view.erm_on_sample(hclass, labels, witnesses, scores[:, 0],
                                                view.seen_points(slots, rows, 1, n)[0])
             s = self._materialize(view, slots, rows, m)
-            direct = drerm(ThresholdClass(), s)
+            direct = drerm(hclass, s)
             assert witness == direct
             assert best == pytest.approx(empirical_dr_loss(direct, s), abs=1e-12)
+            losses = [empirical_dr_loss(b.witness, s)
+                      for b in hclass.enumerate_behaviors(s.all_points())]
+            ties += losses.count(min(losses)) > 1
+        assert ties > 0
 
 
 # the builtin t1 task written inline
