@@ -137,6 +137,11 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
 DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_scores
 
 
+def row_dtype(m: int):
+    """The dtype of member rows for batches of m draws: float32 while m <= 2**24."""
+    return np.float32 if m <= 1 << 24 else np.float64
+
+
 def member_rows(kmax: int, slots: int, n_points: int, m: int) -> np.ndarray:
     """Zeroed (k, slots, D + 1) rows for batches of m draws, for ``put_member_rows``.
 
@@ -145,7 +150,12 @@ def member_rows(kmax: int, slots: int, n_points: int, m: int) -> np.ndarray:
     multiplies it by 0/1 entries: every partial sum is an integer of
     magnitude at most m, which float32 holds exactly in any summation order.
     """
-    return np.zeros((kmax, slots, n_points + 1), np.float32 if m <= 1 << 24 else np.float64)
+    return np.zeros((kmax, slots, n_points + 1), row_dtype(m))
+
+
+def _fresh(name: str, shape: tuple, dtype) -> np.ndarray:
+    """``dr_scores``'s default workspace: a new array."""
+    return np.empty(shape, dtype)
 
 
 def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: int) -> None:
@@ -154,8 +164,8 @@ def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: 
     ``counts`` are the batches' counts on the D points, one row per slot or
     one row for all of them; ``positive`` says the slots are labeled +1.
     The function consumes ``counts``: a positive slot's are negated in
-    place, so callers pass a fresh array.  ``rows`` starts zeroed, so a
-    member never written stays a padding row.
+    place, so callers pass a fresh array.  ``rows`` starts zeroed, or from
+    ``FiniteView``'s row template, so a member never written stays a padding row.
     """
     rows[j, slots, :-1] = np.negative(counts, out=counts) if positive else counts
     if positive:
@@ -163,7 +173,7 @@ def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: 
 
 
 def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
-              with_scores: bool = False):
+              with_scores: bool = False, buffer=_fresh):
     """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
 
     ``labels`` (B, D) holds each behavior's +-1 labels.  ``rows`` (k, slots,
@@ -179,6 +189,14 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     exact integers, and are divided by m into float64 once.  A block
     stays within ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns
     ``(dr, scores)``, the same means summed in the ERM's order.
+
+    ``buffer(name, shape, dtype)`` supplies ``dr``, ``scores`` and each
+    block's products ``worst``: the default allocates them, ``FiniteView``
+    hands in arrays it keeps.  The float64 quotient, a block's largest
+    array, stays a fresh one: kept, it would sit beside all that the caller
+    allocates after the call.  An ``out=`` for it would need ``dtype=float``
+    too, or numpy divides the float32 products in float32 and the ERM
+    scores change.
     """
     n_b, kmax, n_d = len(labels), rows.shape[0], rows.shape[2] - 1
     plus = np.ones((n_d + 1, n_b), rows.dtype)
@@ -186,13 +204,13 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     # a block's temporaries, per slot: the worst hit row of B and, with k > 1,
     # the next member's, in the rows' dtype, then the float64 losses
     block = max(1, DR_S_BLOCK_BYTES // (n * n_b * (rows.itemsize * (1 + (kmax > 1)) + 8)))
-    dr = np.empty((n_b, trials))
-    scores = np.empty((n_b, trials)) if with_scores else None
+    dr = buffer("dr", (n_b, trials), float)
+    scores = buffer("scores", (n_b, trials), float) if with_scores else None
     for t0 in range(0, trials, block):
         t1 = min(t0 + block, trials)
         s0, s1 = t0 * n, t1 * n
         # integer counts times 0/1 entries: exact in any summation order
-        worst = plus.T @ rows[0, s0:s1].T
+        worst = np.matmul(plus.T, rows[0, s0:s1].T, out=buffer("worst", (n_b, s1 - s0), rows.dtype))
         for j in range(1, kmax):
             np.maximum(worst, plus.T @ rows[j, s0:s1].T, out=worst)
         # The two means sum the same n values in different orders, and
@@ -208,7 +226,7 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
         out /= n
         if with_scores:
             scores[:, t0:t1] = per_trial.mean(axis=2)
-        del worst, per_trial  # freed before the next block allocates its own
+        del per_trial  # freed before the next block allocates its own
     return (dr, scores) if with_scores else dr
 
 

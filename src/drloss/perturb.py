@@ -26,6 +26,7 @@ COVER_TOL = 1e-12
 # timings they were chosen from
 COUNT_MAX_K = 8
 COUNT_MIN_DRAWS = 1000
+DRAW_BLOCK = 1 << 14  # uniforms per block of the counting path: 128 KiB of float64
 
 
 class DistributionError(ValueError):
@@ -149,7 +150,7 @@ class DistributionFamily:
         raise ValueError(f"unknown view {view!r}")
 
 
-def categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
+def categorical(p: np.ndarray, size, rng: np.random.Generator, out=None) -> np.ndarray:
     """Indices of i.i.d. draws from the probabilities ``p``, of shape ``size``.
 
     The indices and the uniforms taken from ``rng`` are those of numpy's
@@ -159,18 +160,33 @@ def categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
     ``p`` divided by its last entry.  As u < 1 = cdf[-1], for up to
     ``COUNT_MAX_K`` categories and at least ``COUNT_MIN_DRAWS`` draws those
     comparisons over j < K - 1 are summed directly, in the narrowest integer
-    type that holds K - 1; otherwise the binary search is faster.  ``p`` is
-    taken as checked (nonnegative, summing to 1).
+    type that holds K - 1; otherwise the binary search is faster.  Counting
+    takes the uniforms ``DRAW_BLOCK`` at a time by ``rng.random(out=...)``,
+    the same stream as one ``rng.random(size)``, into cache-sized arrays.
+    The indices are written to ``out`` (C-contiguous intp of shape
+    ``size``), or a new array, and returned.  ``p`` is taken as checked
+    (nonnegative, summing to 1).
     """
     cdf = np.cumsum(p, dtype=float)
     cdf /= cdf[-1]
-    u = rng.random(size)
-    if len(cdf) > COUNT_MAX_K or u.size < COUNT_MIN_DRAWS:
-        return cdf.searchsorted(u, "right")
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx.astype(np.intp)
+    if out is None:
+        out = np.empty(size, np.intp)
+    if len(cdf) > COUNT_MAX_K or out.size < COUNT_MIN_DRAWS:
+        out[...] = cdf.searchsorted(rng.random(size), "right")
+        return out
+    flat = out.reshape(-1)
+    block = max(1, min(DRAW_BLOCK, flat.size))
+    u, hit = np.empty(block), np.empty(block, bool)
+    idx = np.empty(block, np.min_scalar_type(len(cdf) - 1))
+    for lo in range(0, flat.size, block):
+        b = min(block, flat.size - lo)
+        ub, hb, ib = u[:b], hit[:b], idx[:b]
+        rng.random(out=ub)
+        ib[...] = 0
+        for c in cdf[:-1]:
+            ib += np.greater_equal(ub, c, out=hb)
+        flat[lo:lo + b] = ib
+    return out
 
 
 def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,15 +21,23 @@ matrix and asks the class which witness its enumeration on the sample's
 points (``seen_points``) would have picked (``sample_witness`` in
 ``hypo``).  The witness depends on nothing but the behaviors at the minimum
 and the seen points, so the ERM suites call it once per distinct pair.
+
+A view keeps named scratch arrays (``buffer``) that grow on demand, so a
+run's batches reuse one set of slot draws, member rows and ``dr_scores``
+workspace; each ``--jobs`` worker builds its own setup and view.  An array
+that ``draw_clean_slots``, ``draw_slot_counts`` or ``dr_s`` returns is the
+view's scratch: it stays valid only until that method next runs on the
+view, so a caller that needs it longer reduces or copies it first.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from ..loss import dr_scores, member_rows, put_member_rows
+from ..loss import dr_scores, put_member_rows, row_dtype
 from ..perturb import FiniteDistribution, categorical
 
 
@@ -67,6 +75,8 @@ class FiniteView:
             single = (np.count_nonzero(probs, axis=2) == 1) & (probs.max(axis=2) == 1.0)
             self._point_mass[view] = np.where(single, probs.argmax(axis=2), -1)
         self.max_k = {view: self._members[view][0].shape[1] for view in self.views}
+        self._templates = {}
+        self._scratch = {}
 
     def behaviors(self, hclass):
         """All behaviors on the full domain point set: (labels (B, D) int8, witnesses)."""
@@ -85,9 +95,37 @@ class FiniteView:
         """Exact DR loss of each behavior: weighted worst member error per atom."""
         return self.worst_member(labels, view) @ self.atom_p
 
+    def buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """The view's scratch array ``name`` as ``shape``, uninitialized; kept for reuse."""
+        size = math.prod(shape)
+        buf = self._scratch.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._scratch[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
     def draw_clean_slots(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` i.i.d. atom indices from the data distribution."""
-        return categorical(self.atom_p, count, rng)
+        """``count`` i.i.d. atom indices from the data distribution, in the view's scratch."""
+        return categorical(self.atom_p, count, rng, out=self.buffer("slots", (count,), np.intp))
+
+    def _row_template(self, view: str, m: int) -> np.ndarray:
+        """(k, atoms, D + 1) member rows each slot of an atom starts from; one per (view, m).
+
+        Final for point-mass members (m at the point) and padding rows (0);
+        a multinomial member's row has only the batch size column, m on a
+        y = +1 atom.
+        """
+        template = self._templates.get((view, m))
+        if template is None:
+            probs, valid = self._members[view]
+            template = np.zeros((probs.shape[1], self.n_atoms, self.n_points + 1), row_dtype(m))
+            for a, j in zip(*np.nonzero(valid)):
+                positive = self.atom_y[a] == 1
+                if self._point_mass[view][a, j] >= 0:
+                    template[j, a, :-1] = -m * probs[a, j] if positive else m * probs[a, j]
+                if positive:
+                    template[j, a, -1] = m
+            self._templates[(view, m)] = template
+        return template
 
     def draw_slot_counts(self, rng: np.random.Generator, slot_atoms: np.ndarray,
                          m: int, view: str) -> np.ndarray:
@@ -101,34 +139,37 @@ class FiniteView:
         member is not drawn: numpy's multinomial returns m at its point,
         taking one uniform per batch there, or none at the last point, so
         every batch is m times the member and ``rng.random`` advances the
-        stream past those uniforms.
+        stream past those uniforms.  The rows, in the view's scratch, are
+        gathered from ``_row_template``; only multinomial batches are written.
         """
         probs, valid = self._members[view]
         point_mass = self._point_mass[view]
-        rows = member_rows(probs.shape[1], len(slot_atoms), self.n_points, m)
+        template = self._row_template(view, m)
+        rows = self.buffer("rows", (template.shape[0], len(slot_atoms), self.n_points + 1),
+                           template.dtype)
+        # the atoms are valid indices; "clip" writes straight into out, "raise" buffers it
+        np.take(template, slot_atoms, axis=1, out=rows, mode="clip")
         for a in range(self.n_atoms):
             idx = np.flatnonzero(slot_atoms == a)
             if len(idx) == 0:
                 continue
-            positive = self.atom_y[a] == 1
             for j in np.flatnonzero(valid[a]):
                 point = point_mass[a, j]
                 if point < 0:
                     counts = rng.multinomial(m, probs[a, j], size=len(idx))
-                else:
-                    counts = m * probs[a, j]
-                    if point < self.n_points - 1:
-                        rng.random(len(idx))
-                put_member_rows(rows, j, idx, counts, positive, m)
+                    put_member_rows(rows, j, idx, counts, self.atom_y[a] == 1, m)
+                elif point < self.n_points - 1:
+                    rng.random(out=self.buffer("skipped", (len(idx),), float))
         return rows
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, rows: np.ndarray,
              trials: int, n: int, m: int, with_scores: bool = False):
         """``loss.dr_scores`` of the rows ``draw_slot_counts`` drew for ``slot_atoms``: (B, trials).
 
-        The rows carry the slots' labels, so ``slot_atoms`` is not read.
+        The rows carry the slots' labels, so ``slot_atoms`` is not read.  The
+        results are the view's scratch.
         """
-        return dr_scores(labels, rows, trials, n, m, with_scores)
+        return dr_scores(labels, rows, trials, n, m, with_scores, self.buffer)
 
     def seen_points(self, slot_atoms: np.ndarray, rows: np.ndarray, trials: int,
                     n: int) -> np.ndarray:

@@ -4,9 +4,10 @@ A report holds its per-trial rows as a column table: column name -> a numpy
 array (bool, integer or float) or a list of Python values (strings, JSON
 cells, or a column whose cells mix types, such as hoeffding's ``n``, ""
 on inner rows and an integer on outer ones).  The CSV writer formats each
-column by its type, each distinct value once.  ``ExperimentReport.rows`` is
-a read-only view of the same table as row dicts of Python scalars; the JSON
-report and callers that want rows read it.
+column by its type, each distinct value once, and so does the JSON writer,
+which emits ``json.dumps(..., indent=2)``'s bytes.  ``ExperimentReport.rows``
+is a read-only view of the same table as row dicts of Python scalars, for
+callers that want rows.
 
 Emitted files are a pure function of (config, master seed): no timestamps
 or timings are written, so identical runs produce identical bytes.  Wall
@@ -181,18 +182,69 @@ def render_csv(report: ExperimentReport) -> str:
 
 
 def render_json(report: ExperimentReport) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+    ``indent`` keeps CPython on its pure-Python encoder, which costs most of
+    a large report's render, so only the small rest goes through it; the
+    rows (``_json_rows``) are laid out here and take their cells from the
+    C encoder.  Top-level keys alone are indented by two spaces, and raw
+    newlines in ``json.dumps`` text are all its own, so the rows' place in
+    that text is found by a plain split.
+    """
     payload = {
         "schema_version": report.schema_version,
         "kind": report.kind,
         "config": report.config,
         "columns": report.columns,
-        "rows": list(report.rows),
+        "rows": [],
         "agg_columns": report.agg_columns,
         "aggregates": report.aggregates,
         "assertions": [_assertion_dict(a) for a in report.assertions],
         "passed": report.passed,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    head, tail = json.dumps(payload, sort_keys=True, indent=2).split('\n  "rows": []', 1)
+    return head + '\n  "rows": ' + _json_rows(report.table) + tail + "\n"
+
+
+def _json_cells(col, level: int) -> list:
+    """Each cell of a table column as ``json.dumps(..., indent=2)`` writes it at ``level``.
+
+    A column of leaves is one C encoder call split at its separators, an
+    array column's distinct values (keyed on their bits, as ``_cells`` keys
+    them) encoded once; a JSON cell is written once per distinct object.
+    """
+    if isinstance(col, np.ndarray):
+        keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        return np.array(_json_cells(keys.view(col.dtype).tolist(), level), dtype=object)[
+            inverse].tolist()
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, col))):
+        return json.JSONEncoder(separators=(",\n", ": ")).encode(col)[1:-1].split(",\n")
+    text = {}
+    for v in col:
+        if id(v) not in text:
+            text[id(v)] = json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+    return [text[id(v)] for v in col]
+
+
+def _json_rows(table: dict) -> str:
+    """The table's rows as ``render_json`` writes the list of row dicts.
+
+    The text is one join over the rows' parts, each column's cells set into
+    every other slot of a row's stretch by one slice assignment.
+    """
+    rows = len(next(iter(table.values()))) if table else 0
+    if not rows:
+        return "[]"
+    names = sorted(table)
+    row, cell = "\n    ", "\n      "
+    stride = 2 * len(names)
+    parts = [None] * (rows * stride)
+    for j, name in enumerate(names):
+        lead = row + "}," + row + "{" + cell if j == 0 else "," + cell
+        parts[2 * j::stride] = [lead + json.dumps({name: 0})[1:-2]] * rows
+        parts[2 * j + 1::stride] = _json_cells(table[name], 3)
+    parts[0] = "{" + cell + json.dumps({names[0]: 0})[1:-2]
+    return "[" + row + "".join(parts) + row + "}\n  ]"
 
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:

@@ -194,7 +194,7 @@ def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) ->
 
 
 def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
-    """Empirical DR loss of every behavior on ``draws`` fresh training sets."""
+    """Empirical DR loss of every behavior on ``draws`` fresh training sets (view scratch)."""
     slots = s.view.draw_clean_slots(rng, draws * n)
     rows = s.view.draw_slot_counts(rng, slots, m, "true")
     return s.view.dr_s(s.labels, slots, rows, draws, n, m)
@@ -208,11 +208,10 @@ def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
-        dr_s = _batch_dr_s(s, rng, draws, n, m)
-        dr_sp = _batch_dr_s(s, rng, draws, n, m)
-        zero = dr_s <= EXACT_ZERO_TOL
+        # S's losses live in the view's scratch, which scoring S' overwrites
+        zero = _batch_dr_s(s, rng, draws, n, m) <= EXACT_ZERO_TOL
         event_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0)
-        event_b = np.any(zero & (dr_sp >= epsilon / 2), axis=0)
+        event_b = np.any(zero & (_batch_dr_s(s, rng, draws, n, m) >= epsilon / 2), axis=0)
         d = event_b.astype(float) - 0.4 * event_a.astype(float)
         mean_d = float(d.mean())
         se_d = float(d.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0

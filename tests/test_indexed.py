@@ -41,6 +41,7 @@ from drloss.tasks import (
     with_label_noise,
 )
 from drloss.xprun import load_config, suites
+from drloss.xprun.config import check
 from drloss.xprun.indexed import FiniteView
 
 
@@ -580,3 +581,107 @@ def test_interval_d64_fits_in_two_gib(tmp_path):
         reports.append(report)
     assert reports[0] == reports[1]
     assert len(reports[0]["rows"]) == 256
+
+
+# Slot counts that grow and shrink around the search/counting switch of
+# ``categorical`` and across several of its uniform blocks, with m changing
+# the row template (m = 2**24 + 1 switches the rows to float64)
+REUSE_SHAPES = [(2, 3, 5), (400, 50, 5), (1, 1, 5), (9, 7, 2), (60, 50, 3), (3, 2, (1 << 24) + 1),
+                (2, 3, 5), (401, 53, 2)]
+
+
+def test_reused_view_matches_fresh_view():
+    # a view's scratch outlives every call; a fresh view's holds nothing stale
+    task = task_from_dict(PADDED_TASK)
+    view = FiniteView(task)
+    labels, _ = view.behaviors(IntervalClass())
+    r = rng_for(77)
+    for trials, n, m in REUSE_SHAPES:
+        ref = copy.deepcopy(r)
+        slots = view.draw_clean_slots(r, trials * n).copy()
+        before_rows = copy.deepcopy(r)
+        rows = view.draw_slot_counts(r, slots, m, "true").copy()
+        dr, scores = (a.copy() for a in view.dr_s(labels, slots, rows, trials, n, m, True))
+        fresh = FiniteView(task)
+        want_slots = fresh.draw_clean_slots(ref, trials * n)
+        want_rows = fresh.draw_slot_counts(ref, want_slots, m, "true")
+        want_dr, want_scores = fresh.dr_s(labels, want_slots, want_rows, trials, n, m, True)
+        assert slots.tobytes() == want_slots.tobytes()
+        assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+        assert dr.tobytes() == want_dr.tobytes() and scores.tobytes() == want_scores.tobytes()
+        assert repr(r.bit_generator.state) == repr(ref.bit_generator.state)
+        # and the oracle's: no stale padding row survives
+        counts = oracle_counts(view, before_rows, slots, m, "true")
+        assert np.array_equal(rows, oracle_rows(counts, view.atom_y[slots] == 1))
+    assert len(view._templates) == 4
+
+
+def checked_config(kind, **params):
+    cfg = load_config(kind)
+    cfg.params = dict(cfg.params, **params)
+    return check(dict(vars(cfg)))
+
+
+# one small config per suite whose setup builds a FiniteView
+FINITE_SUITES = {
+    "realizable": {}, "agnostic": {}, "model1": {}, "model2": {},
+    "double-sampling": {"draws": 700}, "hoeffding": {},
+}
+
+
+def chunk_columns(kind, cfg, s, g, chunk):
+    """One work unit's columns: 40 trials, or one for the per-trial double-sampling."""
+    lo, hi = (chunk, chunk + 1) if kind == "double-sampling" else (40 * chunk, 40 * chunk + 40)
+    return suites.SUITES[kind].chunk(cfg, s, g, chunk, lo, hi)
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        if isinstance(want[name], np.ndarray):
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+        else:
+            assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("kind", list(FINITE_SUITES))
+def test_finite_chunks_repeat_on_one_setup(kind):
+    # a chunk's columns outlive the next chunk on the same setup, and a
+    # chunk run again, or on a fresh setup, returns the same columns
+    cfg = checked_config(kind, **FINITE_SUITES[kind])
+    s = suites._setup(cfg)
+    for g in range(len(cfg.grid)):
+        first = chunk_columns(kind, cfg, s, g, 0)
+        kept = copy.deepcopy(first)
+        chunk_columns(kind, cfg, s, g, 1)
+        assert_same_columns(first, kept)
+        assert_same_columns(chunk_columns(kind, cfg, s, g, 0), kept)
+        assert_same_columns(chunk_columns(kind, cfg, suites._setup(cfg), g, 0), kept)
+
+
+def test_double_chunk_on_reused_view_matches_fresh_view():
+    # the second batch's scores overwrite the first's in the view's scratch
+    cfg = checked_config("double-sampling", draws=3000)
+    s = suites._setup(cfg)
+    reused = [suites._double_chunk(cfg, s, 0, trial, trial, trial + 1) for trial in range(4)]
+    fresh = [suites._double_chunk(cfg, suites._setup(cfg), 0, trial, trial, trial + 1)
+             for trial in range(4)]
+    for got, want in zip(reused, fresh):
+        assert_same_columns(got, want)
+    # and both match batches drawn by fresh views and scored on fresh arrays
+    n, m, epsilon = cfg.grid[0]["n"], cfg.grid[0]["m"], cfg.grid[0]["epsilon"]
+    draws = cfg.params["draws"]
+
+    def fresh_batch(rng):
+        view = FiniteView(s.view.task)
+        slots = view.draw_clean_slots(rng, draws * n)
+        return loss.dr_scores(s.labels, view.draw_slot_counts(rng, slots, m, "true"), draws, n, m)
+
+    for trial, got in enumerate(reused):
+        rng = seeding.stream(cfg.master_seed, 0, trial)
+        dr = [fresh_batch(rng), fresh_batch(rng)]
+        zero = dr[0] <= suites.EXACT_ZERO_TOL
+        pr_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0).mean()
+        pr_b = np.any(zero & (dr[1] >= epsilon / 2), axis=0).mean()
+        assert (got["pr_a"][0], got["pr_b"][0]) == (pr_a, pr_b)

@@ -210,16 +210,47 @@ class TestCategorical:
             self.force(mp, count)
             self.assert_matches_choice(weights / weights.sum(), size, seed)
 
+    # the counting path draws its uniforms DRAW_BLOCK at a time: sizes on
+    # either side of one and two blocks, flat and 2-d
+    BLOCK_SIZES = [perturb.DRAW_BLOCK - 1, perturb.DRAW_BLOCK, perturb.DRAW_BLOCK + 1,
+                   2 * perturb.DRAW_BLOCK + 3]
+    BLOCK_P = {2: [0.3, 0.7], 3: [0.2, 0.0, 0.8], 8: [0.05, 0.1, 0.2, 0.0, 0.15, 0.1, 0.3, 0.1]}
+
+    @pytest.mark.parametrize("k", list(BLOCK_P))
+    @pytest.mark.parametrize("shape", ["flat", "column", "row"])
+    @pytest.mark.parametrize("total", BLOCK_SIZES)
+    def test_categorical_blocks_match_choice(self, total, shape, k):
+        assert k <= perturb.COUNT_MAX_K and total >= perturb.COUNT_MIN_DRAWS  # counting path
+        size = {"flat": total, "column": (total, 1), "row": (1, total)}[shape]
+        for seed in range(2):
+            self.assert_matches_choice(self.BLOCK_P[k], size, seed)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
+    @pytest.mark.parametrize("size", [7, perturb.DRAW_BLOCK + 1, (3, perturb.DRAW_BLOCK)])
+    def test_categorical_fills_out(self, monkeypatch, count, size):
+        self.force(monkeypatch, count)
+        p = [0.25, 0.5, 0.25]
+        ref_rng, rng = rng_for(5), rng_for(5)
+        out = np.full(size, -1, dtype=np.intp)
+        assert categorical(np.array(p), size, rng, out=out) is out
+        assert np.array_equal(out, ref_rng.choice(3, size=size, p=p))
+        assert rng.random() == ref_rng.random()
+
     @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
     def test_categorical_uniform_on_a_cdf_step_lands_above_it(self, monkeypatch, count):
         self.force(monkeypatch, count)
 
         class Fixed(np.random.Generator):
+            # fills ``out`` when given, as numpy does; the counting path passes it
             def __init__(self):
                 super().__init__(np.random.Philox(0))
 
             def random(self, size=None, dtype=np.float64, out=None):
-                return np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])[:size]
+                u = np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])
+                if out is None:
+                    return u[:size]
+                out[...] = u[:out.size].reshape(out.shape)
+                return out
 
         p = [0.25, 0.25, 0.0, 0.5]
         assert np.array_equal(categorical(np.array(p), 6, Fixed()),

@@ -33,6 +33,7 @@ from drloss.xprun import (
     load_config,
     read_csv_sections,
     render_csv,
+    render_json,
     run_suite,
 )
 from drloss.xprun.config import (
@@ -705,6 +706,22 @@ def render_csv_by_rows(report) -> str:
     return buf.getvalue()
 
 
+def render_json_by_dumps(report) -> str:
+    """The JSON report as ``json.dumps(..., indent=2)`` writes it: the slow reference."""
+    payload = {
+        "schema_version": report.schema_version,
+        "kind": report.kind,
+        "config": report.config,
+        "columns": report.columns,
+        "rows": list(report.rows),
+        "agg_columns": report.agg_columns,
+        "aggregates": report.aggregates,
+        "assertions": [vars(a) for a in report.assertions],
+        "passed": report.passed,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 class TestReports:
     def test_emit_byte_identical_across_runs(self, tmp_path):
         for fmt in ("csv", "json"):
@@ -839,6 +856,52 @@ class TestReports:
             kind="smoothing", config={}, table={"a": np.array([], dtype=float), "b": []},
             agg_columns=["c"], aggregates=[], assertions=[], passed=True)
         assert render_csv(empty) == render_csv_by_rows(empty)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_json_matches_dumps_on_default_reports(self, kind):
+        rep = run_suite(load_config(kind))
+        assert render_json(rep) == render_json_by_dumps(rep)
+
+    def test_json_edge_cells_match_dumps(self):
+        # cells whose JSON text is unusual: non-finite and signed floats, the
+        # smallest subnormal, escapes, empty containers, nested JSON cells and
+        # config keys that are not strings
+        text = ["plain", "caf\u00e9 \u2014 \U0001f600", "tab\tnew\nline\x00\x1f", 'q"b\\',
+                "", ",\n", "}, {", "\u2028"]
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308]
+        table = {
+            "text": text,
+            "mixed": ["", 3, None, -7, 0.5, True, [], {}],
+            "x": np.array(floats),
+            "flag": np.array([True, False, False, True, True, False, True, False]),
+            "count": np.array([0, -1, 2 ** 62, 5, 5, 0, 3, -1]),
+            "hypothesis": [{"classTag": t, "params": {"t": x, "box": [[x, -x], [], {}]}}
+                           for t, x in zip(text, floats)],
+        }
+        shared = {"classTag": "threshold-1d", "params": {"t": 0.5}}
+        table["witness"] = [shared] * 4 + [{"a": []}, {}, [1, [2, {}]], "text"]
+        rep = ExperimentReport(
+            kind="hoeffding",
+            config={"note": "\u00e9\n", "grid": [], "params": {}, "rows": [],
+                    "text": '\n  "rows": []', "nested": {"a": [{}, [[]]], "b": [1.5, -0.0]}},
+            table=table, agg_columns=["only", "z"],
+            aggregates=[{"only": v, "z": math.inf} for v in ("", "x,y", -0.0, None, "\r", 3)],
+            assertions=[Assertion('tail, "grid 0"', -0.0, 5e-324, "rule\nnext", False)],
+            passed=False)
+        assert render_json(rep) == render_json_by_dumps(rep)
+        for table in ({}, {"a": np.array([], dtype=float), "b": []}, {"one": [7]}):
+            empty = ExperimentReport(kind="smoothing", config={}, table=table, agg_columns=[],
+                                     aggregates=[], assertions=[], passed=True)
+            assert render_json(empty) == render_json_by_dumps(empty)
+
+    def test_json_keys_that_are_not_strings_match_dumps(self):
+        # dumps sorts int, float, bool and None keys, then writes them as strings
+        cells = [{1: "a", 3: [], 2: {}}, {2.5: 1, -0.0: 2, math.inf: 3}, {None: 1},
+                 {True: [{False: 0}]}]
+        rep = ExperimentReport(kind="smoothing", config={1: "one", 2: {None: [1.5]}},
+                               table={"cell": cells, "i": np.arange(4)}, agg_columns=[],
+                               aggregates=[], assertions=[], passed=True)
+        assert render_json(rep) == render_json_by_dumps(rep)
 
     def test_json_structure(self, tmp_path):
         cfg = tiny_config("smoothing", trials=1)
