@@ -2,15 +2,17 @@
 
 ERM is exact because behaviors are enumerated on the drawn point set and
 each canonical witness is scored; nothing is approximated beyond the
-sampling itself.  Each class has one scoring path: sorted candidate cuts
-for thresholds, ``loss.dr_scores`` (the finite engine's contraction) for
-the rest, on the class's behavior table (``behavior_table`` in ``hypo``)
-and member rows built from the batches as ``FiniteView`` draws them.  The
+sampling itself.  Thresholds count their mistakes per cut from the sorted
+draws, in int64; every other class runs ``loss.dr_scores`` on its behavior
+table (``behavior_table`` in ``hypo``) and member rows built as
+``FiniteView`` draws them, summing counts exactly in float32 while
+n * m <= 2**24, else in float64.  Both take the minimizers as
+``loss.erm_ties`` does: the least integer count W, ties broken on float
+means, every behavior a candidate once n * m * (n + 1) >= 2**52.  The
 smoothing suite runs the threshold path; the other is the reference the
-tests hold ``FiniteView.erm_on_sample`` to.  Ties are broken by the
-enumeration order of the class, which is canonical and deterministic, so
-identical (task, config, generator state) reproduce the identical
-hypothesis bit for bit.
+tests hold ``FiniteView.erm_on_sample`` to.  The first minimizer in the
+class's canonical enumeration order wins, so identical (task, config,
+generator state) reproduce the identical hypothesis bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .loss import (
     SampleSet,
     TaskInstance,
     dr_scores,
+    erm_ties,
     member_rows,
     put_member_rows,
 )
@@ -70,21 +73,36 @@ def _batch_rows(s: SampleSet, points) -> np.ndarray:
     return rows
 
 
-def _scores_threshold(cuts: list, s: SampleSet) -> np.ndarray:
-    """Empirical DR loss of each cut of ``threshold_cuts`` on the sorted points.
+def _threshold_ties(cuts: list, s: SampleSet) -> np.ndarray:
+    """(cuts, 1) ERM minimizers among ``threshold_cuts``, as ``loss.erm_ties`` marks them.
 
-    For a batch with label y, the misclassified count at cut t is the
-    number of draws >= t (y = -1) or < t (y = +1); both come from one
-    searchsorted pass per batch, so the cost is near-linear in the sample
-    size instead of quadratic.
+    At cut t a batch's mistakes are its draws below t (y = +1) or the rest
+    (y = -1), so one search of the cuts in sorted draws counts them at every
+    cut: in the pooled draws of the one-member examples, then per example
+    and worst member for the rest.  Only candidate cuts are counted per example.
     """
-    candidates = np.asarray(cuts)
-    worst = np.zeros((len(candidates), s.n))
-    for (i, _), batch in s.perturbed.items():
-        below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
-        wrong = below if s.clean[i][1] == 1 else (s.m - below)
-        np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
-    return worst.mean(axis=1)
+    at = np.asarray(cuts, dtype=float)
+    keys = sorted(s.perturbed)  # each example's members 0, 1, ... in a row
+    draws = np.sort(np.array([s.perturbed[key] for key in keys], dtype=float), axis=1)
+    first = np.searchsorted([i for i, _ in keys], np.arange(s.n + 1))
+    positive = np.array([y == 1 for _, y in s.clean])
+
+    def worst(i: int, cut_at: np.ndarray) -> np.ndarray:
+        below = np.array([np.searchsorted(batch, cut_at) for batch in draws[first[i]:first[i + 1]]])
+        return (below if positive[i] else s.m - below).max(axis=0)
+
+    single = np.diff(first) == 1
+    hits = np.zeros(len(cuts), np.int64)
+    for sign in (True, False):
+        pool = np.flatnonzero(single & (positive == sign))
+        below = np.searchsorted(np.sort(draws[first[pool]], axis=None), at)
+        hits += below if sign else len(pool) * s.m - below
+    for i in np.flatnonzero(~single):
+        hits += worst(i, at)
+    ties = np.empty((len(cuts), 1), bool)
+    erm_ties(hits[:, None], lambda b, _t: np.array([worst(i, at[b]) for i in range(s.n)]).T.copy(),
+             s.n, s.m, ties)
+    return ties
 
 
 def drerm(hclass, s: SampleSet):
@@ -93,13 +111,14 @@ def drerm(hclass, s: SampleSet):
     Behaviors are enumerated on every distinct point of the set (clean and
     perturbed); the first behavior attaining the minimum, in canonical
     enumeration order, supplies the returned witness.  Thresholds score their
-    candidate cuts, every other class its behavior table through ``dr_scores``.
+    candidate cuts (``_threshold_ties``), every other class its behavior
+    table through ``dr_scores``; both pick the minimizers as ``erm_ties`` does.
     """
     points = s.all_points()
     if isinstance(hclass, ThresholdClass):
         # Candidates match the enumeration order: ascending cut, sentinel last.
         cuts = threshold_cuts(points)
-        return Threshold(float(cuts[int(np.argmin(_scores_threshold(cuts, s)))]))
+        return Threshold(float(cuts[int(np.argmax(_threshold_ties(cuts, s)[:, 0]))]))
     labels, witnesses = hclass.behavior_table(points)
-    _, scores = dr_scores(labels, _batch_rows(s, points), 1, s.n, s.m, True)
-    return witnesses[int(np.argmin(scores[:, 0]))]
+    ties = dr_scores(labels, _batch_rows(s, points), 1, s.n, s.m).ties
+    return witnesses[int(np.argmax(ties[:, 0]))]

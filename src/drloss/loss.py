@@ -10,7 +10,9 @@ error is used instead.
 ``dr_scores`` scores many behaviors on finite samples at once, as one
 integer contraction of per-batch member rows (signed counts and a batch
 size column) against the behaviors' labels.  ``member_rows`` allocates the
-rows in float32 while the batch size keeps every product exact.
+rows in float32 while the batch size keeps every product exact.  Each
+decision is made on exact integer mistake counts (zero training loss, the
+ERM minimizers); float means are formed only for what the reports print.
 """
 
 from __future__ import annotations
@@ -172,9 +174,40 @@ def put_member_rows(rows: np.ndarray, j: int, slots, counts, positive: bool, m: 
         rows[j, slots, -1] = m
 
 
+class Scores(NamedTuple):
+    """(B, trials) mistake counts W, ERM minimizers and float losses; see ``dr_scores``."""
+
+    hits: np.ndarray
+    ties: np.ndarray | None
+    loss_emp: np.ndarray | None  # (trials,): the minimizers' float loss
+    dr: np.ndarray | None
+
+
+def erm_ties(hits: np.ndarray, gather, n: int, m: int, ties: np.ndarray) -> np.ndarray:
+    """Mark each trial's ERM minimizers in ``ties`` (B, trials); return their float losses.
+
+    A float loss is the pairwise mean of n quotients count / m; the
+    minimizers are the behaviors at its least, as a float argmin finds them.
+    ``gather(b, t)`` gives the (c, n) counts of the candidates only: the
+    least W while n * m * (n + 1) < 2**52, else every behavior.  Below that
+    bound W < W' orders the floats: n + 1 roundings of nonnegative terms put
+    a float loss within a factor 1 +- gamma(n + 1) of W / (n * m), gamma(k) =
+    k u / (1 - k u) with u = 2**-53, and W' <= n * m gives
+    (2 n m - 1) gamma(n + 1) < 1.  Equal W is broken on the floats.
+    """
+    exact_order = n * m * (n + 1) < 1 << 52
+    t, b = np.nonzero((hits == hits.min(axis=0) if exact_order else np.ones(hits.shape, bool)).T)
+    means = np.divide(gather(b, t), m, dtype=float).mean(axis=1)
+    loss_emp = np.minimum.reduceat(means, np.flatnonzero(np.diff(t, prepend=-1)))
+    tie = means == loss_emp[t]
+    ties[...] = False
+    ties[b[tie], t[tie]] = True
+    return loss_emp
+
+
 def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
-              with_scores: bool = False, buffer=_fresh):
-    """Empirical DR loss of each behavior on each trial's sample, exactly: (B, trials).
+              ties: bool = True, dr: bool = False, buffer=_fresh) -> Scores:
+    """Each behavior's exact mistake count W on each trial's sample, and the ERM minimizers.
 
     ``labels`` (B, D) holds each behavior's +-1 labels.  ``rows`` (k, slots,
     D + 1) holds member j's batch of slot i at (j, i), flat over trials * n
@@ -186,26 +219,32 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     behavior's +1 indicator over a row of ones) per member and block of
     trials scores every slot, and with k = 1 there is no max over members.
     The products and their max stay in the rows' dtype, where they are
-    exact integers, and are divided by m into float64 once.  A block
-    stays within ``DR_S_BLOCK_BYTES``.  With ``with_scores`` it returns
-    ``(dr, scores)``, the same means summed in the ERM's order.
+    exact integers, and sum to W exactly: in float32 while n * m <= 2**24,
+    else in float64 (to 2**53).  Decisions are made on W: zero training loss
+    is W == 0 (the float test loss <= 1e-12 agrees while n * m <= 10**11),
+    and with ``ties``, ``erm_ties`` picks the minimizers from the least W.
+    Float losses are formed only for the reports: ``loss_emp``, and with
+    ``dr`` every behavior's, summed left to right.  A block stays within
+    ``DR_S_BLOCK_BYTES``.
 
-    ``buffer(name, shape, dtype)`` supplies ``dr``, ``scores`` and each
-    block's products ``worst``: the default allocates them, ``FiniteView``
-    hands in arrays it keeps.  The float64 quotient, a block's largest
-    array, stays a fresh one: kept, it would sit beside all that the caller
-    allocates after the call.  An ``out=`` for it would need ``dtype=float``
-    too, or numpy divides the float32 products in float32 and the ERM
-    scores change.
+    ``buffer(name, shape, dtype)`` supplies the results and each block's
+    products ``worst``: the default allocates them, ``FiniteView`` hands in
+    arrays it keeps.  The float64 quotients stay fresh, or they would sit
+    beside all that the caller allocates after the call.  Every division
+    by m needs ``dtype=float``, or numpy divides float32 products in float32.
     """
     n_b, kmax, n_d = len(labels), rows.shape[0], rows.shape[2] - 1
     plus = np.ones((n_d + 1, n_b), rows.dtype)
     plus[:n_d] = labels.T == 1
+    ones = np.ones(n, rows.dtype) if n * m <= 1 << 24 or rows.itemsize == 8 else None
     # a block's temporaries, per slot: the worst hit row of B and, with k > 1,
-    # the next member's, in the rows' dtype, then the float64 losses
+    # the next member's, in the rows' dtype, then the float64 quotients of
+    # the ERM candidates (every behavior at worst)
     block = max(1, DR_S_BLOCK_BYTES // (n * n_b * (rows.itemsize * (1 + (kmax > 1)) + 8)))
-    dr = buffer("dr", (n_b, trials), float)
-    scores = buffer("scores", (n_b, trials), float) if with_scores else None
+    hits = buffer("hits", (n_b, trials), np.int64)
+    minimizers = buffer("ties", (n_b, trials), bool) if ties else None
+    loss_emp = buffer("loss_emp", (trials,), float) if ties else None
+    out = buffer("dr", (n_b, trials), float) if dr else None
     for t0 in range(0, trials, block):
         t1 = min(t0 + block, trials)
         s0, s1 = t0 * n, t1 * n
@@ -213,21 +252,20 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
         worst = np.matmul(plus.T, rows[0, s0:s1].T, out=buffer("worst", (n_b, s1 - s0), rows.dtype))
         for j in range(1, kmax):
             np.maximum(worst, plus.T @ rows[j, s0:s1].T, out=worst)
-        # The two means sum the same n values in different orders, and
-        # report bytes depend on both: dr (it feeds max_gap and viol_any)
-        # adds left to right, the ERM scores (they feed loss_emp and the
-        # tie-break among minimizers) pairwise, as numpy sums a contiguous
-        # axis.
-        per_trial = np.divide(worst, m, dtype=float).reshape(n_b, t1 - t0, n)
-        out = dr[:, t0:t1]
-        np.copyto(out, per_trial[:, :, 0])
-        for i in range(1, n):
-            out += per_trial[:, :, i]
-        out /= n
-        if with_scores:
-            scores[:, t0:t1] = per_trial.mean(axis=2)
-        del per_trial  # freed before the next block allocates its own
-    return (dr, scores) if with_scores else dr
+        per_slot = worst.reshape(-1, n)
+        hits[:, t0:t1] = (per_slot @ ones if ones is not None
+                          else per_slot.sum(axis=1, dtype=float)).reshape(n_b, -1)
+        per_trial = worst.reshape(n_b, -1, n)
+        if ties:
+            loss_emp[t0:t1] = erm_ties(hits[:, t0:t1], lambda b, t: per_trial[b, t], n, m,
+                                       minimizers[:, t0:t1])
+        if dr:  # left to right, one slot's quotients at a time
+            block_dr = out[:, t0:t1]
+            np.divide(per_trial[:, :, 0], m, out=block_dr, dtype=float)
+            for i in range(1, n):
+                block_dr += np.divide(per_trial[:, :, i], m, dtype=float)
+            block_dr /= n
+    return Scores(hits, minimizers, loss_emp, out)
 
 
 def member_error(h, u: FiniteDistribution, y) -> float:

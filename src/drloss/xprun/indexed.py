@@ -14,13 +14,17 @@ member row that ``loss.dr_scores`` multiplies (signed counts and a batch
 size column, float32 while m <= 2**24: ``loss.member_rows``); no count
 tensor is kept beside the rows.  The contraction and its per-block byte
 budget ``DR_S_BLOCK_BYTES`` live in ``loss.dr_scores``, which
-``learner.drerm`` runs too.  The behaviors a sample can tell apart are the
-projections of the full-domain behaviors onto its points, with the same
-scores, so ``erm_on_sample`` reads the per-trial ERM minimum off the score
-matrix and asks the class which witness its enumeration on the sample's
-points (``seen_points``) would have picked (``sample_witness`` in
-``hypo``).  The witness depends on nothing but the behaviors at the minimum
-and the seen points, so the ERM suites call it once per distinct pair.
+``learner.drerm`` runs too.  It decides on exact integer mistake counts W,
+summed in float32 while n * m <= 2**24 and in float64 beyond: zero training
+loss is W == 0, and each trial's ERM minimizers are the least W,
+tie-broken on float means (past n * m * (n + 1) >= 2**52, where a float
+mean may misorder W, every behavior is a candidate).  The behaviors a
+sample can tell apart are the projections of the full-domain behaviors
+onto its points, with the same counts, so ``erm_on_sample`` takes
+a trial's minimizers and asks the class which witness its enumeration on
+the sample's points (``seen_points``) would have picked (``sample_witness``
+in ``hypo``).  The witness depends on nothing but the minimizers and the
+seen points, so the ERM suites call it once per distinct pair.
 
 A view keeps named scratch arrays (``buffer``) that grow on demand, so a
 run's batches reuse one set of slot draws, member rows and ``dr_scores``
@@ -158,18 +162,20 @@ class FiniteView:
                 if point < 0:
                     counts = rng.multinomial(m, probs[a, j], size=len(idx))
                     put_member_rows(rows, j, idx, counts, self.atom_y[a] == 1, m)
+                    del counts  # freed before the next multinomial allocates its own
                 elif point < self.n_points - 1:
                     rng.random(out=self.buffer("skipped", (len(idx),), float))
         return rows
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, rows: np.ndarray,
-             trials: int, n: int, m: int, with_scores: bool = False):
-        """``loss.dr_scores`` of the rows ``draw_slot_counts`` drew for ``slot_atoms``: (B, trials).
+             trials: int, n: int, m: int, ties: bool = True, dr: bool = False):
+        """``loss.dr_scores`` of the rows ``draw_slot_counts`` drew for ``slot_atoms``.
 
         The rows carry the slots' labels, so ``slot_atoms`` is not read.  The
-        results are the view's scratch.
+        results are the view's scratch.  Callers pass every argument by
+        position, as ``perfbench/probe.py``'s wrapper forwards them.
         """
-        return dr_scores(labels, rows, trials, n, m, with_scores, self.buffer)
+        return dr_scores(labels, rows, trials, n, m, ties, dr, self.buffer)
 
     def seen_points(self, slot_atoms: np.ndarray, rows: np.ndarray, trials: int,
                     n: int) -> np.ndarray:
@@ -192,18 +198,16 @@ class FiniteView:
         return np.array([[h.predict(z) for z in self.points]], dtype=np.int8)
 
     def erm_on_sample(self, hclass, labels: np.ndarray, witnesses: list,
-                      scores: np.ndarray, seen: np.ndarray):
+                      ties: np.ndarray, seen: np.ndarray):
         """Exact ERM restricted to the points one trial's sample contains.
 
-        ``scores`` is the trial's column of ERM scores for the full-domain
-        behaviors ``labels``/``witnesses``, and ``seen`` its row of
+        ``ties`` is the trial's column of ``dr_s``'s ERM minimizers among the
+        full-domain behaviors ``labels``/``witnesses``, and ``seen`` its row of
         ``seen_points``: the perturbation points plus the clean instances
-        (clean points carry no loss).  The result is what enumerating
+        (clean points carry no loss).  Returns the witness that enumerating
         behaviors on those points, scoring each and taking the first minimum
-        in canonical order gives.  Returns (witness, min empirical loss).
+        in canonical order gives.
         """
-        best = scores.min()
-        rows = np.flatnonzero(scores == best)
-        witness = hclass.sample_witness(self.points, np.flatnonzero(seen), labels[rows],
-                                        witnesses[rows[0]])
-        return witness, float(best)
+        rows = np.flatnonzero(ties)
+        return hclass.sample_witness(self.points, np.flatnonzero(seen), labels[rows],
+                                     witnesses[rows[0]])

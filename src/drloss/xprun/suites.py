@@ -134,6 +134,7 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
     if exact_inner:
         # no sampled points to restrict to; minimize over the full-domain behaviors
         dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
+        zero_train = dr_s <= EXACT_ZERO_TOL
         best = dr_s.argmin(axis=0)
         loss_emp = dr_s[best, np.arange(trials)]
         loss_pop = s.dr_true[best]
@@ -141,15 +142,16 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         hypotheses = [s.witnesses[b] for b in picks]
     else:
         rows = view.draw_slot_counts(rng, slots, m, s.train_view)
-        dr_s, scores = view.dr_s(s.labels, slots, rows, trials, n, m, True)
+        scores = view.dr_s(s.labels, slots, rows, trials, n, m, True, cfg.kind == "agnostic")
+        dr_s, zero_train = scores.dr, scores.hits == 0
         seen = view.seen_points(slots, rows, trials, n)
-        loss_emp = scores.min(axis=0)
+        loss_emp = scores.loss_emp.copy()
         # a trial's witness is fixed by the behaviors at its minimum and the
         # points it saw, so ERM runs once per distinct (tie set, seen set)
-        keys = np.hstack([np.packbits(scores == loss_emp, axis=0).T, np.packbits(seen, axis=1)])
+        keys = np.hstack([np.packbits(scores.ties, axis=0).T, np.packbits(seen, axis=1)])
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        hypotheses = [view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores[:, t], seen[t])[0]
-                      for t in first]
+        hypotheses = [view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores.ties[:, t],
+                                         seen[t]) for t in first]
         loss_pop_of = {h: float(view.dr_exact(view.labels_of(h), "true")[0])
                        for h in set(hypotheses)}
         loss_pop = np.array([loss_pop_of[h] for h in hypotheses])[inverse]
@@ -166,7 +168,6 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         max_gap = np.abs(dr_s - s.dr_true[:, None]).max(axis=0)
         cols.update(max_gap=max_gap, viol=max_gap > epsilon)
     else:
-        zero_train = dr_s <= EXACT_ZERO_TOL
         cols.update(viol_erm=(loss_emp <= EXACT_ZERO_TOL) & (loss_pop >= level),
                     viol_any=np.any(zero_train & (s.dr_true >= level)[:, None], axis=0))
     cells = [h.to_json() for h in hypotheses]
@@ -193,11 +194,11 @@ def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) ->
                        f"{viol_key}_freq", int(np.count_nonzero(rows[viol_key])), delta)]
 
 
-def _batch_dr_s(s, rng, draws: int, n: int, m: int) -> np.ndarray:
-    """Empirical DR loss of every behavior on ``draws`` fresh training sets (view scratch)."""
+def _batch_dr_s(s, rng, draws: int, n: int, m: int, dr: bool = False):
+    """``dr_s`` of every behavior on ``draws`` fresh training sets, without ERM (view scratch)."""
     slots = s.view.draw_clean_slots(rng, draws * n)
     rows = s.view.draw_slot_counts(rng, slots, m, "true")
-    return s.view.dr_s(s.labels, slots, rows, draws, n, m)
+    return s.view.dr_s(s.labels, slots, rows, draws, n, m, False, dr)
 
 
 def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
@@ -209,9 +210,9 @@ def _double_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, g, trial)
         # S's losses live in the view's scratch, which scoring S' overwrites
-        zero = _batch_dr_s(s, rng, draws, n, m) <= EXACT_ZERO_TOL
+        zero = _batch_dr_s(s, rng, draws, n, m).hits == 0
         event_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0)
-        event_b = np.any(zero & (_batch_dr_s(s, rng, draws, n, m) >= epsilon / 2), axis=0)
+        event_b = np.any(zero & (_batch_dr_s(s, rng, draws, n, m, True).dr >= epsilon / 2), axis=0)
         d = event_b.astype(float) - 0.4 * event_a.astype(float)
         mean_d = float(d.mean())
         se_d = float(d.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0

@@ -93,10 +93,11 @@ def draw_with_oracle(view, r, slot_atoms, m, member_view="true"):
 
 
 def reference_dr_s(view, labels, slot_atoms, counts, trials, n, m):
-    """(dr_s, scores) from the dense tensor.
+    """(dr_s, scores, hits) from the dense tensor.
 
-    Both average the same per-slot worst losses: dr_s adds them left to
-    right, the scores pairwise, as numpy sums a contiguous axis.
+    dr_s and the scores average the same per-slot worst losses: dr_s adds
+    them left to right, the scores pairwise, as numpy sums a contiguous
+    axis.  hits sums the worst members' integer mistake counts.
     """
     mist = view.mistakes(labels)[:, slot_atoms, :]
     per_member = np.einsum("bnd,nkd->bnk", mist, counts.astype(float)) / m
@@ -104,7 +105,8 @@ def reference_dr_s(view, labels, slot_atoms, counts, trials, n, m):
     left_to_right = worst[:, :, 0].copy()
     for i in range(1, n):
         left_to_right += worst[:, :, i]
-    return left_to_right / n, worst.mean(axis=2)
+    hits = np.einsum("bnd,nkd->bnk", mist.astype(np.int64), counts).max(axis=2)
+    return left_to_right / n, worst.mean(axis=2), hits.reshape(len(labels), trials, n).sum(axis=2)
 
 
 def reference_erm(view, hclass, slot_atoms, counts, m):
@@ -179,17 +181,17 @@ def test_erm_on_sample_matches_enumeration(case, n):
         trials, m = 3, int(r.integers(1, 6))
         slots = view.draw_clean_slots(r, trials * n)
         rows, counts = draw_with_oracle(view, r, slots, m)
-        _, scores = view.dr_s(labels, slots, rows, trials, n, m, True)
+        scores = view.dr_s(labels, slots, rows, trials, n, m)
         seen = view.seen_points(slots, rows, trials, n)
         for t in range(trials):
             trial = slice(t * n, (t + 1) * n)
             want, want_loss = reference_erm(view, hclass, slots[trial], counts[trial], m)
-            got, got_loss = view.erm_on_sample(hclass, labels, witnesses, scores[:, t], seen[t])
+            got = view.erm_on_sample(hclass, labels, witnesses, scores.ties[:, t], seen[t])
             assert got == want
             assert got.to_json() == want.to_json()
-            assert got_loss == want_loss
+            assert scores.loss_emp[t] == want_loss
             assert np.array_equal(view.labels_of(got), view.labels_of(want))
-            ties += np.count_nonzero(scores[:, t] == want_loss) > 1
+            ties += np.count_nonzero(scores.ties[:, t]) > 1
     assert ties > 0  # the canonical tie-break among minimizers was exercised
 
 
@@ -200,16 +202,15 @@ def erm_chunk_oracle(cfg, s, g, chunk, lo, hi):
     rng = seeding.stream(cfg.master_seed, g, chunk)
     slots = view.draw_clean_slots(rng, trials * n)
     rows = view.draw_slot_counts(rng, slots, m, s.train_view)
-    dr_s, scores = view.dr_s(s.labels, slots, rows, trials, n, m, True)
+    scores = view.dr_s(s.labels, slots, rows, trials, n, m, dr=True)
+    dr_s, loss_emp = scores.dr, scores.loss_emp
     seen = view.seen_points(slots, rows, trials, n)
-    hypotheses, loss_emp = zip(*(view.erm_on_sample(s.hclass, s.labels, s.witnesses,
-                                                    scores[:, t], seen[t])
-                                 for t in range(trials)))
-    loss_emp = np.array(loss_emp)
+    hypotheses = [view.erm_on_sample(s.hclass, s.labels, s.witnesses, scores.ties[:, t], seen[t])
+                  for t in range(trials)]
     loss_pop = np.array([view.dr_exact(view.labels_of(h), "true")[0] for h in hypotheses])
-    keys = {(tuple(np.flatnonzero(scores[:, t] == loss_emp[t])), tuple(seen[t]))
-            for t in range(trials)}
-    return {"hypothesis": [h.to_json() for h in hypotheses], "loss_emp": loss_emp,
+    keys = {(tuple(np.flatnonzero(scores.ties[:, t])), tuple(seen[t])) for t in range(trials)}
+    # viol_any from the float losses' zero test, which the chunk's W == 0 must match
+    return {"hypothesis": [h.to_json() for h in hypotheses], "loss_emp": loss_emp.copy(),
             "loss_pop": loss_pop, "max_gap": np.abs(dr_s - s.dr_true[:, None]).max(axis=0),
             "viol_erm": (loss_emp <= suites.EXACT_ZERO_TOL) & (loss_pop >= level),
             "viol_any": np.any((dr_s <= suites.EXACT_ZERO_TOL) & (s.dr_true >= level)[:, None],
@@ -318,11 +319,14 @@ def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
         trials, m = int(r.integers(1, 7)), int(r.integers(1, 51))
         slots = view.draw_clean_slots(r, trials * n)
         rows, counts = draw_with_oracle(view, r, slots, m, member_view)
-        want, want_scores = reference_dr_s(view, labels, slots, counts, trials, n, m)
-        assert np.array_equal(view.dr_s(labels, slots, rows, trials, n, m), want)
-        dr_s, scores = view.dr_s(labels, slots, rows, trials, n, m, True)
-        assert np.array_equal(dr_s, want)
-        assert np.array_equal(scores, want_scores)
+        want, want_scores, want_hits = reference_dr_s(view, labels, slots, counts, trials, n, m)
+        for dr in (False, True):
+            got = view.dr_s(labels, slots, rows, trials, n, m, dr=dr)
+            assert np.array_equal(got.dr, want) if dr else got.dr is None
+            assert np.array_equal(got.hits, want_hits)
+            # the ERM reads the scores only at their minimum
+            assert np.array_equal(got.ties, want_scores == want_scores.min(axis=0))
+            assert np.array_equal(got.loss_emp, want_scores.min(axis=0))
     # the last run was the padded task's, with y = +1 slots to pad
     assert counts.shape[1] == 3 and np.any(view.atom_y[slots] == 1)
 
@@ -349,11 +353,161 @@ def test_dr_scores_float32_rows_match_float64(monkeypatch, block_bytes):
                 loss.put_member_rows(rows, j, i, r.permutation(counts), bool(r.integers(2)), m)
         wide = rows.astype(np.float64)
         assert np.array_equal(rows, wide)
-        got = (loss.dr_scores(labels, rows, trials, n, m),
-               *loss.dr_scores(labels, rows, trials, n, m, True))
-        dr, scores = loss.dr_scores(labels, wide, trials, n, m, True)
-        for a, b in zip(got, (dr, dr, scores)):
-            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        want = loss.dr_scores(labels, wide, trials, n, m, dr=True)
+        for dr in (False, True):
+            got = loss.dr_scores(labels, rows, trials, n, m, dr=dr)
+            for name in ("hits", "ties", "loss_emp") + ("dr",) * dr:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert got.loss_emp.dtype == np.float64 and want.dr.dtype == np.float64
+
+
+def float_dr_scores(labels, rows, trials, n, m):
+    """The float scorer ``dr_scores`` once was: (dr, scores), each behavior's mean of count / m.
+
+    The products come from one dense float64 contraction.  dr adds the
+    quotients left to right, the scores pairwise, as numpy sums a
+    contiguous axis, and the ERM took its minimizers off the scores.
+    """
+    wide = rows.astype(float)
+    plus = np.ones((rows.shape[2], len(labels)))
+    plus[:-1] = labels.T == 1
+    worst = np.max([plus.T @ member.T for member in wide], axis=0)
+    per_trial = (worst / m).reshape(len(labels), trials, n)
+    dr = per_trial[:, :, 0].copy()
+    for i in range(1, n):
+        dr += per_trial[:, :, i]
+    return dr / n, per_trial.mean(axis=2)
+
+
+def integer_hits(labels, rows, trials, n):
+    """(B, trials) summed worst-member mistake counts, in int64."""
+    plus = np.ones((rows.shape[2], len(labels)), np.int64)
+    plus[:-1] = labels.T == 1
+    worst = np.max([plus.T @ member.T for member in rows.astype(np.int64)], axis=0)
+    return worst.reshape(len(labels), trials, n).sum(axis=2)
+
+
+def random_rows(r, kmax, slots, n_d, m):
+    """Member rows of random batches on random y = +-1 slots; some members are padding."""
+    rows = loss.member_rows(kmax, slots, n_d, m)
+    for i in range(slots):
+        positive = bool(r.integers(2))
+        for j in range(1 + int(r.integers(kmax))):
+            counts = r.multinomial(m, r.dirichlet(np.full(n_d, 0.5)))
+            loss.put_member_rows(rows, j, i, counts, positive, m)
+    return rows
+
+
+def assert_matches_float_oracle(labels, rows, trials, n, m):
+    """``dr_scores`` against the float oracle, with and without dr; returns the scores."""
+    want_dr, want_scores = float_dr_scores(labels, rows, trials, n, m)
+    for dr in (False, True):
+        got = loss.dr_scores(labels, rows, trials, n, m, dr=dr)
+        assert np.array_equal(got.hits, integer_hits(labels, rows, trials, n))
+        assert np.array_equal(got.ties, want_scores == want_scores.min(axis=0))
+        assert got.loss_emp.tobytes() == want_scores.min(axis=0).tobytes()
+        assert got.dr.tobytes() == want_dr.tobytes() if dr else got.dr is None
+        # W == 0 is the float zero test
+        assert np.array_equal(got.hits == 0, want_dr <= suites.EXACT_ZERO_TOL)
+    return got
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000, loss.DR_S_BLOCK_BYTES],
+                         ids=["one-trial-blocks", "small-blocks", "default"])
+def test_exact_scorer_matches_float_oracle(monkeypatch, block_bytes):
+    # k = 1 to 3 members with padding rows, y = +-1 slots, n on either side
+    # of numpy's 8-element pairwise-sum switch, and duplicate behaviors
+    monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
+    ties = 0
+    for seed in range(40):
+        r = rng_for(1600 + seed)
+        n_d, kmax = int(r.integers(1, 9)), int(r.integers(1, 4))
+        trials, n, m = int(r.integers(1, 7)), (1, 2, 3, 8, 20, 50)[seed % 6], int(r.integers(1, 30))
+        labels = r.choice(np.array([-1, 1], dtype=np.int8), size=(int(r.integers(1, 40)), n_d))
+        got = assert_matches_float_oracle(labels, random_rows(r, kmax, trials * n, n_d, m),
+                                          trials, n, m)
+        ties += np.any(got.ties.sum(axis=0) > 1)
+    assert ties > 0
+
+
+@pytest.mark.parametrize("n, m", [(50, (1 << 19) + 1), (3, (1 << 24) + 1), (2, 1 << 30)],
+                         ids=["float32-rows", "float64-rows", "float64-rows-2"])
+def test_exact_scorer_sums_past_float32(n, m):
+    # n * m > 2**24: float32 rows sum in float64, and float64 rows as they are
+    r = rng_for(n)
+    labels = r.choice(np.array([-1, 1], dtype=np.int8), size=(30, 6))
+    rows = random_rows(r, 2, 4 * n, 6, m)
+    assert rows.dtype == (np.float32 if m <= 1 << 24 else np.float64) and n * m > 1 << 24
+    assert_matches_float_oracle(labels, rows, 4, n, m)
+
+
+def test_exact_scorer_breaks_equal_hits_on_floats():
+    # Three y = -1 slots of m = 10 draws over three points.  Behavior 0 hits
+    # 1, 2 and 3 draws, behavior 1 hits 3, 2 and 1: W = 6 for both, but
+    # 0.1 + 0.2 + 0.3 > 0.3 + 0.2 + 0.1 in floats, so the ERM takes
+    # behavior 1, as a float argmin does (D2); behavior 2 hits everything.
+    rows = loss.member_rows(1, 3, 3, 10)
+    for i, counts in enumerate(([1, 3, 6], [2, 2, 6], [3, 1, 6])):
+        loss.put_member_rows(rows, 0, i, np.array(counts), False, 10)
+    labels = np.array([[1, -1, -1], [-1, 1, -1], [1, 1, 1]], dtype=np.int8)
+    got = assert_matches_float_oracle(labels, rows, 1, 3, 10)
+    assert got.hits[:, 0].tolist() == [6, 6, 30] and got.ties[:, 0].tolist() == [False, True, False]
+
+
+def test_exact_scorer_takes_every_behavior_past_the_order_bound():
+    # n = 2, m = 2**52 - 1: n * m * (n + 1) >= 2**52, where one more mistake
+    # can round to a float loss no larger.  Behavior 1 mislabels one more
+    # draw than behavior 0, and its float loss is no larger, so it is a
+    # minimizer: only a scorer that takes every behavior as a candidate
+    # finds it.
+    n, m = 2, (1 << 52) - 1
+    r = rng_for(52)
+    labels = np.array([[1, -1, -1], [1, 1, -1]], dtype=np.int8)
+    for _ in range(100):
+        hit = r.integers(m // 2, m - 1, size=2)
+        rows = loss.member_rows(1, 2, 3, m)
+        for i in range(2):
+            loss.put_member_rows(rows, 0, i, np.array([hit[i], i == 0, m - hit[i] - (i == 0)]),
+                                 False, m)
+        _, scores = float_dr_scores(labels, rows, 1, n, m)
+        if scores[1, 0] <= scores[0, 0]:
+            break
+    got = assert_matches_float_oracle(labels, rows, 1, n, m)
+    assert got.hits[1, 0] == got.hits[0, 0] + 1 and got.ties[1, 0]
+
+
+def test_exact_scorer_allocates_no_float_quotient():
+    # without dr, only the ERM candidates' quotients are formed: no
+    # (B, slots) float64 array, which alone would take 8 bytes a product
+    r = rng_for(8)
+    trials, n, m = 20, 50, 50
+    labels = r.choice(np.array([-1, 1], dtype=np.int8), size=(200, 30))
+    rows = random_rows(r, 1, trials * n, 30, m)
+    view = FiniteView(task_from_dict(PADDED_TASK))
+    tracemalloc.start()
+    try:
+        view.dr_s(labels, None, rows, trials, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(labels) * trials * n * 8, peak
+
+
+def test_draw_slot_counts_frees_each_batch():
+    # one atom's multinomial counts are freed before the next atom's are
+    # drawn: the peak is the rows plus the larger atom's counts
+    view = FiniteView(build_task(line_task(256)))
+    r = rng_for(256)
+    slots = view.draw_clean_slots(r, 4000).copy()
+    tracemalloc.start()
+    try:
+        rows = view.draw_slot_counts(r, slots, 50, "true")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = np.bincount(slots).max() * view.n_points * 8
+    assert peak < rows.nbytes + counts + (1 << 16), (peak, rows.nbytes, counts)
 
 
 # Every kind of member row: point masses at the first (0.0), a middle (2.0)
@@ -601,14 +755,15 @@ def test_reused_view_matches_fresh_view():
         slots = view.draw_clean_slots(r, trials * n).copy()
         before_rows = copy.deepcopy(r)
         rows = view.draw_slot_counts(r, slots, m, "true").copy()
-        dr, scores = (a.copy() for a in view.dr_s(labels, slots, rows, trials, n, m, True))
+        scores = [a.copy() for a in view.dr_s(labels, slots, rows, trials, n, m, dr=True)]
         fresh = FiniteView(task)
         want_slots = fresh.draw_clean_slots(ref, trials * n)
         want_rows = fresh.draw_slot_counts(ref, want_slots, m, "true")
-        want_dr, want_scores = fresh.dr_s(labels, want_slots, want_rows, trials, n, m, True)
+        want_scores = fresh.dr_s(labels, want_slots, want_rows, trials, n, m, dr=True)
         assert slots.tobytes() == want_slots.tobytes()
         assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
-        assert dr.tobytes() == want_dr.tobytes() and scores.tobytes() == want_scores.tobytes()
+        for got, want in zip(scores, want_scores):
+            assert got.tobytes() == want.tobytes()
         assert repr(r.bit_generator.state) == repr(ref.bit_generator.state)
         # and the oracle's: no stale padding row survives
         counts = oracle_counts(view, before_rows, slots, m, "true")
@@ -676,10 +831,12 @@ def test_double_chunk_on_reused_view_matches_fresh_view():
     def fresh_batch(rng):
         view = FiniteView(s.view.task)
         slots = view.draw_clean_slots(rng, draws * n)
-        return loss.dr_scores(s.labels, view.draw_slot_counts(rng, slots, m, "true"), draws, n, m)
+        rows = view.draw_slot_counts(rng, slots, m, "true")
+        return loss.dr_scores(s.labels, rows, draws, n, m, dr=True).dr
 
     for trial, got in enumerate(reused):
         rng = seeding.stream(cfg.master_seed, 0, trial)
+        # the float losses' zero test, which the chunk's W == 0 must match
         dr = [fresh_batch(rng), fresh_batch(rng)]
         zero = dr[0] <= suites.EXACT_ZERO_TOL
         pr_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0).mean()

@@ -10,9 +10,16 @@ from drloss.hypo import (
     Threshold,
     ThresholdClass,
 )
+from drloss import learner
+from drloss.hypo import threshold_cuts
 from drloss.learner import LearnConfig, draw_training_set, drerm
 from drloss.loss import SampleSet, TaskInstance, empirical_dr_loss, population_dr_loss_exact
-from drloss.perturb import DistributionError, DistributionFamily, FiniteDistribution
+from drloss.perturb import (
+    DistributionError,
+    DistributionFamily,
+    FiniteDistribution,
+    GaussianDistribution,
+)
 from drloss.seeding import stream
 from drloss.tasks import random_finite_task, random_table_hypothesis, t1, with_label_noise
 from drloss.xprun.indexed import FiniteView
@@ -155,6 +162,66 @@ def test_drerm_threshold_on_tuple_points_raises_domain_error():
     s = SampleSet(clean=(((0.0, 1.0), -1),), perturbed={(0, 0): ((0.0, 1.0), (2.0, 3.0))}, m=2)
     with pytest.raises(DomainError):
         drerm(ThresholdClass(), s)
+
+
+def scores_threshold(cuts: list, s: SampleSet) -> np.ndarray:
+    """The float threshold scorer ``drerm`` once ran: each cut's mean of worst count / m.
+
+    One searchsorted pass per batch: at cut t a batch misclassifies its
+    draws >= t (y = -1) or < t (y = +1).  The ERM cut was the first float
+    minimum.
+    """
+    candidates = np.asarray(cuts)
+    worst = np.zeros((len(candidates), s.n))
+    for (i, _), batch in s.perturbed.items():
+        below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
+        wrong = below if s.clean[i][1] == 1 else (s.m - below)
+        np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
+    return worst.mean(axis=1)
+
+
+def gaussian_task(members: int) -> TaskInstance:
+    """The smoothing task's two atoms, each with one or two Gaussian members."""
+    data = FiniteDistribution([(0.0, -1), (3.0, 1)], [0.5, 0.5])
+    return TaskInstance(data, {x: DistributionFamily([GaussianDistribution(x + 0.7 * j, 1.0 + j)
+                                                      for j in range(members)], k=members)
+                               for x in (0.0, 3.0)})
+
+
+def finite_sample_set(r, members: int, negative_only: bool) -> SampleSet:
+    """Draws from a few quarter points, so that cuts tie; clean points may go undrawn."""
+    pool = [float(v) for v in r.choice(40, size=int(r.integers(1, 8)), replace=False) / 4]
+    n, m = int(r.integers(1, 9)), int(r.integers(1, 7))
+    clean = tuple((pool[int(r.integers(len(pool)))],
+                   -1 if negative_only else int(r.choice([-1, 1]))) for _ in range(n))
+    perturbed = {(i, j): tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
+                 for i in range(n) for j in range(members)}
+    return SampleSet(clean=clean, perturbed=perturbed, m=m)
+
+
+@pytest.mark.parametrize("case", ["gaussian-1", "gaussian-2", "finite-1", "finite-2"])
+def test_threshold_erm_matches_float_oracle(case):
+    # one member per example takes the pooled counts, two the per-example
+    # max; the Gaussian sets include three at the smoothing suite's n = m = 100
+    members = int(case[-1])
+    ties = sentinel = 0
+    for seed in range(30):
+        r = rng_for(1700 + seed)
+        if case.startswith("gaussian"):
+            n, m = (100, 100) if seed < 3 else (int(r.integers(1, 30)), int(r.integers(1, 30)))
+            s = draw_training_set(gaussian_task(members), LearnConfig(n=n, m=m), r)
+        else:
+            # all-negative sets leave the all-minus sentinel cut as the minimizer
+            s = finite_sample_set(r, members, negative_only=seed % 3 == 0)
+        cuts = threshold_cuts(s.all_points())
+        want = scores_threshold(cuts, s)
+        assert np.array_equal(learner._threshold_ties(cuts, s)[:, 0], want == want.min())
+        best = int(np.argmin(want))
+        assert drerm(ThresholdClass(), s) == Threshold(float(cuts[best]))
+        ties += np.count_nonzero(want == want.min()) > 1
+        sentinel += best == len(cuts) - 1
+    if case.startswith("finite"):
+        assert ties > 0 and sentinel > 0
 
 
 def fit_threshold(task, n: int, m: int, seed: int):

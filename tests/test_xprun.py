@@ -252,10 +252,11 @@ class TestFiniteViewEquivalence:
                 n, m = 4, 3
                 slots = view.draw_clean_slots(r, n)
                 rows = view.draw_slot_counts(r, slots, m, "true")
-                dr_s = view.dr_s(labels, slots, rows, 1, n, m)[:, 0]
+                scores = view.dr_s(labels, slots, rows, 1, n, m, dr=True)
                 s = self._materialize(view, slots, rows, m)
-                for val, w in zip(dr_s, witnesses):
+                for val, hits, w in zip(scores.dr[:, 0], scores.hits[:, 0], witnesses):
                     assert val == pytest.approx(empirical_dr_loss(w, s), abs=1e-12)
+                    assert hits == round(empirical_dr_loss(w, s) * n * m)
 
     @pytest.mark.parametrize("case", ["threshold", "interval", "finite-table"])
     def test_erm_on_sample_matches_learner_drerm(self, case):
@@ -276,9 +277,10 @@ class TestFiniteViewEquivalence:
             slots = view.draw_clean_slots(r, n)
             rows = view.draw_slot_counts(r, slots, m, "true")
             labels, witnesses = view.behaviors(hclass)
-            _, scores = view.dr_s(labels, slots, rows, 1, n, m, True)
-            witness, best = view.erm_on_sample(hclass, labels, witnesses, scores[:, 0],
-                                               view.seen_points(slots, rows, 1, n)[0])
+            scores = view.dr_s(labels, slots, rows, 1, n, m)
+            witness = view.erm_on_sample(hclass, labels, witnesses, scores.ties[:, 0],
+                                         view.seen_points(slots, rows, 1, n)[0])
+            best = scores.loss_emp[0]
             s = self._materialize(view, slots, rows, m)
             direct = drerm(hclass, s)
             assert witness == direct
