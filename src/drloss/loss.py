@@ -221,8 +221,8 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     The products and their max stay in the rows' dtype, where they are
     exact integers, and sum to W exactly: in float32 while n * m <= 2**24,
     else in float64 (to 2**53).  Decisions are made on W: zero training loss
-    is W == 0 (the float test loss <= 1e-12 agrees while n * m <= 10**11),
-    and with ``ties``, ``erm_ties`` picks the minimizers from the least W.
+    is W == 0, and with ``ties``, ``erm_ties`` picks the minimizers from the
+    least W.
     Float losses are formed only for the reports: ``loss_emp``, and with
     ``dr`` every behavior's, summed left to right.  A block stays within
     ``DR_S_BLOCK_BYTES``.

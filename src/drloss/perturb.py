@@ -22,8 +22,8 @@ Point = Union[float, int, tuple]
 RENORMALIZE_TOL = 1e-9
 COVER_TOL = 1e-12
 # categorical() counts cdf steps for up to COUNT_MAX_K categories and at least
-# COUNT_MIN_DRAWS draws, and binary-searches otherwise; see ROADMAP.md for the
-# timings they were chosen from
+# COUNT_MIN_DRAWS draws, and binary-searches otherwise; CHANGES.md (the
+# columnar-tables follow-up) has the timings they were chosen from
 COUNT_MAX_K = 8
 COUNT_MIN_DRAWS = 1000
 DRAW_BLOCK = 1 << 14  # uniforms per block of the counting path: 128 KiB of float64
@@ -240,12 +240,10 @@ def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator)
         return [dist.support[i] for i in sample_indices(dist, count, rng)]
     if isinstance(dist, GaussianDistribution):
         if isinstance(dist.center, tuple):
-            d = len(dist.center)
-            noise = rng.standard_normal((count, d)) * dist.sigma
-            c = np.asarray(dist.center)
-            return [tuple(float(v) for v in c + row) for row in noise]
+            noise = rng.standard_normal((count, len(dist.center))) * dist.sigma
+            return list(map(tuple, (np.asarray(dist.center) + noise).tolist()))
         noise = rng.standard_normal(count) * dist.sigma
-        return [float(dist.center + e) for e in noise]
+        return (dist.center + noise).tolist()
     raise DistributionError(f"cannot sample from {type(dist).__name__}")
 
 

@@ -91,7 +91,7 @@ class FiniteView:
         return (labels[:, None, :] != self.atom_y[None, :, None]).astype(float)
 
     def worst_member(self, labels: np.ndarray, view: str) -> np.ndarray:
-        """(B, atoms) exact error of each behavior's worst member at each atom."""
+        """(B, atoms) exact worst-member errors, each 0 iff no point with mass is mislabeled."""
         probs, _ = self._members[view]
         return np.einsum("bad,akd->bak", self.mistakes(labels), probs).max(axis=2)
 
@@ -183,15 +183,6 @@ class FiniteView:
         seen = np.any(rows[:, :, :-1], axis=0).reshape(trials, n, self.n_points).any(axis=1)
         seen[np.arange(trials).repeat(n), self.atom_point_idx[slot_atoms]] = True
         return seen
-
-    def dr_s_exact_inner(self, labels: np.ndarray, slot_atoms: np.ndarray,
-                         trials: int, n: int, view: str) -> np.ndarray:
-        """Empirical loss with the inner averages replaced by exact expectations.
-
-        Models the m -> infinity limit: only the clean-sample noise remains.
-        """
-        worst = self.worst_member(labels, view)
-        return worst[:, slot_atoms].reshape(len(labels), trials, n).mean(axis=2)
 
     def labels_of(self, h) -> np.ndarray:
         """(1, D) labels of one hypothesis on the domain points."""

@@ -8,6 +8,13 @@ config against ``config.SCHEMA`` and drives every row the same way; setups
 and chunks read the checked values.  Each work unit derives its own random
 streams from its address, so reports are identical regardless of worker
 count.
+
+Zero loss is exact: a sampled training loss is zero when its mistake count
+W is 0; under ``exact_inner`` and in the realizable check, when the
+worst-member error, a sum of nonnegative probabilities, is exactly 0 at
+every drawn atom or atom of positive mass (a weighted mean can underflow).
+Population losses against levels and double-sampling's S' event stay float
+comparisons: the engine's losses are not correctly rounded (ROADMAP D5).
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from .indexed import FiniteView
 from .report import ExperimentReport, table_from_rows
 
 CHUNK = 256
-EXACT_ZERO_TOL = 1e-12
 SEED_DUMP_LIMIT = 100_000  # max trials * t for verbatim hex seed dumps
 
 
@@ -86,11 +92,11 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     dr_true = view.dr_exact(labels, "true")
 
     if cfg.kind == "realizable":
-        best = float(dr_true.min())
-        if best > EXACT_ZERO_TOL:
+        best = float(view.worst_member(labels, "true")[:, view.atom_p > 0].max(axis=1).min())
+        if best > 0:
             raise ConfigError(
-                "task is not realizable: exhaustive enumeration of "
-                f"{len(dr_true)} behaviors has minimum exact DR loss {best:.6g} > 0"
+                f"task is not realizable: each of the {len(labels)} behaviors has a worst-member "
+                f"error at an atom of positive mass of at least {best:.6g} > 0"
             )
     if cfg.kind == "model2":
         for x, _, _ in task.atoms():
@@ -132,11 +138,13 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
     rng = seeding.stream(cfg.master_seed, g, chunk)
     slots = view.draw_clean_slots(rng, trials * n)
     if exact_inner:
-        # no sampled points to restrict to; minimize over the full-domain behaviors
-        dr_s = view.dr_s_exact_inner(s.labels, slots, trials, n, s.train_view)
-        zero_train = dr_s <= EXACT_ZERO_TOL
+        # m -> infinity: exact worst-member errors, ERM over the full-domain behaviors
+        worst = view.worst_member(s.labels, s.train_view)[:, slots].reshape(-1, trials, n)
+        dr_s = worst.mean(axis=2)
+        zero_train = ~worst.any(axis=2)
         best = dr_s.argmin(axis=0)
         loss_emp = dr_s[best, np.arange(trials)]
+        erm_zero = zero_train[best, np.arange(trials)]
         loss_pop = s.dr_true[best]
         picks, inverse = np.unique(best, return_inverse=True)
         hypotheses = [s.witnesses[b] for b in picks]
@@ -144,6 +152,7 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         rows = view.draw_slot_counts(rng, slots, m, s.train_view)
         scores = view.dr_s(s.labels, slots, rows, trials, n, m, True, cfg.kind == "agnostic")
         dr_s, zero_train = scores.dr, scores.hits == 0
+        erm_zero = zero_train.any(axis=0)  # the minimizers' W is the trial's least
         seen = view.seen_points(slots, rows, trials, n)
         loss_emp = scores.loss_emp.copy()
         # a trial's witness is fixed by the behaviors at its minimum and the
@@ -168,7 +177,7 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
         max_gap = np.abs(dr_s - s.dr_true[:, None]).max(axis=0)
         cols.update(max_gap=max_gap, viol=max_gap > epsilon)
     else:
-        cols.update(viol_erm=(loss_emp <= EXACT_ZERO_TOL) & (loss_pop >= level),
+        cols.update(viol_erm=erm_zero & (loss_pop >= level),
                     viol_any=np.any(zero_train & (s.dr_true >= level)[:, None], axis=0))
     cells = [h.to_json() for h in hypotheses]
     cols["hypothesis"] = [cells[i] for i in inverse.tolist()]

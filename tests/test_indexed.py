@@ -27,6 +27,7 @@ import pytest
 import drloss
 import drloss.loss as loss
 from drloss import seeding
+from drloss.cli import main as cli_main
 from drloss.hypo import (
     AxisRectClass,
     FiniteClass,
@@ -43,6 +44,11 @@ from drloss.tasks import (
 from drloss.xprun import load_config, suites
 from drloss.xprun.config import check
 from drloss.xprun.indexed import FiniteView
+
+
+# the float oracles' zero test: a float loss this small is a zero loss, as
+# the engine once decided; its exact W == 0 must agree with it
+FLOAT_ZERO_TOL = 1e-12
 
 
 def rng_for(seed):
@@ -195,6 +201,22 @@ def test_erm_on_sample_matches_enumeration(case, n):
     assert ties > 0  # the canonical tie-break among minimizers was exercised
 
 
+def finite_setup(task, hclass, level):
+    """The setup ``_erm_chunk`` reads, without the realizable check, at one loss level."""
+    view = FiniteView(task)
+    labels, witnesses = view.behaviors(hclass)
+    return SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
+                           dr_true=view.dr_exact(labels, "true"), train_view="true",
+                           levels=[level], eps_prime=float("nan"),
+                           k=task.max_family_size("true"))
+
+
+def erm_config(kind, n, m, epsilon, exact_inner, seed=0):
+    cfg = load_config(kind, seed=seed)
+    cfg.grid = [{"n": n, "m": m, "epsilon": epsilon, "delta": 0.05, "exact_inner": exact_inner}]
+    return cfg
+
+
 def erm_chunk_oracle(cfg, s, g, chunk, lo, hi):
     """The ERM chunk's ERM columns with one ``erm_on_sample`` per trial."""
     n, m = cfg.grid[g]["n"], cfg.grid[g]["m"]
@@ -212,8 +234,8 @@ def erm_chunk_oracle(cfg, s, g, chunk, lo, hi):
     # viol_any from the float losses' zero test, which the chunk's W == 0 must match
     return {"hypothesis": [h.to_json() for h in hypotheses], "loss_emp": loss_emp.copy(),
             "loss_pop": loss_pop, "max_gap": np.abs(dr_s - s.dr_true[:, None]).max(axis=0),
-            "viol_erm": (loss_emp <= suites.EXACT_ZERO_TOL) & (loss_pop >= level),
-            "viol_any": np.any((dr_s <= suites.EXACT_ZERO_TOL) & (s.dr_true >= level)[:, None],
+            "viol_erm": (loss_emp <= FLOAT_ZERO_TOL) & (loss_pop >= level),
+            "viol_any": np.any((dr_s <= FLOAT_ZERO_TOL) & (s.dr_true >= level)[:, None],
                                axis=0)}, len(keys)
 
 
@@ -232,17 +254,10 @@ def test_erm_chunk_matches_per_trial_erm(monkeypatch, case, noise, n):
         r, task, hclass = case_task(case, 1200 + seed)
         if noise:
             task = with_label_noise(task, 0.25)
-        view = FiniteView(task)
-        labels, witnesses = view.behaviors(hclass)
-        dr_true = view.dr_exact(labels, "true")
         epsilon = float(r.choice([0.0, 0.1, 0.3]))
-        s = SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
-                            dr_true=dr_true, train_view="true", levels=[epsilon],
-                            eps_prime=float("nan"), k=task.max_family_size("true"))
+        s = finite_setup(task, hclass, epsilon)
         for kind, viol in (("realizable", ("viol_erm", "viol_any")), ("agnostic", ("max_gap",))):
-            cfg = load_config(kind, seed=seed)
-            cfg.grid = [{"n": n, "m": int(r.integers(1, 6)), "epsilon": epsilon, "delta": 0.05,
-                         "exact_inner": False}]
+            cfg = erm_config(kind, n, int(r.integers(1, 6)), epsilon, False, seed)
             trials = int(r.integers(1, 60))
             want, keys = erm_chunk_oracle(cfg, s, 0, 0, 0, trials)
             calls.clear()
@@ -254,6 +269,158 @@ def test_erm_chunk_matches_per_trial_erm(monkeypatch, case, noise, n):
                 assert got[col].tobytes() == want[col].tobytes(), col
             shared += keys < trials
     assert shared > 0  # some trials did reuse another's ERM
+
+
+def exact_inner_oracle(cfg, s, trials):
+    """The exact-inner ERM columns from the gathered means, zero read per drawn atom."""
+    n, level = cfg.grid[0]["n"], s.levels[0]
+    slots = s.view.draw_clean_slots(seeding.stream(cfg.master_seed, 0, 0), trials * n)
+    worst = s.view.worst_member(s.labels, s.train_view)
+    dr_s = worst[:, slots].reshape(len(s.labels), trials, n).mean(axis=2)
+    zero = np.array([[all(worst[b, a] == 0 for a in set(slots[t * n:(t + 1) * n].tolist()))
+                      for t in range(trials)] for b in range(len(s.labels))])
+    best = dr_s.argmin(axis=0)
+    loss_pop = s.dr_true[best]
+    return {"hypothesis": [s.witnesses[b].to_json() for b in best],
+            "loss_emp": dr_s[best, np.arange(trials)], "loss_pop": loss_pop,
+            "max_gap": np.abs(dr_s - s.dr_true[:, None]).max(axis=0),
+            "viol_erm": zero[best, np.arange(trials)] & (loss_pop >= level),
+            "viol_any": np.any(zero & (s.dr_true >= level)[:, None], axis=0)}
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("case", CASES)
+def test_exact_inner_chunk_matches_gathered_means(case, n):
+    # the folded branch against worst[:, slots].reshape(B, trials, n).mean(axis=2)
+    zeros = 0
+    for seed in range(12):
+        r, task, hclass = case_task(case, 1700 + seed)
+        s = finite_setup(task, hclass, float(r.choice([0.0, 0.1, 0.3])))
+        trials = int(r.integers(1, 40))
+        for kind, viol in (("realizable", ("viol_erm", "viol_any")), ("agnostic", ("max_gap",))):
+            cfg = erm_config(kind, n, 1, s.levels[0], True, seed)
+            want = exact_inner_oracle(cfg, s, trials)
+            got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+            assert got["hypothesis"] == want["hypothesis"]
+            for col in ("loss_emp", "loss_pop") + viol:
+                assert got[col].dtype == want[col].dtype, col
+                assert got[col].tobytes() == want[col].tobytes(), col
+            zeros += int(np.count_nonzero(want["viol_any"]))
+    assert zeros > 0  # some trial had a zero-loss behavior at the level
+
+
+def leaky_task(mass: float) -> dict:
+    """Two atoms whose one member each puts ``mass`` on the other atom's point.
+
+    The threshold at 3 mislabels only those two points and every other
+    threshold mislabels a point of mass at least 1 - ``mass``, so no
+    behavior has zero loss, though the best one's is below 1e-12.
+    """
+    return {"inline": {
+        "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
+        "distributions": {"leak0": [[0.0, 1.0 - mass], [3.0, mass]],
+                          "leak3": [[3.0, 1.0 - mass], [0.0, mass]]},
+        "families": [{"x": 0.0, "true": ["leak0"], "k": 1},
+                     {"x": 3.0, "true": ["leak3"], "k": 1}],
+    }}
+
+
+LEAKS = [1e-13, 5e-324]
+
+
+@pytest.mark.parametrize("mass", LEAKS, ids=["1e-13", "5e-324"])
+def test_realizable_rejects_a_leak_below_any_tolerance(tmp_path, capsys, mass):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "realizable", "trials": 2, "task": leaky_task(mass)}))
+    assert cli_main(["realizable", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: task is not realizable") and "0 > 0" not in err
+    # the message names the positive error: the leaked mass itself
+    assert 0 < float(err.split()[-3]) <= 1e-13
+
+
+@pytest.mark.parametrize("mass", LEAKS, ids=["1e-13", "5e-324"])
+def test_exact_inner_leak_is_not_zero_loss(mass):
+    # the best behavior's exact-inner loss rounds to at most 1e-12, or to 0,
+    # yet it mislabels mass at every drawn atom, so no trial violates
+    s = finite_setup(build_task(leaky_task(mass)), ThresholdClass(), 0.0)
+    n, trials = 64, 20
+    cfg = erm_config("realizable", n, 1, 0.0, True)
+    slots = s.view.draw_clean_slots(seeding.stream(cfg.master_seed, 0, 0), trials * n)
+    assert all(len(set(trial)) == 2 for trial in slots.reshape(trials, n).tolist())
+    got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+    assert got["hypothesis"] == [{"classTag": "threshold-1d", "params": {"t": 3.0}}] * trials
+    assert np.all(got["loss_emp"] <= 1e-12)
+    assert not got["viol_erm"].any() and not got["viol_any"].any()
+
+
+def test_exact_inner_viol_erm_reads_the_picked_behavior():
+    # the threshold at 1 leaks 5e-324 at atom 0, so with one atom-0 slot among
+    # three its float mean is 0.0, and argmin picks it before the zero-loss
+    # threshold at 3; that pick has no zero loss, so viol_erm stays false
+    task = build_task({"inline": {
+        "atoms": [[0.0, -1, 0.25], [3.0, 1, 0.75]],
+        "distributions": {"leak": [[0.0, 1.0], [1.0, 5e-324]], "at3": [[3.0, 1.0]]},
+        "families": [{"x": 0.0, "true": ["leak"], "k": 1}, {"x": 3.0, "true": ["at3"], "k": 1}],
+    }})
+    s = finite_setup(task, ThresholdClass(), 0.0)
+    n, trials = 3, 200
+    cfg = erm_config("realizable", n, 1, 0.0, True)
+    slots = s.view.draw_clean_slots(seeding.stream(cfg.master_seed, 0, 0), trials * n)
+    one_leak = np.count_nonzero(slots.reshape(trials, n) == 0, axis=1) == 1
+    assert one_leak.any() and not one_leak.all()
+    got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+    picked = [h["params"]["t"] for h in got["hypothesis"]]
+    assert all(t == 1.0 for t, one in zip(picked, one_leak) if one)
+    assert np.array_equal(got["viol_erm"], ~one_leak)
+    assert got["viol_any"].all()
+
+
+@pytest.mark.parametrize("exact_inner", [False, True], ids=["sampled", "exact-inner"])
+@pytest.mark.parametrize("case", ["threshold", "interval", "finite-table"])
+def test_level_equal_to_a_loss_counts_as_reached(case, exact_inner):
+    # on tasks with probabilities in sixteenths every loss is an exact sum, so
+    # a level set to a behavior's loss is met exactly: ">=" counts it, and a
+    # violating ERM pick is one of the behaviors viol_any counts
+    boundary = erm_boundary = 0
+    for seed in range(25):
+        r = rng_for(2300 + seed)
+        task = random_finite_task(r, max_points=6, grid=16)
+        if case == "finite-table":
+            points = task.domain_points(views=("true",))
+            hclass = FiniteClass([random_table_hypothesis(r, points) for _ in range(6)])
+        else:
+            hclass = ThresholdClass() if case == "threshold" else IntervalClass()
+        s = finite_setup(task, hclass, 0.0)
+        assert [loss.population_dr_loss_exact(w, task) for w in s.witnesses] == s.dr_true.tolist()
+        positive = np.unique(s.dr_true[s.dr_true > 0])
+        if len(positive) == 0:
+            continue
+        level = float(positive[0])
+        s.levels = [level]
+        n, m, trials = int(r.integers(1, 4)), int(r.integers(1, 4)), 60
+        cfg = erm_config("realizable", n, m, level, exact_inner, seed)
+        if exact_inner:
+            worst = s.view.worst_member(s.labels, "true")
+            slots = s.view.draw_clean_slots(seeding.stream(cfg.master_seed, 0, 0), trials * n)
+            zero = ~worst[:, slots].reshape(len(s.labels), trials, n).any(axis=2)
+        else:
+            rng = seeding.stream(cfg.master_seed, 0, 0)
+            slots = s.view.draw_clean_slots(rng, trials * n)
+            rows = s.view.draw_slot_counts(rng, slots, m, "true")
+            zero = loss.dr_scores(s.labels, rows, trials, n, m).hits == 0
+        got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+        reached = zero & (s.dr_true >= level)[:, None]
+        assert np.array_equal(got["viol_any"], reached.any(axis=0))
+        assert not np.any(got["viol_erm"] & ~got["viol_any"])
+        # trials whose only zero-loss behaviors at or above the level sit on it
+        on_level = reached.any(axis=0) & ~np.any(zero & (s.dr_true > level)[:, None], axis=0)
+        assert got["viol_any"][on_level].all()
+        boundary += int(np.count_nonzero(on_level))
+        picked = (got["loss_pop"] == level) & (got["loss_emp"] == 0.0)
+        assert got["viol_erm"][picked].all()
+        erm_boundary += int(np.count_nonzero(picked))
+    assert boundary > 0 and erm_boundary > 0
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -409,7 +576,7 @@ def assert_matches_float_oracle(labels, rows, trials, n, m):
         assert got.loss_emp.tobytes() == want_scores.min(axis=0).tobytes()
         assert got.dr.tobytes() == want_dr.tobytes() if dr else got.dr is None
         # W == 0 is the float zero test
-        assert np.array_equal(got.hits == 0, want_dr <= suites.EXACT_ZERO_TOL)
+        assert np.array_equal(got.hits == 0, want_dr <= FLOAT_ZERO_TOL)
     return got
 
 
@@ -838,7 +1005,7 @@ def test_double_chunk_on_reused_view_matches_fresh_view():
         rng = seeding.stream(cfg.master_seed, 0, trial)
         # the float losses' zero test, which the chunk's W == 0 must match
         dr = [fresh_batch(rng), fresh_batch(rng)]
-        zero = dr[0] <= suites.EXACT_ZERO_TOL
+        zero = dr[0] <= FLOAT_ZERO_TOL
         pr_a = np.any(zero & (s.dr_true[:, None] >= epsilon), axis=0).mean()
         pr_b = np.any(zero & (dr[1] >= epsilon / 2), axis=0).mean()
         assert (got["pr_a"][0], got["pr_b"][0]) == (pr_a, pr_b)

@@ -111,6 +111,34 @@ class TestSample:
         draws = sample(g, 10, rng_for(3))
         assert all(isinstance(z, tuple) and len(z) == 2 for z in draws)
 
+    @staticmethod
+    def gaussian_oracle(dist, count, rng):
+        """The per-scalar comprehension the batched Gaussian draw replaced."""
+        if isinstance(dist.center, tuple):
+            noise = rng.standard_normal((count, len(dist.center))) * dist.sigma
+            c = np.asarray(dist.center)
+            return [tuple(float(v) for v in c + row) for row in noise]
+        noise = rng.standard_normal(count) * dist.sigma
+        return [float(dist.center + e) for e in noise]
+
+    @pytest.mark.parametrize("center", [0.0, -3.25, 1e300, (0.0,), (1.0, -1.0), (5e-324, 2.0, -7.5)],
+                             ids=["zero", "scalar", "huge", "1-tuple", "2-d", "3-d"])
+    def test_gaussian_batch_matches_per_scalar_oracle(self, center):
+        # the same Python floats, bit for bit, and the same stream state after
+        for seed in range(30):
+            dist = GaussianDistribution(center, 0.5 + seed)
+            for count in (1, 2, 100):
+                got_rng, want_rng = rng_for(seed), rng_for(seed)
+                got = sample(dist, count, got_rng)
+                want = self.gaussian_oracle(dist, count, want_rng)
+                assert type(got) is list and len(got) == count
+                flat = [v for z in got for v in z] if isinstance(center, tuple) else got
+                want_flat = [v for z in want for v in z] if isinstance(center, tuple) else want
+                assert all(type(z) is type(w) for z, w in zip(got, want))
+                assert all(type(v) is float for v in flat)
+                assert [v.hex() for v in flat] == [v.hex() for v in want_flat]
+                assert got_rng.random() == want_rng.random()
+
 
 class TestSortedSampler:
     def assert_matches_sorted_index_draw(self, support, probs, count, seed):
