@@ -30,9 +30,6 @@ from .perturb import (
     sample,
 )
 
-Example = tuple  # (x, y) with y in {-1, +1}
-
-
 @dataclass(frozen=True)
 class TaskInstance:
     """A data distribution over labeled examples plus per-x perturbation families.
@@ -136,7 +133,9 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
     return total / s.n
 
 
-DR_S_BLOCK_BYTES = 32 << 20  # byte budget for the temporaries of one block of trials in dr_scores
+# byte budget for the temporaries of one block of trials in dr_scores, and
+# for the ERM suites' exact-inner gathers
+DR_S_BLOCK_BYTES = 32 << 20
 
 
 def row_dtype(m: int):

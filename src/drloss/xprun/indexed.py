@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ..loss import dr_scores, put_member_rows, row_dtype
-from ..perturb import FiniteDistribution, categorical
+from ..perturb import categorical
 
 
 class FiniteView:
@@ -69,8 +69,6 @@ class FiniteView:
             valid = np.zeros((self.n_atoms, kmax), dtype=bool)
             for a, x in enumerate(self.atom_x):
                 for j, u in enumerate(task.members_for(x, view)):
-                    if not isinstance(u, FiniteDistribution):
-                        raise ValueError("FiniteView requires finite members")
                     for z, q in zip(u.support, u.probs):
                         probs[a, j, self.point_index[z]] = q
                     valid[a, j] = True

@@ -31,8 +31,10 @@ from .. import seeding
 from ..derand import encode_seeds, epsilon_eta, required_trials, worst_point_errors
 from ..hypo import ThresholdClass
 from ..learner import LearnConfig, draw_training_set, drerm
-from ..loss import member_error
+from ..loss import DR_S_BLOCK_BYTES, member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
+    FiniteDistribution,
+    GaussianDistribution,
     SortedSampler,
     categorical,
     gaussian_shift_tv,
@@ -76,7 +78,11 @@ class Tally(NamedTuple):
 
 
 def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
-    """Task, view and full-domain behaviors, plus each grid entry's loss level."""
+    """Task, view, full-domain behaviors and their exact losses, and each grid entry's level.
+
+    ``train_worst`` is the training view's (B, atoms) worst-member errors,
+    the table the ``exact_inner`` chunks gather from.
+    """
     task = build_task(cfg.task)
     hclass = build_hypothesis_class(cfg.hypothesis_class)
     model = cfg.kind in ("model1", "model2")
@@ -89,10 +95,12 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
                 raise ConfigError(f"{cfg.kind} requires representative sets; x={x!r} has none")
     view = FiniteView(task, views=("true", "rep") if model else ("true",))
     labels, witnesses = view.behaviors(hclass)
-    dr_true = view.dr_exact(labels, "true")
+    # each view's (B, atoms) worst-member errors, once per run
+    worst = {v: view.worst_member(labels, v) for v in view.views}
+    dr_true = worst["true"] @ view.atom_p  # as dr_exact sums it
 
     if cfg.kind == "realizable":
-        best = float(view.worst_member(labels, "true")[:, view.atom_p > 0].max(axis=1).min())
+        best = float(worst["true"][:, view.atom_p > 0].max(axis=1).min())
         if best > 0:
             raise ConfigError(
                 f"task is not realizable: each of the {len(labels)} behaviors has a worst-member "
@@ -125,8 +133,9 @@ def _finite_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     else:
         levels = epsilons
     return SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
-                           dr_true=dr_true, train_view=train_view, levels=levels,
-                           eps_prime=eps_prime, k=task.max_family_size(train_view))
+                           dr_true=dr_true, train_view=train_view, train_worst=worst[train_view],
+                           levels=levels, eps_prime=eps_prime,
+                           k=task.max_family_size(train_view))
 
 
 def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -> dict:
@@ -138,10 +147,19 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
     rng = seeding.stream(cfg.master_seed, g, chunk)
     slots = view.draw_clean_slots(rng, trials * n)
     if exact_inner:
-        # m -> infinity: exact worst-member errors, ERM over the full-domain behaviors
-        worst = view.worst_member(s.labels, s.train_view)[:, slots].reshape(-1, trials, n)
-        dr_s = worst.mean(axis=2)
-        zero_train = ~worst.any(axis=2)
+        # m -> infinity: the setup's exact worst-member errors at the drawn
+        # slots, gathered a block of trials at a time within dr_scores' budget;
+        # ERM over the full-domain behaviors
+        n_b = len(s.labels)
+        dr_s = np.empty((n_b, trials))
+        zero_train = np.empty((n_b, trials), bool)
+        block = max(1, DR_S_BLOCK_BYTES // (n_b * n * s.train_worst.itemsize))
+        for t0 in range(0, trials, block):
+            t1 = min(t0 + block, trials)
+            worst = s.train_worst[:, slots[t0 * n:t1 * n]].reshape(n_b, -1, n)
+            dr_s[:, t0:t1] = worst.mean(axis=2)
+            zero_train[:, t0:t1] = ~worst.any(axis=2)
+            del worst  # freed before the next block is gathered
         best = dr_s.argmin(axis=0)
         loss_emp = dr_s[best, np.arange(trials)]
         erm_zero = zero_train[best, np.arange(trials)]
@@ -316,6 +334,8 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         task = build_task(cfg.params["inner_task"])
         x, y, _ = task.atoms()[0]
         u = task.members_for(x, "true")[0]
+        if not isinstance(u, FiniteDistribution):
+            raise ConfigError(f"hoeffding's inner_task needs a finite member; x={x!r} has {u!r}")
         s.inner_probs = u.prob_array()
         s.inner_p = member_error(h, u, y)
         s.inner_mist = np.array([1.0 if h.predict(z) != y else 0.0 for z in u.support])
@@ -521,14 +541,22 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     hclass = build_hypothesis_class(cfg.hypothesis_class)
     if not isinstance(hclass, ThresholdClass):
         raise ConfigError("the smoothing suite's exact loss oracle covers thresholds only")
-    return SimpleNamespace(task=task, hclass=hclass,
+    # the oracle smooths each atom x with N(x, sigma^2): the task must train on it
+    sigma = cfg.params["sigma"]
+    for x, _, _ in task.atoms():
+        rep = task.family_of[x].rep_set
+        if rep != (GaussianDistribution(x, sigma),):
+            raise ConfigError(f"smoothing needs each atom's representative set to be one Gaussian "
+                              f"centred at the atom with sigma = params.sigma = {sigma!r}; "
+                              f"x={x!r} has {rep!r}")
+    return SimpleNamespace(task=task, hclass=hclass, sigma=sigma,
                            learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"],
                                              sample_from="rep"))
 
 
 def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> dict:
     """Train once per trial, then evaluate that trial's cut at every grid entry."""
-    sigma, shift_points = cfg.params["sigma"], cfg.params["shift_points"]
+    sigma, shift_points = s.sigma, cfg.params["shift_points"]
     atoms = s.task.atoms()
     rows = []
     for trial in range(lo, hi):
@@ -570,7 +598,7 @@ def _smoothing_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: di
     asserted = cfg.grid[g]["assert"]
     agg = {
         "delta": entry["delta"],
-        "sigma": cfg.params["sigma"],
+        "sigma": s.sigma,
         "max_excess": max_excess,
         "d_delta": d_delta,
         "slack": slack,

@@ -207,6 +207,7 @@ def finite_setup(task, hclass, level):
     labels, witnesses = view.behaviors(hclass)
     return SimpleNamespace(hclass=hclass, view=view, labels=labels, witnesses=witnesses,
                            dr_true=view.dr_exact(labels, "true"), train_view="true",
+                           train_worst=view.worst_member(labels, "true"),
                            levels=[level], eps_prime=float("nan"),
                            k=task.max_family_size("true"))
 
@@ -290,23 +291,87 @@ def exact_inner_oracle(cfg, s, trials):
 
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("case", CASES)
-def test_exact_inner_chunk_matches_gathered_means(case, n):
-    # the folded branch against worst[:, slots].reshape(B, trials, n).mean(axis=2)
+def test_exact_inner_chunk_matches_gathered_means(monkeypatch, case, n):
+    # the chunk's block-by-block gathers, one block for every trial or one
+    # or three trials a block, against worst[:, slots].reshape(B, trials,
+    # n).mean(axis=2): a (behavior, trial) mean reduces one contiguous row
     zeros = 0
     for seed in range(12):
         r, task, hclass = case_task(case, 1700 + seed)
         s = finite_setup(task, hclass, float(r.choice([0.0, 0.1, 0.3])))
         trials = int(r.integers(1, 40))
+        trial_bytes = len(s.labels) * n * s.train_worst.itemsize
         for kind, viol in (("realizable", ("viol_erm", "viol_any")), ("agnostic", ("max_gap",))):
             cfg = erm_config(kind, n, 1, s.levels[0], True, seed)
             want = exact_inner_oracle(cfg, s, trials)
-            got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
-            assert got["hypothesis"] == want["hypothesis"]
-            for col in ("loss_emp", "loss_pop") + viol:
-                assert got[col].dtype == want[col].dtype, col
-                assert got[col].tobytes() == want[col].tobytes(), col
+            for budget in (loss.DR_S_BLOCK_BYTES, trial_bytes, 3 * trial_bytes):
+                monkeypatch.setattr(suites, "DR_S_BLOCK_BYTES", budget)
+                got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
+                assert got["hypothesis"] == want["hypothesis"]
+                for col in ("loss_emp", "loss_pop") + viol:
+                    assert got[col].dtype == want[col].dtype, col
+                    assert got[col].tobytes() == want[col].tobytes(), (col, budget)
             zeros += int(np.count_nonzero(want["viol_any"]))
     assert zeros > 0  # some trial had a zero-loss behavior at the level
+
+
+@pytest.mark.parametrize("kind", ["realizable", "agnostic", "model1", "model2"])
+def test_worst_member_runs_once_per_view_per_run(monkeypatch, kind):
+    # the setup builds each view's table; the exact-inner chunks only gather it
+    calls = []
+    worst_member = FiniteView.worst_member
+    monkeypatch.setattr(FiniteView, "worst_member",
+                        lambda self, labels, view: calls.append(view) or
+                        worst_member(self, labels, view))
+    cfg = load_config(kind)
+    cfg.grid = [dict(entry, exact_inner=True) for entry in cfg.grid]
+    cfg.trials = 2 * suites.CHUNK + 1
+    suites.run_suite(cfg)
+    assert sorted(calls) == (["rep", "true"] if kind.startswith("model") else ["true"])
+
+
+def test_exact_inner_model1_trains_on_the_representatives():
+    # each trial's least exact training loss, from member_error over the
+    # representatives; model1's leaking true members would give other losses
+    raw = load_config("model1")
+    raw.grid = [dict(entry, exact_inner=True) for entry in raw.grid]
+    cfg = check(dict(vars(raw)))
+    s = suites._setup(cfg)
+    n, trials = cfg.grid[0]["n"], 40
+    slots = s.view.draw_clean_slots(seeding.stream(cfg.master_seed, 0, 0), trials * n)
+    atoms = s.view.task.atoms()
+
+    def least_loss(view):
+        worst = np.array([[max(loss.member_error(h, u, y) for u in s.view.task.members_for(x, view))
+                           for x, y, _ in atoms] for h in s.witnesses])
+        return worst[:, slots].reshape(len(s.witnesses), trials, n).mean(axis=2).min(axis=0)
+
+    got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)["loss_emp"]
+    assert got == pytest.approx(least_loss("rep"), abs=1e-12)
+    assert got != pytest.approx(least_loss("true"), abs=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["realizable", "agnostic"])
+def test_exact_inner_run_memory_is_bounded(tmp_path, kind):
+    # interval D = 128: B = 8,257 behaviors, whose errors at all 256 * 50
+    # slots of a chunk would take 845 MB as one float64 gather
+    n, trials, bound = 50, 256, 128 << 20
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": kind, "task": line_task(128), "hypothesis_class": {"tag": "interval-1d"},
+        "grid": [{"n": n, "m": 1, "epsilon": 0.1, "exact_inner": True}], "trials": trials,
+    }))
+    cfg = load_config(kind, path=str(path))
+    tracemalloc.start()
+    try:
+        report = suites.run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    behaviors = 128 * 129 // 2 + 1
+    assert behaviors * trials * n * 8 > bound
+    assert len(report.table["trial"]) == trials
+    assert peak < bound, peak
 
 
 def leaky_task(mass: float) -> dict:

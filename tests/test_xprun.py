@@ -613,6 +613,20 @@ class TestSuites:
                 assert pmf[i] == direct, (m, p, i)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_smoothing_scores_at_the_tasks_sigma(self):
+        # a task at sigma 2 is trained and scored at sigma 2, not at the default 1
+        from drloss.xprun.suites import smoothed_threshold_error
+        raw = load_config("smoothing")
+        raw.task = {"builtin": "smoothing", "params": {"sigma": 2.0}}
+        raw.params = dict(raw.params, sigma=2.0)
+        raw.trials = 2
+        rep = run_suite(raw)
+        atoms = build_task(raw.task).atoms()
+        for row in rep.rows:
+            assert row["sigma"] == 2.0
+            assert row["clean_loss"] == math.fsum(
+                p * smoothed_threshold_error(row["t_hat"], x, y, 2.0) for x, y, p in atoms)
+
     def test_smoothing_sigma_blowup_approaches_coin_flip(self):
         from drloss.xprun.suites import smoothed_threshold_error
         loss = 0.5 * (smoothed_threshold_error(1.5, 0.0, -1, 1e6)
@@ -1110,6 +1124,18 @@ class TestCli:
         ("realizable", {"task": {"inline": 5}}, {}),
         ("realizable", {"task": {"file": 5}}, {}),
         ("double-sampling", {"grid": [{"n": 2, "m": 3, "epsilon": 0.2, "assert": False}]}, {}),
+        ("smoothing", {"params": {"sigma": 3.0}}, {}),
+        ("smoothing", {"task": {"builtin": "model1"}}, {}),
+        ("smoothing", {"task": {"builtin": "t1"}}, {}),
+        ("smoothing", {"task": {"builtin": "smoothing", "params": {"sigma": 2.0}}}, {}),
+        ("smoothing", {"task": {"inline": {
+            "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
+            "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
+                              "g3": {"gaussian": {"center": 3.0, "sigma": 1.0}},
+                              "off": {"gaussian": {"center": 0.5, "sigma": 1.0}}},
+            "families": [{"x": 0.0, "true": ["g0"], "rep": ["off"], "k": 1},
+                         {"x": 3.0, "true": ["g3"], "rep": ["g3"], "k": 1}]}}}, {}),
+        ("hoeffding", {"params": {"inner_task": {"builtin": "smoothing"}}}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -1130,7 +1156,10 @@ class TestCli:
             "epsilon-past-float-range", "builtin-task-unknown-param",
             "builtin-task-param-a-string", "builtin-task-name-a-list", "family-k-not-integral",
             "atom-probability-a-string", "member-probability-a-string",
-            "inline-task-not-a-mapping", "task-file-not-a-path", "double-sampling-assert-false"])
+            "inline-task-not-a-mapping", "task-file-not-a-path", "double-sampling-assert-false",
+            "smoothing-sigma-not-the-tasks", "smoothing-finite-representatives",
+            "smoothing-no-representatives", "smoothing-task-sigma-not-params",
+            "smoothing-representative-off-centre", "hoeffding-inner-member-gaussian"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
