@@ -39,17 +39,14 @@ class LearnConfig:
 
     n: int
     m: int
-    sample_from: str = "true"
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        if self.sample_from not in ("true", "rep"):
-            raise ValueError("sample_from must be 'true' or 'rep'")
 
 
 def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Generator) -> SampleSet:
-    """n clean draws plus exactly m draws per (clean example, family member).
+    """n clean draws plus exactly m draws per (clean example, true family member).
 
     Each clean draw gets its own batches even when the same x repeats; the
     per-pair batch sharing used by the Monte Carlo loss estimator applies
@@ -58,9 +55,9 @@ def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Gener
     clean = tuple(sample(task.data_dist, cfg.n, rng))
     perturbed = {}
     for i, (x, _) in enumerate(clean):
-        for j, u in enumerate(task.members_for(x, cfg.sample_from)):
+        for j, u in enumerate(task.members_for(x, "true")):
             perturbed[(i, j)] = tuple(sample(u, cfg.m, rng))
-    return SampleSet(clean=clean, perturbed=perturbed, m=cfg.m, sampled_from=cfg.sample_from)
+    return SampleSet(clean=clean, perturbed=perturbed, m=cfg.m)
 
 
 def _batch_rows(s: SampleSet, points) -> np.ndarray:

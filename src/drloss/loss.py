@@ -85,7 +85,6 @@ class SampleSet:
     clean: tuple
     perturbed: Mapping
     m: int
-    sampled_from: str = "true"
 
     def __post_init__(self):
         if not self.clean:

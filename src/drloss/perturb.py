@@ -198,40 +198,6 @@ def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generato
     return categorical(dist.prob_array(), count, rng)
 
 
-class SortedSampler:
-    """Sorted i.i.d. draws from a finite distribution over scalars.
-
-    ``draw(count, rng)`` returns ``np.sort(support[sample_indices(dist, count,
-    rng)])`` and leaves ``rng`` in the same state, without the binary search
-    of unsorted uniforms and the sort of the gathered points.
-    ``categorical``, like ``Generator.choice``, takes ``count`` uniforms u
-    and maps each to ``searchsorted(cdf, u, "right")``, the first j with
-    u < cdf[j], where ``cdf`` is the cumulative sum of the probabilities
-    divided by its last entry.  So the number of draws at indices <= j is the
-    number of uniforms below cdf[j].  Here the same ``count`` uniforms are
-    sorted, those counts are read off with one ``searchsorted`` of the cdf
-    into them, and the support, sorted once at construction, is repeated by
-    its counts.  Differential tests against ``sample_indices`` and numpy's
-    ``choice`` guard the equality.
-    """
-
-    def __init__(self, dist: FiniteDistribution):
-        support = np.asarray(dist.support)
-        if support.ndim != 1:
-            raise DistributionError("sorted draws need a scalar support")
-        cdf = dist.prob_array().cumsum()
-        cdf /= cdf[-1]
-        self._cdf = cdf
-        self._order = np.argsort(support, kind="stable")
-        self._values = support[self._order]
-
-    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` i.i.d. draws in ascending order."""
-        below = np.sort(rng.random(count)).searchsorted(self._cdf, side="left")
-        counts = np.diff(below, prepend=0)
-        return np.repeat(self._values, counts[self._order])
-
-
 def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator) -> list:
     """Draw ``count`` i.i.d. points from ``dist``; deterministic given the rng state."""
     if count < 1:

@@ -6,8 +6,9 @@ A suite is one row of ``SUITES``: a setup, a chunk function that runs the
 trials of one work unit and a per-grid aggregate.  ``run_suite`` checks the
 config against ``config.SCHEMA`` and drives every row the same way; setups
 and chunks read the checked values.  Each work unit derives its own random
-streams from its address, so reports are identical regardless of worker
-count.
+streams from its address, so every row, aggregate and assertion is the same
+whatever the worker count; only the config echo, which carries ``jobs``,
+differs.
 
 Zero loss is exact: a sampled training loss is zero when its mistake count
 W is 0; under ``exact_inner`` and in the realizable check, when the
@@ -28,14 +29,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .. import seeding
-from ..derand import encode_seeds, epsilon_eta, required_trials, worst_point_errors
+from ..derand import encode_seeds, epsilon_eta, required_trials
 from ..hypo import ThresholdClass
 from ..learner import LearnConfig, draw_training_set, drerm
 from ..loss import DR_S_BLOCK_BYTES, member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     FiniteDistribution,
     GaussianDistribution,
-    SortedSampler,
     categorical,
     gaussian_shift_tv,
     pointwise_cover_violation,
@@ -332,8 +332,14 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     targets = {entry["target"] for entry in cfg.grid}
     if "inner" in targets:
         task = build_task(cfg.params["inner_task"])
-        x, y, _ = task.atoms()[0]
-        u = task.members_for(x, "true")[0]
+        atoms = task.atoms()
+        x, y, _ = atoms[0]
+        members = task.members_for(x, "true")
+        if len(atoms) != 1 or len(members) != 1:
+            raise ConfigError(f"hoeffding's inner_task needs exactly one atom with exactly one "
+                              f"true member; it has {len(atoms)} atom(s), and x={x!r} has "
+                              f"{len(members)} true member(s)")
+        u = members[0]
         if not isinstance(u, FiniteDistribution):
             raise ConfigError(f"hoeffding's inner_task needs a finite member; x={x!r} has {u!r}")
         s.inner_probs = u.prob_array()
@@ -420,29 +426,48 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
     return out
 
 
+def _votes(randomness: FiniteDistribution, levels: list) -> SimpleNamespace:
+    """Each level's bound on the uniforms of the fixed draws that land below it.
+
+    ``randomness`` has an ascending scalar support, as ``grid_randomness``
+    makes it.  ``sample_indices``, like ``Generator.choice``, maps a draw's
+    uniform u to support index ``cdf.searchsorted(u, "right")``, where
+    ``cdf`` is the cumulative sum of the probabilities divided by its last
+    entry.  So a draw lands below a level, at one of the ``under`` = J
+    support points under it, exactly when u < cdf[J - 1] (``bounds``), and
+    never when J = 0.
+    """
+    support = np.asarray(randomness.support)
+    cdf = np.cumsum(randomness.prob_array())
+    cdf /= cdf[-1]
+    under = support.searchsorted(levels, "left")
+    return SimpleNamespace(support=support, cdf=cdf, under=under,
+                           bounds=np.append(0.0, cdf)[under])
+
+
 def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     params = cfg.params
     setup = derand_classifier_setup(p_err=params["p_err"], a_size=params["a_size"],
                                     grid=params["grid_randomness"],
                                     p_err_high=params["p_err_high"])
     task = setup.attack_task
-    # per atom: its label, its mass and the per-draw error levels of its attack points
-    attack_levels = [(y, p, np.array([setup.errors[xp] for xp in task.attacks[x]]))
-                     for x, y, p in task.atoms()]
+    atoms = task.atoms()
+    # an atom's attack point of highest per-draw error level gets every draw
+    # below another point's level wrong too, so it is the first one fooled
+    votes = _votes(setup.base.randomness,
+                   [max(setup.errors[xp] for xp in task.attacks[x]) for x, _, _ in atoms])
+    # its exact per-draw error: fsum rounds correctly, so over these nested
+    # prefixes it is also the largest of its points' errors
+    probs = setup.base.randomness.probs
+    errors = {(x, y): math.fsum(probs[:j]) for (x, y, _), j in zip(atoms, votes.under.tolist())}
 
-    def dr_value(draws, t_votes: int) -> float:
-        """Mass of the atoms some attack point fools under the plurality of ``draws``."""
-        total = 0.0
-        for y, p, levels in attack_levels:
-            # a draw below a point's error level votes wrong; a tied vote goes to -1
-            twice_wrong = 2 * np.searchsorted(draws, levels, side="left")
-            if np.any(twice_wrong > t_votes) or (y == 1 and np.any(twice_wrong == t_votes)):
-                total += p
-        return total
+    def dr_value(below: list, t_votes: int) -> float:
+        """Mass of the atoms whose worst attack point the plurality of the draws gets wrong."""
+        # a draw below the level votes wrong; a tied vote goes to -1
+        return sum((p for (_, y, p), n in zip(atoms, below)
+                    if 2 * n > t_votes or (y == 1 and 2 * n == t_votes)), 0.0)
 
-    errors = worst_point_errors(setup.base, task)
-    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors),
-                           sampler=SortedSampler(setup.base.randomness),
+    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors), votes=votes,
                            value_key="dr_value", value=dr_value)
 
 
@@ -451,38 +476,43 @@ def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     setup = derand_certifier_setup(q_in=params["q_in"], a_size=params["a_size"],
                                    grid=params["grid_randomness"], alpha=params["alpha"],
                                    beta=params["beta"])
+    task = setup.attack_task
+    atoms = task.atoms()
+    # every attack point's radius leaves the band exactly for a draw below 1 - q_in
     out_level = 1.0 - setup.q_in
 
-    def band_value(draws, t_votes: int) -> float:
-        # the lower median is in band iff in-band draws fill positions
-        # 0..(t-1)//2; every attack point has the same per-draw out probability
-        in_votes = t_votes - int(np.searchsorted(draws, out_level, side="left"))
-        return 1.0 if in_votes < (t_votes - 1) // 2 + 1 else 0.0
+    def band_value(below: list, t_votes: int) -> float:
+        """Mass of the atoms whose lower median radius leaves the band."""
+        # it is in band iff in-band draws fill positions 0..(t-1)//2
+        return sum((p for (_, _, p), n in zip(atoms, below)
+                    if t_votes - n <= (t_votes - 1) // 2), 0.0)
 
-    task = setup.attack_task
-    gamma = {(x, y): out_level for x, y, _ in task.atoms()}
+    gamma = {(x, y): out_level for x, y, _ in atoms}
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma),
-                           sampler=SortedSampler(setup.certifier.randomness),
+                           votes=_votes(setup.certifier.randomness, [out_level] * len(atoms)),
                            value_key="band_value", value=band_value)
 
 
 def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
-    """One row per trial: the setup's ``value`` of that trial's sorted fixed draws.
+    """One row per trial: the setup's ``value`` of each atom's count of draws below its level.
 
-    The draws come from ``SortedSampler``, already sorted.  They are the
-    multiset ``sample_indices`` would pick from the trial's stream, since
-    both map the same uniforms through the same cdf: a uniform u lands at or
-    below support index j exactly when u < cdf[j].  So the values and
-    ``seeds_hex`` equal those of ``np.sort`` over ``sample``'s draws, which
-    the object-level ``derandomize_classifier``/``_certifier`` make.
+    A trial's t fixed draws are those the object-level
+    ``derandomize_classifier``/``_certifier`` take from its stream; of their
+    uniforms only the counts under the setup's ``votes.bounds`` decide the
+    vote.  The draws themselves are formed, and sorted, only for
+    ``seeds_hex``.
     """
     p = s.grid[g]
+    votes = s.votes
     dump_seeds = cfg.trials * p.t_votes <= SEED_DUMP_LIMIT
     rows = []
     for trial in range(lo, hi):
-        rng = seeding.stream(cfg.master_seed, g, trial)
-        draws = s.sampler.draw(p.t_votes, rng)
-        value = s.value(draws, p.t_votes)
+        u = seeding.stream(cfg.master_seed, g, trial).random(p.t_votes)
+        value = s.value([int(np.count_nonzero(u < b)) for b in votes.bounds], p.t_votes)
+        seeds_hex = ""
+        if dump_seeds:
+            draws = np.sort(votes.support[votes.cdf.searchsorted(u, "right")])
+            seeds_hex = ";".join(encode_seeds(draws.tolist()))
         rows.append({
             "grid_index": g,
             "trial": trial,
@@ -493,7 +523,7 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
             "threshold": p.threshold,
             "exceeded": bool(value > p.threshold),
             "seed_ref": f"philox[{cfg.master_seed}/{g}/{trial}]",
-            "seeds_hex": ";".join(encode_seeds(draws.tolist())) if dump_seeds else "",
+            "seeds_hex": seeds_hex,
         })
     return table_from_rows(rows)
 
@@ -520,7 +550,7 @@ def _derand_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict)
 
 
 # ---------------------------------------------------------------------------
-# Smoothing suite: train on the Gaussian representative, then bound the
+# Smoothing suite: train on each atom's one Gaussian member, then bound the
 # worst-shift excess by d(delta).  The per-shift smoothed loss is evaluated
 # with the exact Gaussian CDF, so the excess-vs-TV comparison carries no
 # Monte Carlo noise beyond the training draw itself.
@@ -541,17 +571,18 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     hclass = build_hypothesis_class(cfg.hypothesis_class)
     if not isinstance(hclass, ThresholdClass):
         raise ConfigError("the smoothing suite's exact loss oracle covers thresholds only")
-    # the oracle smooths each atom x with N(x, sigma^2): the task must train on it
+    # the oracle smooths each atom x with N(x, sigma^2): the task must train
+    # on it, and its true family must be that one Gaussian too
     sigma = cfg.params["sigma"]
     for x, _, _ in task.atoms():
-        rep = task.family_of[x].rep_set
-        if rep != (GaussianDistribution(x, sigma),):
-            raise ConfigError(f"smoothing needs each atom's representative set to be one Gaussian "
-                              f"centred at the atom with sigma = params.sigma = {sigma!r}; "
-                              f"x={x!r} has {rep!r}")
+        fam = task.family_of[x]
+        if fam.rep_set != (GaussianDistribution(x, sigma),) or fam.true_set != fam.rep_set:
+            raise ConfigError(f"smoothing needs each atom's true and representative sets to be "
+                              f"the one Gaussian centred at the atom with sigma = params.sigma = "
+                              f"{sigma!r}; x={x!r} has true {fam.true_set!r}, "
+                              f"representatives {fam.rep_set!r}")
     return SimpleNamespace(task=task, hclass=hclass, sigma=sigma,
-                           learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"],
-                                             sample_from="rep"))
+                           learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"]))
 
 
 def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> dict:

@@ -54,9 +54,14 @@ class TestDrawTrainingSet:
             assert all(z == s.clean[i][0] for z in batch)
 
     def test_missing_rep_set_rejected(self):
-        cfg = LearnConfig(n=1, m=1, sample_from="rep")
+        # training reads only the true sets, so a task without representative
+        # sets trains; asking its families for the set they lack still fails
+        task = t1()
+        s = draw_training_set(task, LearnConfig(n=3, m=2), rng_for(3))
+        for (i, j), batch in s.perturbed.items():
+            assert set(batch) <= set(task.members_for(s.clean[i][0], "true")[j].support)
         with pytest.raises(DistributionError):
-            draw_training_set(t1(), cfg, rng_for(3))
+            task.members_for(0.0, "rep")
 
 
 class TestDrerm:
@@ -259,4 +264,4 @@ class TestLearn:
         with pytest.raises(ValueError):
             LearnConfig(n=0, m=1)
         with pytest.raises(ValueError):
-            LearnConfig(n=1, m=1, sample_from="other")
+            LearnConfig(n=1, m=0)

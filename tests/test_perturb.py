@@ -12,7 +12,6 @@ from drloss.perturb import (
     DistributionFamily,
     FiniteDistribution,
     GaussianDistribution,
-    SortedSampler,
     build_representative_cover,
     categorical,
     gaussian_shift_tv,
@@ -22,6 +21,7 @@ from drloss.perturb import (
     tv_distance,
 )
 from drloss.tasks import task_from_dict
+from drloss.xprun.suites import _votes
 
 
 def rng_for(seed):
@@ -140,37 +140,57 @@ class TestSample:
                 assert got_rng.random() == want_rng.random()
 
 
-class TestSortedSampler:
-    def assert_matches_sorted_index_draw(self, support, probs, count, seed):
+class TestVoteBounds:
+    """The derand suites' vote counts against sorting the drawn points.
+
+    A draw from ascending randomness lands below a level when its uniform is
+    under that level's ``suites._votes`` bound; the count under each bound
+    must equal ``np.searchsorted`` of the level in the sorted draws of
+    ``sample_indices`` from the same stream, and the draws formed from the
+    uniforms must be those draws.
+    """
+
+    @staticmethod
+    def assert_counts_draws_below(support, probs, levels, count, rng, ref_rng):
         d = FiniteDistribution(support, probs)
-        ref_rng, rng = rng_for(seed), rng_for(seed)
-        expected = np.sort(np.asarray(d.support)[sample_indices(d, count, ref_rng)])
-        assert np.array_equal(SortedSampler(d).draw(count, rng), expected)
+        votes = _votes(d, levels)
+        draws = np.sort(np.asarray(d.support)[sample_indices(d, count, ref_rng)])
+        u = rng.random(count)
+        below = [int(np.count_nonzero(u < b)) for b in votes.bounds]
+        assert below == np.searchsorted(draws, levels, "left").tolist()
+        assert np.array_equal(np.sort(votes.support[votes.cdf.searchsorted(u, "right")]), draws)
         assert rng.random() == ref_rng.random()  # the same number of uniforms taken
 
-    @pytest.mark.parametrize("support,probs,count", [
-        ([4.0], [1.0], 1),
-        ([4.0], [1.0], 300),
-        ([3.0, -1.0, 2.0], [0.2, 0.5, 0.3], 1),
-        ([3.0, -1.0, 2.0, 0.5], [0.0, 0.5, 0.0, 0.5], 200),
-        ([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], 50),
-        ([2.0, 1.0, 0.0], [1.0, 0.0, 0.0], 50),
-        ([(i + 0.5) / 1000 for i in range(1000)], [0.001] * 1000, 8121),
-    ], ids=["k1-t1", "k1-many", "unsorted-t1", "unsorted-zeros", "zeros-first",
-            "zeros-last", "derand-grid"])
-    def test_matches_sorted_index_draw(self, support, probs, count):
+    @pytest.mark.parametrize("support,probs,levels,count", [
+        ([4.0], [1.0], [3.0, 4.0, 5.0], 1),
+        ([4.0], [1.0], [3.0, 4.0, 5.0], 300),
+        ([-1.0, 0.5, 2.0, 3.0], [0.5, 0.0, 0.5, 0.0], [-2.0, -1.0, 0.5, 1.0, 2.0, 3.0, 10.0], 200),
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.5, 1.0, 2.0, 2.5], 50),
+        ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0, 2.0, 2.5], 50),
+        ([(i + 0.5) / 5 for i in range(5)], [0.2] * 5, [0.0, 0.3, 0.5, 0.9, 1.0], 1200),
+        ([(i + 0.5) / 17 for i in range(17)], [1 / 17] * 17, [0.41, 0.45, 0.5, 1.0], 31),
+        ([(i + 0.5) / 1000 for i in range(1000)], [0.001] * 1000,
+         [0.0, 0.2, 0.2005, 0.6, 1.0], 8121),
+    ], ids=["k1-t1", "k1-many", "zeros-between", "zeros-first", "zeros-last", "grid5-counting",
+            "grid17-renormalized", "derand-grid"])
+    def test_counts_match_sorted_index_draw(self, support, probs, levels, count):
         for seed in range(5):
-            self.assert_matches_sorted_index_draw(support, probs, count, seed)
+            self.assert_counts_draws_below(support, probs, levels, count,
+                                           rng_for(seed), rng_for(seed))
 
     @given(st.integers(0, 10**6))
-    def test_matches_sorted_index_draw_on_random_distributions(self, seed):
+    def test_counts_match_sorted_index_draw_on_random_distributions(self, seed):
         r = rng_for(seed)
         k = int(r.integers(1, 13))
         weights = r.integers(0, 4, size=k).astype(float)  # about a quarter are zero
         weights[r.integers(k)] += 1.0
-        support = (r.permutation(k) - k / 2).tolist()
-        count = int(r.choice([1, 2, k, 100 * k + 1]))
-        self.assert_matches_sorted_index_draw(support, weights / weights.sum(), count, seed)
+        support = np.sort(r.choice(50, size=k, replace=False) - 25.0)
+        # below the minimum, above the maximum, on every support point and between
+        levels = np.concatenate([[support[0] - 1.0, support[-1] + 1.0], support,
+                                 support[:-1] + np.diff(support) / 2])
+        count = int(r.choice([1, 2, k, 1000 + k]))
+        self.assert_counts_draws_below(support.tolist(), weights / weights.sum(), levels.tolist(),
+                                       count, rng_for(seed), rng_for(seed))
 
     def test_uniform_on_a_cdf_step_lands_above_it(self):
         # choice sends a uniform equal to cdf[j] past index j; random doubles
@@ -182,13 +202,13 @@ class TestSortedSampler:
             def random(self, size=None, dtype=np.float64, out=None):
                 return np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])[:size]
 
-        d = FiniteDistribution([3.0, 1.0, 2.0, 0.0], [0.25, 0.25, 0.0, 0.5])
-        expected = np.sort(np.asarray(d.support)[sample_indices(d, 6, Fixed())])
-        assert np.array_equal(SortedSampler(d).draw(6, Fixed()), expected)
-
-    def test_rejects_tuple_support(self):
-        with pytest.raises(DistributionError):
-            SortedSampler(FiniteDistribution([(0.0, 1.0), (2.0, 3.0)], [0.5, 0.5]))
+        d = FiniteDistribution([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.0, 0.5])
+        levels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+        draws = np.sort(np.asarray(d.support)[sample_indices(d, 6, Fixed())])
+        votes = _votes(d, levels)
+        u = Fixed().random(6)
+        assert ([int(np.count_nonzero(u < b)) for b in votes.bounds]
+                == np.searchsorted(draws, levels, "left").tolist())
 
 
 class TestCategorical:

@@ -228,19 +228,19 @@ class TestFiniteViewEquivalence:
             for val, w in zip(exact, witnesses):
                 assert val == pytest.approx(population_dr_loss_exact(w, task), abs=1e-12)
 
-    def _materialize(self, view, slots, rows, m, sampled_from="true"):
+    def _materialize(self, view, slots, rows, m):
         """Rebuild an explicit SampleSet whose batches realize the given member rows."""
         counts = np.abs(rows[:, :, :-1]).transpose(1, 0, 2).astype(int)
         clean = tuple((view.atom_x[a], int(view.atom_y[a])) for a in slots)
         perturbed = {}
         for i, a in enumerate(slots):
-            members = view.task.members_for(view.atom_x[a], sampled_from)
+            members = view.task.members_for(view.atom_x[a], "true")
             for j in range(len(members)):
                 batch = []
                 for d in range(view.n_points):
                     batch.extend([view.points[d]] * int(counts[i, j, d]))
                 perturbed[(i, j)] = tuple(batch)
-        return SampleSet(clean=clean, perturbed=perturbed, m=m, sampled_from=sampled_from)
+        return SampleSet(clean=clean, perturbed=perturbed, m=m)
 
     def test_dr_s_matches_direct_empirical_loss(self):
         for hclass in (ThresholdClass(), IntervalClass()):
@@ -489,36 +489,66 @@ class TestSuites:
 
     @pytest.mark.parametrize("t_votes", [31, 30])  # odd and even (tie-break path)
     def test_derand_trial_matches_object_level_evaluation(self, t_votes):
-        # the suite's sorted-draw counting must agree with DerandClassifier
+        # the suite's vote counts must agree with DerandClassifier; at a
+        # p_err_high of one half the positive atom's votes often tie
         from drloss.derand import decode_seeds, derandomize_classifier, evaluate_derand_dr
         from drloss.tasks import derand_classifier_setup
-        cfg = tiny_config("derand-classifier", trials=6)
-        cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
-        rep = run_suite(cfg)
-        setup = derand_classifier_setup(p_err=0.2, a_size=8, grid=1000)
-        for row in rep.rows:
-            rng = seeding.stream(cfg.master_seed, 0, row["trial"])
-            det = derandomize_classifier(setup.base, t_votes, rng)
-            assert row["dr_value"] == pytest.approx(
-                evaluate_derand_dr(det, setup.attack_task), abs=1e-12)
-            # small runs dump the fixed draws verbatim, sorted; they must reconstruct
-            assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
+        for p_err_high in (None, 0.5):
+            cfg = tiny_config("derand-classifier", trials=6)
+            cfg.params = dict(cfg.params, p_err_high=p_err_high)
+            cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
+            rep = run_suite(cfg)
+            setup = derand_classifier_setup(p_err=0.2, a_size=8, grid=1000, p_err_high=p_err_high)
+            for row in rep.rows:
+                rng = seeding.stream(cfg.master_seed, 0, row["trial"])
+                det = derandomize_classifier(setup.base, t_votes, rng)
+                assert row["dr_value"] == evaluate_derand_dr(det, setup.attack_task)
+                # small runs dump the fixed draws verbatim, sorted; they must reconstruct
+                assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
 
     @pytest.mark.parametrize("t_votes", [21, 20])  # odd and even (lower median)
     def test_cert_trial_matches_object_level_evaluation(self, t_votes):
+        # at a q_in below one half most medians leave the band
         from drloss.derand import decode_seeds, derandomize_certifier, evaluate_cert_band
         from drloss.tasks import derand_certifier_setup
-        cfg = tiny_config("derand-certifier", trials=6)
-        cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
-        rep = run_suite(cfg)
-        setup = derand_certifier_setup(q_in=0.9, a_size=8, grid=1000)
-        for row in rep.rows:
-            rng = seeding.stream(cfg.master_seed, 0, row["trial"])
-            det = derandomize_certifier(setup.certifier, t_votes, rng)
-            band = evaluate_cert_band(det, setup.attack_task,
-                                      alpha=setup.alpha, beta=setup.beta)
-            assert row["band_value"] == pytest.approx(band.violation_mass, abs=1e-12)
-            assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
+        for q_in in (0.9, 0.45):
+            cfg = tiny_config("derand-certifier", trials=6)
+            cfg.params = dict(cfg.params, q_in=q_in)
+            cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
+            rep = run_suite(cfg)
+            setup = derand_certifier_setup(q_in=q_in, a_size=8, grid=1000)
+            for row in rep.rows:
+                rng = seeding.stream(cfg.master_seed, 0, row["trial"])
+                det = derandomize_certifier(setup.certifier, t_votes, rng)
+                band = evaluate_cert_band(det, setup.attack_task,
+                                          alpha=setup.alpha, beta=setup.beta)
+                assert row["band_value"] == band.violation_mass
+                assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
+
+    @pytest.mark.parametrize("params", [
+        {"p_err": 0.2, "a_size": 8, "grid_randomness": 1000, "p_err_high": None},
+        {"p_err": 0.2, "a_size": 8, "grid_randomness": 1000, "p_err_high": 0.6},
+        {"p_err": 0.41, "a_size": 3, "grid_randomness": 17, "p_err_high": 0.45},
+        {"p_err": 0.25, "a_size": 2, "grid_randomness": 2, "p_err_high": 0.75},
+        {"p_err": 0.0, "a_size": 2, "grid_randomness": 9, "p_err_high": 1.0},
+    ], ids=["default", "p-err-high", "grid17", "level-on-support-point", "levels-zero-and-one"])
+    def test_derand_eps_eta_matches_closure_oracle(self, params):
+        # the setup's eps(eta) from support prefixes, against the exact
+        # per-draw errors of the randomized classifier's closures
+        from drloss.derand import epsilon_eta, worst_point_errors
+        from drloss.tasks import derand_classifier_setup
+        from drloss.xprun.suites import _classifier_setup
+        # 0.03 and 0.089 fall between grid17's levels and its exact errors
+        etas = [0.01, 0.03, 0.05, 0.089, 0.09, 0.1, 0.25, 0.45, 0.49]
+        cfg = tiny_config("derand-classifier", params=params,
+                          grid=[{"eta": eta, "delta": 0.05, "t": 5} for eta in etas])
+        s = _classifier_setup(check(dict(vars(cfg))))
+        setup = derand_classifier_setup(p_err=params["p_err"], a_size=params["a_size"],
+                                        grid=params["grid_randomness"],
+                                        p_err_high=params["p_err_high"])
+        errors = worst_point_errors(setup.base, setup.attack_task)
+        assert [p.eps_eta for p in s.grid] == [epsilon_eta(setup.attack_task, errors, eta)
+                                               for eta in etas]
 
     def test_realizable_epsilon_above_one_never_violates(self):
         cfg = tiny_config("realizable", trials=40)
@@ -1135,7 +1165,22 @@ class TestCli:
                               "off": {"gaussian": {"center": 0.5, "sigma": 1.0}}},
             "families": [{"x": 0.0, "true": ["g0"], "rep": ["off"], "k": 1},
                          {"x": 3.0, "true": ["g3"], "rep": ["g3"], "k": 1}]}}}, {}),
-        ("hoeffding", {"params": {"inner_task": {"builtin": "smoothing"}}}, {}),
+        ("hoeffding", {"params": {"inner_task": {"inline": {
+            "atoms": [[0.0, -1, 1.0]],
+            "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}}},
+            "families": [{"x": 0.0, "true": ["g0"], "k": 1}]}}}}, {}),
+        ("hoeffding", {"params": {"inner_task": {"builtin": "t1"}}}, {}),
+        ("hoeffding", {"params": {"inner_task": {"inline": {
+            "atoms": [[0.0, -1, 1.0]],
+            "distributions": {"coin": [[0.0, 0.5], [1.0, 0.5]], "at1": [[1.0, 1.0]]},
+            "families": [{"x": 0.0, "true": ["coin", "at1"], "k": 2}]}}}}, {}),
+        ("smoothing", {"task": {"inline": {
+            "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
+            "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
+                              "g3": {"gaussian": {"center": 3.0, "sigma": 1.0}},
+                              "at5": [[5.0, 1.0]]},
+            "families": [{"x": 0.0, "true": ["at5"], "rep": ["g0"], "k": 1},
+                         {"x": 3.0, "true": ["at5"], "rep": ["g3"], "k": 1}]}}}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -1159,7 +1204,9 @@ class TestCli:
             "inline-task-not-a-mapping", "task-file-not-a-path", "double-sampling-assert-false",
             "smoothing-sigma-not-the-tasks", "smoothing-finite-representatives",
             "smoothing-no-representatives", "smoothing-task-sigma-not-params",
-            "smoothing-representative-off-centre", "hoeffding-inner-member-gaussian"])
+            "smoothing-representative-off-centre", "hoeffding-inner-member-gaussian",
+            "hoeffding-inner-task-two-atoms", "hoeffding-inner-task-two-members",
+            "smoothing-true-member-not-the-gaussian"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
