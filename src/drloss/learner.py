@@ -48,9 +48,7 @@ class LearnConfig:
 def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Generator) -> SampleSet:
     """n clean draws plus exactly m draws per (clean example, true family member).
 
-    Each clean draw gets its own batches even when the same x repeats; the
-    per-pair batch sharing used by the Monte Carlo loss estimator applies
-    to evaluation, not to training sets.
+    Each clean draw gets its own batches, even when the same x repeats.
     """
     clean = tuple(sample(task.data_dist, cfg.n, rng))
     perturbed = {}

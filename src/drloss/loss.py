@@ -1,11 +1,10 @@
-"""Empirical, exact-population, and Monte Carlo worst-case-over-distributions losses.
+"""Empirical and exact-population worst-case-over-distributions losses.
 
 The central quantity is the distributional adversarial (DR) loss of a
 classifier h: the expectation over clean labeled examples of the maximum,
 across the example's perturbation distributions, of the expected 0-1 loss
 under that distribution.  On finite tasks it is computed exactly by
-summation; with Gaussian members a Monte Carlo estimate with a standard
-error is used instead.
+summation.
 
 ``dr_scores`` scores many behaviors on finite samples at once, as one
 integer contraction of per-batch member rows (signed counts and a batch
@@ -23,12 +22,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .perturb import (
-    DistributionError,
-    FiniteDistribution,
-    GaussianDistribution,
-    sample,
-)
+from .perturb import DistributionError, FiniteDistribution
+
 
 @dataclass(frozen=True)
 class TaskInstance:
@@ -278,60 +273,8 @@ def population_dr_loss_exact(h, task: TaskInstance, view: str = "true") -> float
         worst = 0.0
         for u in task.members_for(x, view):
             if not isinstance(u, FiniteDistribution):
-                raise DistributionError("exact DR loss needs finite members; use the Monte Carlo estimator")
+                raise DistributionError("exact DR loss needs finite members")
             worst = max(worst, member_error(h, u, y))
         total += p * worst
     return total
 
-
-class McEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
-def population_dr_loss_mc(h, task: TaskInstance, n: int, m: int,
-                          rng: np.random.Generator, view: str = "true") -> McEstimate:
-    """Monte Carlo DR loss: n clean draws, one m-sample batch per (x, member) pair.
-
-    Batches are shared across repeated clean draws of the same x (one batch
-    per pair, never fresh batches per hypothesis).  The reported standard
-    error combines the per-example variance of the outer average with the
-    binomial noise of each argmax member's batch; the latter uses the
-    (count + 1/2)/(m + 1) variance estimate so it never degenerates to zero
-    on one-sided batches.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    atoms = task.atoms()
-    probs = np.array([p for _, _, p in atoms])
-    counts = rng.multinomial(n, probs)
-
-    values = np.zeros(len(atoms))
-    inner_var = np.zeros(len(atoms))
-    for a, (x, y, _) in enumerate(atoms):
-        best_val = -1.0
-        best_var = 0.0
-        for u in task.members_for(x, view):
-            if isinstance(u, FiniteDistribution):
-                draw = rng.multinomial(m, u.prob_array())
-                wrong = int(sum(c for z, c in zip(u.support, draw) if h.predict(z) != y))
-            elif isinstance(u, GaussianDistribution):
-                wrong = sum(1 for z in sample(u, m, rng) if h.predict(z) != y)
-            else:
-                raise DistributionError(f"cannot sample member of type {type(u).__name__}")
-            p_hat = wrong / m
-            if p_hat > best_val:
-                p_smooth = (wrong + 0.5) / (m + 1)
-                best_val = p_hat
-                best_var = p_smooth * (1.0 - p_smooth) / m
-        values[a] = best_val
-        inner_var[a] = best_var
-
-    weights = counts / n
-    value = float(weights @ values)
-    if n > 1:
-        outer_var = float(counts @ (values - value) ** 2) / (n - 1)
-    else:
-        outer_var = 0.0
-    stderr = math.sqrt(outer_var / n + float(weights ** 2 @ inner_var))
-    return McEstimate(value, stderr)

@@ -215,6 +215,8 @@ def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator)
 
 def tv_distance(a: FiniteDistribution, b: FiniteDistribution) -> float:
     """Total variation distance (1/2) sum |a(z) - b(z)| over the union of supports."""
+    if not (isinstance(a, FiniteDistribution) and isinstance(b, FiniteDistribution)):
+        raise DistributionError("TV distance needs finite distributions")
     points = set(a.support) | set(b.support)
     total = math.fsum(abs(a.prob_of(z) - b.prob_of(z)) for z in points)
     return min(1.0, 0.5 * total)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .derand import AttackTask, RandomizedCertifier, RandomizedClassifier
 from .hypo import TableHypothesis
 from .loss import TaskInstance
@@ -235,41 +233,6 @@ def derand_certifier_setup(q_in: float = 0.9, a_size: int = 8, grid: int = 1000,
     cert = RandomizedCertifier(evaluate=evaluate, randomness=grid_randomness(grid),
                                robust_region=robust_region)
     return CertifierSetup(AttackTask(data, attacks), cert, q_in, alpha, beta)
-
-
-def random_finite_task(rng: np.random.Generator, max_points: int = 6,
-                       max_k: int = 3, grid: int = 20) -> TaskInstance:
-    """A random small discrete task with grid-valued probabilities.
-
-    Probabilities are multiples of 1/grid, so member error levels sit well
-    away from 0 and 1 unless they are exactly 0 or 1; that keeps Monte
-    Carlo standard errors honest in the oracle-exactness checks.
-    """
-    n_points = int(rng.integers(2, max_points + 1))
-    points = [float(i) for i in range(n_points)]
-    n_atoms = int(rng.integers(1, n_points + 1))
-    atom_idx = sorted(rng.choice(n_points, size=n_atoms, replace=False).tolist())
-    labels = [int(v) for v in rng.choice([-1, 1], size=n_atoms)]
-    weights = rng.multinomial(grid - n_atoms, [1.0 / n_atoms] * n_atoms) + 1
-    data = FiniteDistribution(
-        [(points[i], y) for i, y in zip(atom_idx, labels)],
-        [w / grid for w in weights],
-    )
-    families = {}
-    for i in atom_idx:
-        k = int(rng.integers(1, max_k + 1))
-        members = []
-        for _ in range(k):
-            counts = rng.multinomial(grid, [1.0 / n_points] * n_points)
-            support = [points[d] for d in range(n_points) if counts[d] > 0]
-            probs = [counts[d] / grid for d in range(n_points) if counts[d] > 0]
-            members.append(FiniteDistribution(support, probs))
-        families[points[i]] = DistributionFamily(members, k=k)
-    return TaskInstance(data, families)
-
-
-def random_table_hypothesis(rng: np.random.Generator, points) -> TableHypothesis:
-    return TableHypothesis({p: int(v) for p, v in zip(points, rng.choice([-1, 1], size=len(points)))})
 
 
 BUILTIN_TASKS: dict = {

@@ -575,6 +575,8 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     # on it, and its true family must be that one Gaussian too
     sigma = cfg.params["sigma"]
     for x, _, _ in task.atoms():
+        if isinstance(x, tuple):
+            raise ConfigError(f"smoothing needs one-dimensional atoms; x={x!r} is a tuple")
         fam = task.family_of[x]
         if fam.rep_set != (GaussianDistribution(x, sigma),) or fam.true_set != fam.rep_set:
             raise ConfigError(f"smoothing needs each atom's true and representative sets to be "

@@ -7,17 +7,18 @@ after the fact.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
 from drloss import seeding
-from drloss.loss import population_dr_loss_exact, population_dr_loss_mc
+from drloss.loss import population_dr_loss_exact
 from drloss.perturb import gaussian_shift_tv
-from drloss.tasks import random_finite_task, random_table_hypothesis
 from drloss.xprun import emit_report, load_config, run_suite
+from drloss.xprun.indexed import FiniteView
+
+from generators import random_finite_task, random_table_hypothesis
 
 
 def report_line(num, name, passed, detail):
@@ -27,32 +28,31 @@ def report_line(num, name, passed, detail):
 
 
 def test_01_oracle_exactness():
-    """MC loss matches the exact oracle within 3 SE on random finite tasks.
+    """Two independent exact DR losses agree on random finite tasks.
 
-    20,000 independent z-checks; a correctly calibrated standard error
-    leaves ~0.27% outside 3 SE, so the frequency is asserted against that
-    rate plus three binomial sigmas, per the uniform slack policy.
+    ``population_dr_loss_exact`` sums member errors with ``fsum`` per atom;
+    ``FiniteView.dr_exact`` contracts the view's member and mistake tables
+    with ``einsum``.  Both are exact, so over 20,000 (task, hypothesis) pairs
+    they may differ only by the rounding of their different summation
+    orders, a few ulps, well inside 1e-12.
     """
     start = time.perf_counter()
     master = 424242
     checks = 0
-    violations = 0
+    worst = 0.0
     for ti in range(200):
         rng = seeding.stream(master, ti)
         task = random_finite_task(rng)
-        points = task.domain_points()
+        view = FiniteView(task)
         for _ in range(100):
-            h = random_table_hypothesis(rng, points)
+            h = random_table_hypothesis(rng, view.points)
             exact = population_dr_loss_exact(h, task)
-            est = population_dr_loss_mc(h, task, n=10**4, m=10**4, rng=rng)
+            (tabled,) = view.dr_exact(view.labels_of(h), "true")
             checks += 1
-            if abs(est.value - exact) > 3.0 * est.stderr:
-                violations += 1
-    rate = 2 * (1.0 - 0.5 * (1.0 + math.erf(3.0 / math.sqrt(2.0))))  # 2(1-Phi(3))
-    threshold = rate + 3.0 * math.sqrt(rate * (1.0 - rate) / checks)
+            worst = max(worst, abs(exact - tabled))
     elapsed = time.perf_counter() - start
-    report_line(1, "oracle exactness", violations / checks <= threshold and elapsed <= 120,
-                f"{violations}/{checks} beyond 3se, threshold {threshold:.4f}, {elapsed:.1f}s")
+    report_line(1, "oracle exactness", worst <= 1e-12 and elapsed <= 120,
+                f"largest difference {worst:.1e} over {checks} checks, {elapsed:.1f}s")
 
 
 def test_02_concentration_suite():

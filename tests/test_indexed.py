@@ -34,16 +34,12 @@ from drloss.hypo import (
     IntervalClass,
     ThresholdClass,
 )
-from drloss.tasks import (
-    build_task,
-    random_finite_task,
-    random_table_hypothesis,
-    task_from_dict,
-    with_label_noise,
-)
+from drloss.tasks import build_task, task_from_dict, with_label_noise
 from drloss.xprun import load_config, suites
 from drloss.xprun.config import check
 from drloss.xprun.indexed import FiniteView
+
+from generators import random_finite_task, random_table_hypothesis
 
 
 # the float oracles' zero test: a float loss this small is a zero loss, as

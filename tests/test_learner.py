@@ -21,8 +21,10 @@ from drloss.perturb import (
     GaussianDistribution,
 )
 from drloss.seeding import stream
-from drloss.tasks import random_finite_task, random_table_hypothesis, t1, with_label_noise
+from drloss.tasks import t1, with_label_noise
 from drloss.xprun.indexed import FiniteView
+
+from generators import random_finite_task, random_table_hypothesis
 
 
 def rng_for(seed):

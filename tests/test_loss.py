@@ -8,7 +8,6 @@ from drloss.loss import (
     TaskInstance,
     empirical_dr_loss,
     population_dr_loss_exact,
-    population_dr_loss_mc,
 )
 from drloss.perturb import (
     DistributionError,
@@ -17,7 +16,9 @@ from drloss.perturb import (
     GaussianDistribution,
     sample,
 )
-from drloss.tasks import random_finite_task, random_table_hypothesis, t1
+from drloss.tasks import t1
+
+from generators import random_finite_task, random_table_hypothesis
 
 
 def rng_for(seed):
@@ -146,47 +147,6 @@ class TestExactPopulationLoss:
             h = random_table_hypothesis(r, pts)
             risk = sum(p for (x, y), p in zip(data.support, data.probs) if h.predict(x) != y)
             assert population_dr_loss_exact(h, task) == pytest.approx(risk, abs=1e-12)
-
-
-class TestMonteCarloLoss:
-    def test_fully_degenerate_task_is_exact(self):
-        data = FiniteDistribution([(0.0, -1)], [1.0])
-        fam = {0.0: DistributionFamily([FiniteDistribution.point_mass(2.0)], k=1)}
-        task = TaskInstance(data, fam)
-        h = Threshold(1.0)  # 2.0 -> +1, always wrong
-        est = population_dr_loss_mc(h, task, n=17, m=9, rng=rng_for(5))
-        assert est.value == population_dr_loss_exact(h, task) == 1.0
-
-    def test_t1_large_sample_close_to_exact(self):
-        est = population_dr_loss_mc(Threshold(2.5), t1(), n=10**4, m=10**3, rng=rng_for(42))
-        assert abs(est.value - 0.25) <= 0.01
-        assert abs(est.value - 0.25) <= 3.0 * est.stderr
-
-    def test_gaussian_sigma_to_zero(self):
-        data = FiniteDistribution([(0.0, -1), (3.0, 1)], [0.5, 0.5])
-        fams = {x: DistributionFamily([GaussianDistribution(x, 1e-9)], k=1) for x in (0.0, 3.0)}
-        task = TaskInstance(data, fams)
-        est = population_dr_loss_mc(Threshold(1.5), task, n=200, m=50, rng=rng_for(7))
-        assert est.value == 0.0
-
-    def test_stderr_is_calibrated(self):
-        # z-scores should rarely leave +-4 when se is honest
-        bad = 0
-        for seed in range(60):
-            r = rng_for(3000 + seed)
-            task = random_finite_task(r)
-            h = random_table_hypothesis(r, task.domain_points())
-            exact = population_dr_loss_exact(h, task)
-            est = population_dr_loss_mc(h, task, n=2000, m=2000, rng=r)
-            if est.stderr == 0.0:
-                assert est.value == pytest.approx(exact, abs=1e-12)
-            elif abs(est.value - exact) > 4.0 * est.stderr:
-                bad += 1
-        assert bad <= 1
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            population_dr_loss_mc(Threshold(0.0), t1(), n=0, m=1, rng=rng_for(0))
 
 
 class TestEmpiricalConvergence:

@@ -358,6 +358,13 @@ class TestTvDistance:
         b = FiniteDistribution.point_mass(5.0)
         assert tv_distance(a, b) == 1.0
 
+    def test_rejects_gaussian(self):
+        finite = FiniteDistribution.point_mass(0.0)
+        gauss = GaussianDistribution(0.0, 1.0)
+        for a, b in ((gauss, finite), (finite, gauss)):
+            with pytest.raises(DistributionError):
+                tv_distance(a, b)
+
     @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
     def test_metric_properties(self, sa, sb, sc):
         def rand_dist(seed):

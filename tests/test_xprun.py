@@ -23,7 +23,7 @@ from drloss.learner import drerm
 from drloss.loss import SampleSet, empirical_dr_loss
 from drloss.perturb import GaussianDistribution
 from drloss.stats import Assertion, wilson_interval
-from drloss.tasks import build_task, random_finite_task, random_table_hypothesis, t1, task_from_dict
+from drloss.tasks import build_task, t1, task_from_dict
 from drloss.xprun import (
     KINDS,
     SUITES,
@@ -44,6 +44,8 @@ from drloss.xprun.config import (
     check,
 )
 from drloss.xprun.indexed import FiniteView
+
+from generators import random_finite_task, random_table_hypothesis
 
 
 def rng_for(seed):
@@ -1181,6 +1183,18 @@ class TestCli:
                               "at5": [[5.0, 1.0]]},
             "families": [{"x": 0.0, "true": ["at5"], "rep": ["g0"], "k": 1},
                          {"x": 3.0, "true": ["at5"], "rep": ["g3"], "k": 1}]}}}, {}),
+        ("smoothing", {"task": {"inline": {
+            "atoms": [[[0.0, 0.0], -1, 0.5], [[3.0, 0.0], 1, 0.5]],
+            "distributions": {"g0": {"gaussian": {"center": [0.0, 0.0], "sigma": 1.0}},
+                              "g3": {"gaussian": {"center": [3.0, 0.0], "sigma": 1.0}}},
+            "families": [{"x": [0.0, 0.0], "true": ["g0"], "rep": ["g0"], "k": 1},
+                         {"x": [3.0, 0.0], "true": ["g3"], "rep": ["g3"], "k": 1}]}}}, {}),
+        ("model1", {"params": {"cover_k": 1}, "task": {"inline": {
+            "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
+            "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
+                              "d3": [[3.0, 1.0]]},
+            "families": [{"x": 0.0, "true": ["g0"], "k": 1},
+                         {"x": 3.0, "true": ["d3"], "k": 1}]}}}, {}),
     ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
@@ -1206,7 +1220,8 @@ class TestCli:
             "smoothing-no-representatives", "smoothing-task-sigma-not-params",
             "smoothing-representative-off-centre", "hoeffding-inner-member-gaussian",
             "hoeffding-inner-task-two-atoms", "hoeffding-inner-task-two-members",
-            "smoothing-true-member-not-the-gaussian"])
+            "smoothing-true-member-not-the-gaussian", "smoothing-atoms-not-one-dimensional",
+            "model1-cover-k-gaussian-true-member"])
     def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
