@@ -7,7 +7,7 @@ derandomization guarantees at desk scale.
 """
 
 from .hypo import Threshold, ThresholdClass
-from .learner import LearnConfig, draw_training_set, drerm
+from .learner import draw_training_set, drerm
 from .loss import empirical_dr_loss, population_dr_loss_exact
 from .seeding import stream
 

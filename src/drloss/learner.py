@@ -1,5 +1,9 @@
 """The learning algorithm: sample a training set, then exact worst-case ERM.
 
+A training set keeps the shape it is drawn in (``SampleSet.batches``): n
+clean examples, then each example's batches of m draws, one per true
+member in member order.
+
 ERM is exact because behaviors are enumerated on the drawn point set and
 each canonical witness is scored; nothing is approximated beyond the
 sampling itself.  Thresholds count their mistakes per cut from the sorted
@@ -17,8 +21,6 @@ generator state) reproduce the identical hypothesis bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hypo import Threshold, ThresholdClass, threshold_cuts
@@ -33,38 +35,28 @@ from .loss import (
 from .perturb import sample
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    """Sampling schedule of one training set."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
-
-
-def draw_training_set(task: TaskInstance, cfg: LearnConfig, rng: np.random.Generator) -> SampleSet:
+def draw_training_set(task: TaskInstance, n: int, m: int, rng: np.random.Generator) -> SampleSet:
     """n clean draws plus exactly m draws per (clean example, true family member).
 
-    Each clean draw gets its own batches, even when the same x repeats.
+    The n clean draws come first, then each example's batches in member
+    order.  Each clean draw gets its own batches, even when the same x repeats.
     """
-    clean = tuple(sample(task.data_dist, cfg.n, rng))
-    perturbed = {}
-    for i, (x, _) in enumerate(clean):
-        for j, u in enumerate(task.members_for(x, "true")):
-            perturbed[(i, j)] = tuple(sample(u, cfg.m, rng))
-    return SampleSet(clean=clean, perturbed=perturbed, m=cfg.m)
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    clean = tuple(sample(task.data_dist, n, rng))
+    batches = tuple(tuple(tuple(sample(u, m, rng)) for u in task.members_for(x, "true"))
+                    for x, _ in clean)
+    return SampleSet(clean=clean, batches=batches, m=m)
 
 
 def _batch_rows(s: SampleSet, points) -> np.ndarray:
     """(k, n, D + 1) ``dr_scores`` rows of the batches; a missing member's row stays 0."""
     index = {z: d for d, z in enumerate(points)}
-    rows = member_rows(1 + max(j for _, j in s.perturbed), s.n, len(points), s.m)
-    for (i, j), batch in s.perturbed.items():
-        counts = np.bincount([index[z] for z in batch], minlength=len(points))
-        put_member_rows(rows, j, i, counts, s.clean[i][1] == 1, s.m)
+    rows = member_rows(max(map(len, s.batches)), s.n, len(points), s.m)
+    for i, ((_, y), members) in enumerate(zip(s.clean, s.batches)):
+        for j, batch in enumerate(members):
+            counts = np.bincount([index[z] for z in batch], minlength=len(points))
+            put_member_rows(rows, j, i, counts, y == 1, s.m)
     return rows
 
 
@@ -77,9 +69,9 @@ def _threshold_ties(cuts: list, s: SampleSet) -> np.ndarray:
     and worst member for the rest.  Only candidate cuts are counted per example.
     """
     at = np.asarray(cuts, dtype=float)
-    keys = sorted(s.perturbed)  # each example's members 0, 1, ... in a row
-    draws = np.sort(np.array([s.perturbed[key] for key in keys], dtype=float), axis=1)
-    first = np.searchsorted([i for i, _ in keys], np.arange(s.n + 1))
+    stacked = [batch for members in s.batches for batch in members]  # in example, member order
+    draws = np.sort(np.array(stacked, dtype=float), axis=1)
+    first = np.cumsum([0, *map(len, s.batches)])
     positive = np.array([y == 1 for _, y in s.clean])
 
     def worst(i: int, cut_at: np.ndarray) -> np.ndarray:

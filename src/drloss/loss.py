@@ -72,29 +72,25 @@ class TaskInstance:
 class SampleSet:
     """A drawn training set: n clean examples plus m perturbations per family member.
 
-    ``perturbed[(i, j)]`` holds the m draws for clean example i and its
-    family member j, each batch drawn once and shared by every hypothesis
-    scored against this set.  Total size is at most n*m*k + n.
+    ``batches[i]`` holds clean example i's member batches in member order,
+    each the m draws from that member, drawn once and shared by every
+    hypothesis scored against this set.  Total size is at most n*m*k + n.
     """
 
     clean: tuple
-    perturbed: Mapping
+    batches: tuple
     m: int
 
     def __post_init__(self):
         if not self.clean:
             raise ValueError("empty sample set")
-        members = {i: set() for i in range(self.n)}
-        for key, batch in self.perturbed.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in members):
-                raise ValueError(f"batch key {key!r} is not (i, j) with 0 <= i < n={self.n}")
-            members[key[0]].add(key[1])
-            if len(batch) != self.m:
-                raise ValueError(f"batch {key} has {len(batch)} draws, expected m={self.m}")
-        for i, js in members.items():
-            if not js or js != set(range(len(js))):
-                raise ValueError(f"clean example {i} has members {sorted(js, key=repr)}, "
-                                 "expected 0, ..., k - 1 with k >= 1")
+        if len(self.batches) != self.n:
+            raise ValueError(f"{len(self.batches)} batch entries for n={self.n} clean examples")
+        for i, members in enumerate(self.batches):
+            if not members:
+                raise ValueError(f"clean example {i} has no batches")
+            if any(len(batch) != self.m for batch in members):
+                raise ValueError(f"clean example {i} has a batch of other than m={self.m} draws")
 
     @property
     def n(self) -> int:
@@ -103,8 +99,9 @@ class SampleSet:
     def all_points(self) -> list:
         """Distinct points of the set (clean instances and all perturbations), sorted."""
         pts = {x for x, _ in self.clean}
-        for batch in self.perturbed.values():
-            pts.update(batch)
+        for members in self.batches:
+            for batch in members:
+                pts.update(batch)
         return sorted(pts)
 
 
@@ -115,15 +112,8 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
     behavior enumeration upstream.
     """
     total = 0.0
-    for i, (x, y) in enumerate(s.clean):
-        worst = 0.0
-        j = 0
-        while (i, j) in s.perturbed:
-            batch = s.perturbed[(i, j)]
-            wrong = sum(1 for z in batch if h.predict(z) != y)
-            worst = max(worst, wrong / s.m)
-            j += 1
-        total += worst
+    for (_, y), members in zip(s.clean, s.batches):
+        total += max(sum(1 for z in batch if h.predict(z) != y) / s.m for batch in members)
     return total / s.n
 
 

@@ -2,16 +2,15 @@
 
 Config files are declarative JSON or YAML with the same nested shape as
 the built-in defaults.  Overrides are applied in order: built-in defaults,
-then the file, then the environment (DRLOSS_SEED and DRLOSS_JOBS only),
-then command-line flags.  ``SCHEMA`` names every key a suite reads, with
-its checker; ``check`` applies it once, before any setup runs.
+then the file, then command-line flags.  ``SCHEMA`` names every key a
+suite reads, with its checker; ``check`` applies it once, before any
+setup runs.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -317,8 +316,8 @@ def check(cfg: dict) -> ExperimentConfig:
 
 
 def load_config(kind: str, path: str | None = None, seed: int | None = None,
-                jobs: int | None = None, env: dict | None = None) -> ExperimentConfig:
-    """Merge defaults, optional file, environment, and CLI overrides, and check them.
+                jobs: int | None = None) -> ExperimentConfig:
+    """Merge defaults, optional file, and CLI overrides, and check them.
 
     The grid, params and specs stay as written: reports echo them, and
     ``run_suite`` checks them again.
@@ -337,13 +336,6 @@ def load_config(kind: str, path: str | None = None, seed: int | None = None,
                 merged["params"].update(value)
             else:
                 merged[key] = value
-    env = os.environ if env is None else env
-    for var, key in (("DRLOSS_SEED", "master_seed"), ("DRLOSS_JOBS", "jobs")):
-        if env.get(var):
-            try:
-                merged[key] = int(env[var])
-            except ValueError:
-                raise ConfigError(f"{var} must be an integer, got {env[var]!r}") from None
     if seed is not None:
         merged["master_seed"] = seed
     if jobs is not None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from statistics import median
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -31,7 +30,7 @@ import numpy as np
 from .. import seeding
 from ..derand import encode_seeds, epsilon_eta, required_trials
 from ..hypo import ThresholdClass
-from ..learner import LearnConfig, draw_training_set, drerm
+from ..learner import draw_training_set, drerm
 from ..loss import DR_S_BLOCK_BYTES, member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     FiniteDistribution,
@@ -211,7 +210,7 @@ def _erm_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) ->
         "m": entry["m"],
         "epsilon": entry["epsilon"],
         "delta": delta,
-        "median_gap": median(rows["gap"].tolist()),
+        "median_gap": float(np.median(rows["gap"])),
     }
     if cfg.kind != "agnostic":
         agg["viol_any_freq"] = int(np.count_nonzero(rows["viol_any"])) / trials
@@ -583,8 +582,7 @@ def _smoothing_setup(cfg: ExperimentConfig) -> SimpleNamespace:
                               f"the one Gaussian centred at the atom with sigma = params.sigma = "
                               f"{sigma!r}; x={x!r} has true {fam.true_set!r}, "
                               f"representatives {fam.rep_set!r}")
-    return SimpleNamespace(task=task, hclass=hclass, sigma=sigma,
-                           learn=LearnConfig(n=cfg.params["n"], m=cfg.params["m"]))
+    return SimpleNamespace(task=task, hclass=hclass, sigma=sigma)
 
 
 def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi: int) -> dict:
@@ -594,7 +592,7 @@ def _smoothing_chunk(cfg: ExperimentConfig, s, _g: int, _chunk: int, lo: int, hi
     rows = []
     for trial in range(lo, hi):
         rng = seeding.stream(cfg.master_seed, 0, trial)
-        cut = drerm(s.hclass, draw_training_set(s.task, s.learn, rng)).t
+        cut = drerm(s.hclass, draw_training_set(s.task, cfg.params["n"], cfg.params["m"], rng)).t
         clean_loss = math.fsum(p * smoothed_threshold_error(cut, x, y, sigma)
                                for x, y, p in atoms)
         for g, entry in enumerate(cfg.grid):

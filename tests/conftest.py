@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,10 +8,3 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("ci")
-
-
-@pytest.fixture(autouse=True)
-def _isolate_env(monkeypatch):
-    # ambient overrides must not perturb the pinned-seed tests
-    monkeypatch.delenv("DRLOSS_SEED", raising=False)
-    monkeypatch.delenv("DRLOSS_JOBS", raising=False)

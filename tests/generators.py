@@ -1,10 +1,15 @@
-"""Seeded random finite tasks and table hypotheses for the tests."""
+"""Seeded generators, random finite tasks and table hypotheses for the tests."""
 
 import numpy as np
 
 from drloss.hypo import TableHypothesis
 from drloss.loss import TaskInstance
 from drloss.perturb import DistributionFamily, FiniteDistribution
+
+
+def rng_for(seed: int) -> np.random.Generator:
+    """A Philox generator seeded with ``seed``."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def random_finite_task(rng: np.random.Generator, max_points: int = 6,

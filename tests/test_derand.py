@@ -26,9 +26,7 @@ from drloss.perturb import FiniteDistribution
 from drloss.tasks import derand_classifier_setup, grid_randomness
 from drloss.xprun.suites import smoothed_threshold_error
 
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import rng_for
 
 
 class TestRequiredTrials:

@@ -27,9 +27,7 @@ from drloss.xprun import load_config
 from drloss.xprun.config import check
 from drloss.xprun.suites import _finite_setup
 
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import rng_for
 
 
 class TestPredict:

@@ -39,16 +39,12 @@ from drloss.xprun import load_config, suites
 from drloss.xprun.config import check
 from drloss.xprun.indexed import FiniteView
 
-from generators import random_finite_task, random_table_hypothesis
+from generators import random_finite_task, random_table_hypothesis, rng_for
 
 
 # the float oracles' zero test: a float loss this small is a zero loss, as
 # the engine once decided; its exact W == 0 must agree with it
 FLOAT_ZERO_TOL = 1e-12
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def oracle_counts(view, rng, slot_atoms, m, member_view):

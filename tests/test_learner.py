@@ -12,37 +12,32 @@ from drloss.hypo import (
 )
 from drloss import learner
 from drloss.hypo import threshold_cuts
-from drloss.learner import LearnConfig, draw_training_set, drerm
+from drloss.learner import draw_training_set, drerm
 from drloss.loss import SampleSet, TaskInstance, empirical_dr_loss, population_dr_loss_exact
 from drloss.perturb import (
     DistributionError,
     DistributionFamily,
     FiniteDistribution,
     GaussianDistribution,
+    sample,
 )
 from drloss.seeding import stream
 from drloss.tasks import t1, with_label_noise
 from drloss.xprun.indexed import FiniteView
 
-from generators import random_finite_task, random_table_hypothesis
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import random_finite_task, random_table_hypothesis, rng_for
 
 
 class TestDrawTrainingSet:
     def test_minimal_counts(self):
         data = FiniteDistribution([(0.0, -1)], [1.0])
         task = TaskInstance(data, {0.0: DistributionFamily([FiniteDistribution.point_mass(0.0)], k=1)})
-        cfg = LearnConfig(n=1, m=1)
-        s = draw_training_set(task, cfg, rng_for(0))
-        assert s.n == 1 and len(s.perturbed) == 1
+        s = draw_training_set(task, 1, 1, rng_for(0))
+        assert s.n == 1 and s.batches == (((0.0,),),)
 
     def test_t1_counting_bound(self):
-        cfg = LearnConfig(n=2, m=3)
-        s = draw_training_set(t1(), cfg, rng_for(1))
-        total_perturbations = sum(len(v) for v in s.perturbed.values())
+        s = draw_training_set(t1(), 2, 3, rng_for(1))
+        total_perturbations = sum(len(batch) for members in s.batches for batch in members)
         assert total_perturbations == 2 * 2 * 3
         assert total_perturbations + s.n <= 2 * 3 * 2 + 2  # n*m*k + n
 
@@ -50,40 +45,49 @@ class TestDrawTrainingSet:
         data = FiniteDistribution([(0.0, -1), (5.0, 1)], [0.5, 0.5])
         fams = {x: DistributionFamily([FiniteDistribution.point_mass(x)], k=1) for x in (0.0, 5.0)}
         task = TaskInstance(data, fams)
-        cfg = LearnConfig(n=4, m=3)
-        s = draw_training_set(task, cfg, rng_for(2))
-        for (i, _), batch in s.perturbed.items():
-            assert all(z == s.clean[i][0] for z in batch)
+        s = draw_training_set(task, 4, 3, rng_for(2))
+        for (x, _), members in zip(s.clean, s.batches):
+            assert members == ((x,) * 3,)
+
+    def test_draw_order(self):
+        # the n clean draws, then per example one batch of m per true member, on one stream
+        task, r = t1(), rng_for(8)
+        clean = tuple(sample(task.data_dist, 5, r))
+        batches = []
+        for x, _ in clean:
+            members = task.members_for(x, "true")
+            assert len(members) == 2
+            batches.append((tuple(sample(members[0], 3, r)), tuple(sample(members[1], 3, r))))
+        s = draw_training_set(task, 5, 3, rng_for(8))
+        assert s.clean == clean and s.batches == tuple(batches)
 
     def test_missing_rep_set_rejected(self):
         # training reads only the true sets, so a task without representative
         # sets trains; asking its families for the set they lack still fails
         task = t1()
-        s = draw_training_set(task, LearnConfig(n=3, m=2), rng_for(3))
-        for (i, j), batch in s.perturbed.items():
-            assert set(batch) <= set(task.members_for(s.clean[i][0], "true")[j].support)
+        s = draw_training_set(task, 3, 2, rng_for(3))
+        for (x, _), members in zip(s.clean, s.batches):
+            for u, batch in zip(task.members_for(x, "true"), members, strict=True):
+                assert set(batch) <= set(u.support)
         with pytest.raises(DistributionError):
             task.members_for(0.0, "rep")
 
 
 class TestDrerm:
     def test_realizable_reaches_zero(self):
-        cfg = LearnConfig(n=20, m=20)
-        s = draw_training_set(t1(), cfg, rng_for(4))
+        s = draw_training_set(t1(), 20, 20, rng_for(4))
         h = drerm(ThresholdClass(), s)
         assert empirical_dr_loss(h, s) == 0.0
 
     def test_t1_witness_in_unit_window(self):
         # with every support point sampled, the zero behavior's canonical cut is 2
-        cfg = LearnConfig(n=30, m=30)
-        s = draw_training_set(t1(), cfg, rng_for(5))
+        s = draw_training_set(t1(), 30, 30, rng_for(5))
         h = drerm(ThresholdClass(), s)
         assert 1.0 < h.t <= 2.0
 
     def test_constant_class_returns_constant(self):
         const = TableHypothesis({z: -1 for z in (0.0, 1.0, 2.0, 3.0)})
-        cfg = LearnConfig(n=5, m=5)
-        s = draw_training_set(t1(), cfg, rng_for(6))
+        s = draw_training_set(t1(), 5, 5, rng_for(6))
         assert drerm(FiniteClass([const]), s) is const
 
     def test_full_rescan_optimality(self):
@@ -91,8 +95,7 @@ class TestDrerm:
         for seed in range(15):
             r = rng_for(100 + seed)
             task = random_finite_task(r)
-            cfg = LearnConfig(n=6, m=4)
-            s = draw_training_set(task, cfg, r)
+            s = draw_training_set(task, 6, 4, r)
             h = drerm(ThresholdClass(), s)
             best = empirical_dr_loss(h, s)
             for b in ThresholdClass().enumerate_behaviors(s.all_points()):
@@ -106,8 +109,7 @@ class TestDrerm:
             3.0: DistributionFamily([FiniteDistribution.point_mass(3.0)], k=1),
         }
         task = TaskInstance(data, fams)
-        cfg = LearnConfig(n=6, m=30)
-        s = draw_training_set(task, cfg, rng_for(7))
+        s = draw_training_set(task, 6, 30, rng_for(7))
         assert len(s.all_points()) > 64
         h = drerm(ThresholdClass(), s)
         best = empirical_dr_loss(h, s)
@@ -123,9 +125,9 @@ class TestDrerm:
 def random_sample_set(r, pool, n: int, m: int) -> SampleSet:
     """n clean examples from ``pool`` with random labels, 1-3 members, m draws each."""
     clean = tuple((pool[int(r.integers(len(pool)))], int(r.choice([-1, 1]))) for _ in range(n))
-    perturbed = {(i, j): tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
-                 for i in range(n) for j in range(int(r.integers(1, 4)))}
-    return SampleSet(clean=clean, perturbed=perturbed, m=m)
+    batches = tuple(tuple(tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
+                          for _ in range(int(r.integers(1, 4)))) for _ in range(n))
+    return SampleSet(clean=clean, batches=batches, m=m)
 
 
 DRERM_CASES = ["threshold-few-points", "threshold-many-points", "interval", "axis-rect-2",
@@ -166,7 +168,7 @@ def test_drerm_returns_first_minimizer(case):
 
 
 def test_drerm_threshold_on_tuple_points_raises_domain_error():
-    s = SampleSet(clean=(((0.0, 1.0), -1),), perturbed={(0, 0): ((0.0, 1.0), (2.0, 3.0))}, m=2)
+    s = SampleSet(clean=(((0.0, 1.0), -1),), batches=((((0.0, 1.0), (2.0, 3.0)),),), m=2)
     with pytest.raises(DomainError):
         drerm(ThresholdClass(), s)
 
@@ -180,10 +182,11 @@ def scores_threshold(cuts: list, s: SampleSet) -> np.ndarray:
     """
     candidates = np.asarray(cuts)
     worst = np.zeros((len(candidates), s.n))
-    for (i, _), batch in s.perturbed.items():
-        below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
-        wrong = below if s.clean[i][1] == 1 else (s.m - below)
-        np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
+    for i, ((_, y), members) in enumerate(zip(s.clean, s.batches)):
+        for batch in members:
+            below = np.searchsorted(np.sort(np.asarray(batch, dtype=float)), candidates, side="left")
+            wrong = below if y == 1 else (s.m - below)
+            np.maximum(worst[:, i], wrong / s.m, out=worst[:, i])
     return worst.mean(axis=1)
 
 
@@ -201,9 +204,9 @@ def finite_sample_set(r, members: int, negative_only: bool) -> SampleSet:
     n, m = int(r.integers(1, 9)), int(r.integers(1, 7))
     clean = tuple((pool[int(r.integers(len(pool)))],
                    -1 if negative_only else int(r.choice([-1, 1]))) for _ in range(n))
-    perturbed = {(i, j): tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
-                 for i in range(n) for j in range(members)}
-    return SampleSet(clean=clean, perturbed=perturbed, m=m)
+    batches = tuple(tuple(tuple(pool[int(d)] for d in r.integers(0, len(pool), m))
+                          for _ in range(members)) for _ in range(n))
+    return SampleSet(clean=clean, batches=batches, m=m)
 
 
 @pytest.mark.parametrize("case", ["gaussian-1", "gaussian-2", "finite-1", "finite-2"])
@@ -216,7 +219,7 @@ def test_threshold_erm_matches_float_oracle(case):
         r = rng_for(1700 + seed)
         if case.startswith("gaussian"):
             n, m = (100, 100) if seed < 3 else (int(r.integers(1, 30)), int(r.integers(1, 30)))
-            s = draw_training_set(gaussian_task(members), LearnConfig(n=n, m=m), r)
+            s = draw_training_set(gaussian_task(members), n, m, r)
         else:
             # all-negative sets leave the all-minus sentinel cut as the minimizer
             s = finite_sample_set(r, members, negative_only=seed % 3 == 0)
@@ -236,7 +239,7 @@ def fit_threshold(task, n: int, m: int, seed: int):
 
     Returns the hypothesis with its empirical and exact population losses.
     """
-    s = draw_training_set(task, LearnConfig(n=n, m=m), stream(seed, 0))
+    s = draw_training_set(task, n, m, stream(seed, 0))
     h = drerm(ThresholdClass(), s)
     return h, empirical_dr_loss(h, s), population_dr_loss_exact(h, task)
 
@@ -264,6 +267,6 @@ class TestLearn:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            LearnConfig(n=0, m=1)
+            draw_training_set(t1(), 0, 1, rng_for(0))
         with pytest.raises(ValueError):
-            LearnConfig(n=1, m=0)
+            draw_training_set(t1(), 1, 0, rng_for(0))

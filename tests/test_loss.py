@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from drloss.derand import AttackTask, RandomizedClassifier, worst_point_errors
@@ -18,11 +17,7 @@ from drloss.perturb import (
 )
 from drloss.tasks import t1
 
-from generators import random_finite_task, random_table_hypothesis
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import random_finite_task, random_table_hypothesis, rng_for
 
 
 def brute_population_loss(h, task, view="true"):
@@ -55,22 +50,22 @@ class TestTaskInstance:
 def two_example_sample():
     # n=2, k=2, per-example member losses {(0.0, 0.5), (0.25, 0.0)} under t=1.5
     clean = ((0.0, -1), (3.0, 1))
-    perturbed = {
-        (0, 0): (0.0, 0.0, 0.0, 0.0),     # loss 0.0
-        (0, 1): (0.0, 2.0, 0.0, 2.0),     # loss 0.5 (2.0 labeled +1, true -1)
-        (1, 0): (3.0, 3.0, 3.0, 1.0),     # loss 0.25 (1.0 labeled -1, true +1)
-        (1, 1): (3.0, 3.0, 3.0, 3.0),     # loss 0.0
-    }
-    return SampleSet(clean=clean, perturbed=perturbed, m=4)
+    batches = (
+        ((0.0, 0.0, 0.0, 0.0),     # loss 0.0
+         (0.0, 2.0, 0.0, 2.0)),    # loss 0.5 (2.0 labeled +1, true -1)
+        ((3.0, 3.0, 3.0, 1.0),     # loss 0.25 (1.0 labeled -1, true +1)
+         (3.0, 3.0, 3.0, 3.0)),    # loss 0.0
+    )
+    return SampleSet(clean=clean, batches=batches, m=4)
 
 
 class TestEmpiricalLoss:
     def test_perfect_classifier(self):
-        s = SampleSet(clean=((0.0, -1),), perturbed={(0, 0): (0.0, 0.0)}, m=2)
+        s = SampleSet(clean=((0.0, -1),), batches=(((0.0, 0.0),),), m=2)
         assert empirical_dr_loss(Threshold(1.0), s) == 0.0
 
     def test_single_average(self):
-        s = SampleSet(clean=((0.0, -1),), perturbed={(0, 0): (0.0, 0.0, 0.0, 2.0)}, m=4)
+        s = SampleSet(clean=((0.0, -1),), batches=(((0.0, 0.0, 0.0, 2.0),),), m=4)
         assert empirical_dr_loss(Threshold(1.5), s) == 0.25
 
     def test_max_then_average(self):
@@ -78,20 +73,16 @@ class TestEmpiricalLoss:
 
     def test_rejects_wrong_batch_length(self):
         with pytest.raises(ValueError):
-            SampleSet(clean=((0.0, -1),), perturbed={(0, 0): (0.0,)}, m=2)
+            SampleSet(clean=((0.0, -1),), batches=(((0.0,),),), m=2)
 
-    @pytest.mark.parametrize("clean, keys", [
-        (((0.0, -1),), [(0, 0), (0, 2)]),
-        (((0.0, -1),), [(0, 0), (5, 0)]),
-        (((0.0, -1), (3.0, 1)), [(0, 0)]),
-        (((0.0, -1),), [(0, 1)]),
-        (((0.0, -1),), [0]),
-    ], ids=["member-gap", "example-out-of-range", "example-without-batch",
-            "no-member-zero", "key-not-a-pair"])
-    def test_rejects_malformed_batch_keys(self, clean, keys):
-        # every scorer walks batches (i, 0), ..., (i, k - 1) for each clean example i
+    @pytest.mark.parametrize("clean, batches", [
+        (((0.0, -1), (3.0, 1)), (((0.0, 0.0),),)),
+        (((0.0, -1), (3.0, 1)), (((0.0, 0.0),), ())),
+    ], ids=["batch-count-not-n", "example-without-batch"])
+    def test_rejects_malformed_batches(self, clean, batches):
+        # every scorer reads one entry of at least one batch per clean example
         with pytest.raises(ValueError):
-            SampleSet(clean=clean, perturbed={key: (0.0, 0.0) for key in keys}, m=2)
+            SampleSet(clean=clean, batches=batches, m=2)
 
 
 class TestExactPopulationLoss:
@@ -152,7 +143,7 @@ class TestExactPopulationLoss:
 class TestEmpiricalConvergence:
     def test_gap_shrinks_with_sample_size(self):
         # fixed h with nonzero loss; median |emp - exact| decreases over n=m grid
-        from drloss.learner import LearnConfig, draw_training_set
+        from drloss.learner import draw_training_set
         task = t1()
         h = Threshold(2.5)
         exact = population_dr_loss_exact(h, task)
@@ -160,8 +151,7 @@ class TestEmpiricalConvergence:
         for size in (10, 100, 1000):
             gaps = []
             for seed in range(9):
-                cfg = LearnConfig(n=size, m=size)
-                s = draw_training_set(task, cfg, rng_for(9000 + 31 * seed + size))
+                s = draw_training_set(task, size, size, rng_for(9000 + 31 * seed + size))
                 emp = empirical_dr_loss(h, s)
                 assert 0.0 <= emp <= 1.0
                 gaps.append(abs(emp - exact))

@@ -23,9 +23,7 @@ from drloss.perturb import (
 from drloss.tasks import task_from_dict
 from drloss.xprun.suites import _votes
 
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import rng_for
 
 
 class TestFiniteDistribution:

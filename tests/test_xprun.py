@@ -45,11 +45,7 @@ from drloss.xprun.config import (
 )
 from drloss.xprun.indexed import FiniteView
 
-from generators import random_finite_task, random_table_hypothesis
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.Philox(seed))
+from generators import random_finite_task, random_table_hypothesis, rng_for
 
 
 class TestWilson:
@@ -102,14 +98,6 @@ class TestConfig:
         path.write_text(json.dumps({"kind": "agnostic"}))
         with pytest.raises(ConfigError):
             load_config("realizable", path=str(path))
-
-    def test_env_overrides_seed_and_jobs(self):
-        cfg = load_config("realizable", env={"DRLOSS_SEED": "77", "DRLOSS_JOBS": "3"})
-        assert cfg.master_seed == 77 and cfg.jobs == 3
-
-    def test_cli_flag_beats_env(self):
-        cfg = load_config("realizable", seed=5, env={"DRLOSS_SEED": "77"})
-        assert cfg.master_seed == 5
 
     def test_validation(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -234,15 +222,16 @@ class TestFiniteViewEquivalence:
         """Rebuild an explicit SampleSet whose batches realize the given member rows."""
         counts = np.abs(rows[:, :, :-1]).transpose(1, 0, 2).astype(int)
         clean = tuple((view.atom_x[a], int(view.atom_y[a])) for a in slots)
-        perturbed = {}
+        batches = []
         for i, a in enumerate(slots):
-            members = view.task.members_for(view.atom_x[a], "true")
-            for j in range(len(members)):
+            members = []
+            for j in range(len(view.task.members_for(view.atom_x[a], "true"))):
                 batch = []
                 for d in range(view.n_points):
                     batch.extend([view.points[d]] * int(counts[i, j, d]))
-                perturbed[(i, j)] = tuple(batch)
-        return SampleSet(clean=clean, perturbed=perturbed, m=m)
+                members.append(tuple(batch))
+            batches.append(tuple(members))
+        return SampleSet(clean=clean, batches=tuple(batches), m=m)
 
     def test_dr_s_matches_direct_empirical_loss(self):
         for hclass in (ThresholdClass(), IntervalClass()):
@@ -1084,118 +1073,117 @@ class TestCli:
                          "--seed", "2", "--quiet"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
-    @pytest.mark.parametrize("kind,config,env", [
-        ("smoothing", {}, {"DRLOSS_SEED": "abc"}),
-        ("realizable", {"task": {"builtin": "nope"}}, {}),
+    @pytest.mark.parametrize("kind,config", [
+        ("realizable", {"task": {"builtin": "nope"}}),
         ("realizable", {"task": {"inline": {
             "atoms": [[0.0, -1, 0.6], [3.0, 1, 0.5]],
             "distributions": {"d0": [[0.0, 1.0]], "d3": [[3.0, 1.0]]},
             "families": [{"x": 0.0, "true": ["d0"], "k": 1},
                          {"x": 3.0, "true": ["d3"], "k": 1}],
-        }}}, {}),
-        ("realizable", {"grid": [{"n": 10, "epsilon": 0.1, "delta": 0.05}]}, {}),
-        ("hoeffding", {"grid": [{"target": "outer", "m": 5, "epsilon": 0.4}]}, {}),
-        ("hoeffding", {"grid": [{"target": "sideways", "m": 5, "epsilon": 0.4}]}, {}),
-        ("realizable", {"task": 5}, {}),
-        ("realizable", {"grid": [{"n": "abc", "m": 10, "epsilon": 0.1}]}, {}),
-        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": "x"}]}, {}),
-        ("realizable", {"params": [1]}, {}),
-        ("double-sampling", {"params": {"draws": "abc"}}, {}),
-        ("double-sampling", {"params": {"draws": 0}}, {}),
-        ("hoeffding", {"grid": [{"target": ["x"], "m": 5, "epsilon": 0.4}]}, {}),
-        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "t": -3}]}, {}),
-        ("hoeffding", {"params": {"outer_m": 0}}, {}),
-        ("smoothing", {"params": {"sigma": 0}}, {}),
-        ("smoothing", {"params": {"shift_points": 0}}, {}),
-        ("derand-classifier", {"params": {"grid_randomness": 0}}, {}),
-        ("derand-classifier", {"params": {"p_err": 2}}, {}),
-        ("derand-classifier", {"params": {"p_err_high": -0.5}}, {}),
-        ("derand-certifier", {"params": {"q_in": 1.5}}, {}),
-        ("derand-certifier", {"params": {"alpha": -0.5}}, {}),
-        ("hoeffding", {"params": {"outer_M": 0}}, {}),
-        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "tt": 3}]}, {}),
-        ("derand-classifier", {"params": {"a_size": 2.5}}, {}),
-        ("smoothing", {"params": {"n": 2.5}}, {}),
-        ("smoothing", {"trials": 2.5}, {}),
-        ("smoothing", {"trials": True}, {}),
-        ("smoothing", {"jobs": 1.5}, {}),
-        ("smoothing", {"trails": 5}, {}),
-        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 0.1, "assert": "false"}]}, {}),
-        ("agnostic", {"grid": [{"n": 10, "m": 10, "epsilon": 0.15, "exact_inner": "no"}]}, {}),
-        ("model1", {"task": {"builtin": "t1"}, "params": {"cover_k": 1.5}}, {}),
-        ("smoothing", {"params": {"mc_slack": "0.5"}}, {}),
-        ("realizable", {"params": {"draws": 5}}, {}),
-        ("smoothing", {"grid": [{"delta": 0.0, "epsilon": 0.1}]}, {}),
+        }}}),
+        ("realizable", {"grid": [{"n": 10, "epsilon": 0.1, "delta": 0.05}]}),
+        ("hoeffding", {"grid": [{"target": "outer", "m": 5, "epsilon": 0.4}]}),
+        ("hoeffding", {"grid": [{"target": "sideways", "m": 5, "epsilon": 0.4}]}),
+        ("realizable", {"task": 5}),
+        ("realizable", {"grid": [{"n": "abc", "m": 10, "epsilon": 0.1}]}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": "x"}]}),
+        ("realizable", {"params": [1]}),
+        ("double-sampling", {"params": {"draws": "abc"}}),
+        ("double-sampling", {"params": {"draws": 0}}),
+        ("hoeffding", {"grid": [{"target": ["x"], "m": 5, "epsilon": 0.4}]}),
+        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "t": -3}]}),
+        ("hoeffding", {"params": {"outer_m": 0}}),
+        ("smoothing", {"params": {"sigma": 0}}),
+        ("smoothing", {"params": {"shift_points": 0}}),
+        ("derand-classifier", {"params": {"grid_randomness": 0}}),
+        ("derand-classifier", {"params": {"p_err": 2}}),
+        ("derand-classifier", {"params": {"p_err_high": -0.5}}),
+        ("derand-certifier", {"params": {"q_in": 1.5}}),
+        ("derand-certifier", {"params": {"alpha": -0.5}}),
+        ("hoeffding", {"params": {"outer_M": 0}}),
+        ("derand-classifier", {"grid": [{"eta": 0.25, "delta": 0.05, "tt": 3}]}),
+        ("derand-classifier", {"params": {"a_size": 2.5}}),
+        ("smoothing", {"params": {"n": 2.5}}),
+        ("smoothing", {"trials": 2.5}),
+        ("smoothing", {"trials": True}),
+        ("smoothing", {"jobs": 1.5}),
+        ("smoothing", {"trails": 5}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 0.1, "assert": "false"}]}),
+        ("agnostic", {"grid": [{"n": 10, "m": 10, "epsilon": 0.15, "exact_inner": "no"}]}),
+        ("model1", {"task": {"builtin": "t1"}, "params": {"cover_k": 1.5}}),
+        ("smoothing", {"params": {"mc_slack": "0.5"}}),
+        ("realizable", {"params": {"draws": 5}}),
+        ("smoothing", {"grid": [{"delta": 0.0, "epsilon": 0.1}]}),
         ("realizable", {"task": {"inline": PLANE_TASK},
-                        "hypothesis_class": {"tag": "axis-rect-d", "dim": 2.5}}, {}),
-        ("hoeffding", {"grid": [{"target": "outer", "n": 5, "m": 3, "epsilon": 0.4}]}, {}),
-        ("realizable", {"task": None}, {}),
-        ("derand-classifier", {"task": {"builtin": "t1"}}, {}),
-        ("realizable", {"hypothesis_class": {"tag": "threshold-1d", "dimm": 3}}, {}),
+                        "hypothesis_class": {"tag": "axis-rect-d", "dim": 2.5}}),
+        ("hoeffding", {"grid": [{"target": "outer", "n": 5, "m": 3, "epsilon": 0.4}]}),
+        ("realizable", {"task": None}),
+        ("derand-classifier", {"task": {"builtin": "t1"}}),
+        ("realizable", {"hypothesis_class": {"tag": "threshold-1d", "dimm": 3}}),
         ("agnostic", {"task": {"inline": POINT_TASK},
                       "hypothesis_class": {"tag": "finite-table", "tables": [[[0.0, 1.7]]]},
-                      "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}, {}),
+                      "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}),
         ("realizable", {"task": {"inline": dict(POINT_TASK, atoms=[[0.0, -1.3, 1.0]])},
                         "hypothesis_class": {"tag": "finite-table", "tables": [[[0.0, -1]]]},
-                        "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}, {}),
+                        "grid": [{"n": 5, "m": 5, "epsilon": 0.1}]}),
         ("hoeffding", {"params": {"hypothesis": {"classTag": "threshold-1d",
-                                                 "params": {"t": "0.5"}}}}, {}),
+                                                 "params": {"t": "0.5"}}}}),
         ("hoeffding", {"params": {"hypothesis": {"classTag": "threshold-1d",
-                                                 "params": {"t": 0.5, "lo": 0}}}}, {}),
-        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 10 ** 400}]}, {}),
-        ("realizable", {"task": {"builtin": "t1", "params": {"rate": 0.1}}}, {}),
-        ("agnostic", {"task": {"builtin": "t1-noise", "params": {"rate": "0.1"}}}, {}),
-        ("realizable", {"task": {"builtin": ["t1"]}}, {}),
+                                                 "params": {"t": 0.5, "lo": 0}}}}),
+        ("realizable", {"grid": [{"n": 10, "m": 10, "epsilon": 10 ** 400}]}),
+        ("realizable", {"task": {"builtin": "t1", "params": {"rate": 0.1}}}),
+        ("agnostic", {"task": {"builtin": "t1-noise", "params": {"rate": "0.1"}}}),
+        ("realizable", {"task": {"builtin": ["t1"]}}),
         ("realizable", {"task": {"inline": dict(T1_TASK, families=[
             {"x": 0.0, "true": ["d0", "u01"], "k": 2.5},
-            {"x": 3.0, "true": ["d3", "u23"], "k": 2}])}}, {}),
+            {"x": 3.0, "true": ["d3", "u23"], "k": 2}])}}),
         ("realizable", {"task": {"inline": dict(T1_TASK, atoms=[[0.0, -1, "0.5"],
-                                                               [3.0, 1, "0.5"]])}}, {}),
+                                                               [3.0, 1, "0.5"]])}}),
         ("realizable", {"task": {"inline": dict(T1_TASK, distributions=dict(
-            T1_TASK["distributions"], u01=[[0.0, "0.5"], [1.0, 0.5]]))}}, {}),
-        ("realizable", {"task": {"inline": 5}}, {}),
-        ("realizable", {"task": {"file": 5}}, {}),
-        ("double-sampling", {"grid": [{"n": 2, "m": 3, "epsilon": 0.2, "assert": False}]}, {}),
-        ("smoothing", {"params": {"sigma": 3.0}}, {}),
-        ("smoothing", {"task": {"builtin": "model1"}}, {}),
-        ("smoothing", {"task": {"builtin": "t1"}}, {}),
-        ("smoothing", {"task": {"builtin": "smoothing", "params": {"sigma": 2.0}}}, {}),
+            T1_TASK["distributions"], u01=[[0.0, "0.5"], [1.0, 0.5]]))}}),
+        ("realizable", {"task": {"inline": 5}}),
+        ("realizable", {"task": {"file": 5}}),
+        ("double-sampling", {"grid": [{"n": 2, "m": 3, "epsilon": 0.2, "assert": False}]}),
+        ("smoothing", {"params": {"sigma": 3.0}}),
+        ("smoothing", {"task": {"builtin": "model1"}}),
+        ("smoothing", {"task": {"builtin": "t1"}}),
+        ("smoothing", {"task": {"builtin": "smoothing", "params": {"sigma": 2.0}}}),
         ("smoothing", {"task": {"inline": {
             "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
             "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
                               "g3": {"gaussian": {"center": 3.0, "sigma": 1.0}},
                               "off": {"gaussian": {"center": 0.5, "sigma": 1.0}}},
             "families": [{"x": 0.0, "true": ["g0"], "rep": ["off"], "k": 1},
-                         {"x": 3.0, "true": ["g3"], "rep": ["g3"], "k": 1}]}}}, {}),
+                         {"x": 3.0, "true": ["g3"], "rep": ["g3"], "k": 1}]}}}),
         ("hoeffding", {"params": {"inner_task": {"inline": {
             "atoms": [[0.0, -1, 1.0]],
             "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}}},
-            "families": [{"x": 0.0, "true": ["g0"], "k": 1}]}}}}, {}),
-        ("hoeffding", {"params": {"inner_task": {"builtin": "t1"}}}, {}),
+            "families": [{"x": 0.0, "true": ["g0"], "k": 1}]}}}}),
+        ("hoeffding", {"params": {"inner_task": {"builtin": "t1"}}}),
         ("hoeffding", {"params": {"inner_task": {"inline": {
             "atoms": [[0.0, -1, 1.0]],
             "distributions": {"coin": [[0.0, 0.5], [1.0, 0.5]], "at1": [[1.0, 1.0]]},
-            "families": [{"x": 0.0, "true": ["coin", "at1"], "k": 2}]}}}}, {}),
+            "families": [{"x": 0.0, "true": ["coin", "at1"], "k": 2}]}}}}),
         ("smoothing", {"task": {"inline": {
             "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
             "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
                               "g3": {"gaussian": {"center": 3.0, "sigma": 1.0}},
                               "at5": [[5.0, 1.0]]},
             "families": [{"x": 0.0, "true": ["at5"], "rep": ["g0"], "k": 1},
-                         {"x": 3.0, "true": ["at5"], "rep": ["g3"], "k": 1}]}}}, {}),
+                         {"x": 3.0, "true": ["at5"], "rep": ["g3"], "k": 1}]}}}),
         ("smoothing", {"task": {"inline": {
             "atoms": [[[0.0, 0.0], -1, 0.5], [[3.0, 0.0], 1, 0.5]],
             "distributions": {"g0": {"gaussian": {"center": [0.0, 0.0], "sigma": 1.0}},
                               "g3": {"gaussian": {"center": [3.0, 0.0], "sigma": 1.0}}},
             "families": [{"x": [0.0, 0.0], "true": ["g0"], "rep": ["g0"], "k": 1},
-                         {"x": [3.0, 0.0], "true": ["g3"], "rep": ["g3"], "k": 1}]}}}, {}),
+                         {"x": [3.0, 0.0], "true": ["g3"], "rep": ["g3"], "k": 1}]}}}),
         ("model1", {"params": {"cover_k": 1}, "task": {"inline": {
             "atoms": [[0.0, -1, 0.5], [3.0, 1, 0.5]],
             "distributions": {"g0": {"gaussian": {"center": 0.0, "sigma": 1.0}},
                               "d3": [[3.0, 1.0]]},
             "families": [{"x": 0.0, "true": ["g0"], "k": 1},
-                         {"x": 3.0, "true": ["d3"], "k": 1}]}}}, {}),
-    ], ids=["seed-env-not-int", "unknown-builtin-task", "probabilities-sum-to-1.1",
+                         {"x": 3.0, "true": ["d3"], "k": 1}]}}}),
+    ], ids=["unknown-builtin-task", "probabilities-sum-to-1.1",
             "grid-entry-missing-m", "hoeffding-outer-missing-n", "hoeffding-unknown-target",
             "task-not-a-mapping", "grid-n-not-a-number", "grid-epsilon-not-a-number",
             "params-not-a-mapping", "draws-not-a-number", "draws-zero",
@@ -1222,9 +1210,7 @@ class TestCli:
             "hoeffding-inner-task-two-atoms", "hoeffding-inner-task-two-members",
             "smoothing-true-member-not-the-gaussian", "smoothing-atoms-not-one-dimensional",
             "model1-cover-k-gaussian-true-member"])
-    def test_exit_two_on_malformed_config(self, tmp_path, capsys, monkeypatch, kind, config, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_exit_two_on_malformed_config(self, tmp_path, capsys, kind, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": kind, "trials": 2, **config}))
         assert cli_main([kind, "--config", str(path), "--quiet"]) == 2
