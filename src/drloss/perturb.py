@@ -189,6 +189,21 @@ def categorical(p: np.ndarray, size, rng: np.random.Generator, out=None) -> np.n
     return out
 
 
+def word_cut(c: float) -> Optional[np.uint64]:
+    """The least raw 64-bit word whose uniform reaches ``c`` >= 0; ``None`` if none does.
+
+    ``Generator.random`` turns each word x of ``rng.bit_generator.random_raw``
+    into the double (x >> 11) * 2**-53, so for every word x that double is
+    >= c exactly when x >= the returned cut.  The doubles are k * 2**-53 for
+    k < 2**53, and c * 2**53 is exact (a power-of-two scaling), so the cut
+    is ceil(c * 2**53) << 11, and no word reaches c > 1 - 2**-53.  Counting
+    raw words against cuts takes the same words, and leaves the generator in
+    the same state, as counting ``rng.random`` doubles against ``c``.
+    """
+    k = math.ceil(math.ldexp(c, 53))
+    return np.uint64(k << 11) if k < 1 << 53 else None
+
+
 def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Indices into ``dist.support`` of ``count`` i.i.d. draws from ``dist``.
 

@@ -166,7 +166,7 @@ def render_csv(report: ExperimentReport) -> str:
         lines = map(",".join, chain(header, zip(*cells)))
         if len(columns) == 1:  # the csv writer quotes a row's lone empty field
             lines = (line or '""' for line in lines)
-        buf.writelines(line + "\n" for line in lines)
+        buf.write("\n".join(lines) + "\n")
 
     comment(f"# drloss report schema={report.schema_version} kind={report.kind}")
     comment("# config: " + json.dumps(report.config, sort_keys=True))

@@ -40,6 +40,7 @@ from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suite
     pointwise_cover_violation,
     sample,
     tv_distance,
+    word_cut,
 )
 from ..stats import (
     Assertion,
@@ -355,9 +356,21 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
             view.atom_p[a] * _exact_mean_worst(cfg.params["outer_m"], list(s.p_members[a, :len(us)]))
             for a, us in enumerate(members)
         )
-        # Binomial(m, p) / m is p when p is 0 or 1: a slot's worst loss is then its atom's
-        zero_one = np.all((s.p_members == 0) | (s.p_members == 1))
-        s.worst_atom = s.p_members.max(axis=1) if zero_one else None
+        # Binomial(m, p) / m is p when p is 0 or 1: a slot's worst loss is then
+        # its atom's 0 or 1, so a trial counts its bad slots.  ``categorical``
+        # sends a uniform u to the atom i = #{j : u >= cdf[j]}, so atom i is
+        # bad exactly when bad_first + sum_j step_j [u >= cdf[j]] is 1, with
+        # step_j the change in badness from atom j to atom j + 1; ``cuts``
+        # keeps each nonzero step with the word cut of its cdf entry
+        s.cuts = None
+        if np.all((s.p_members == 0) | (s.p_members == 1)):
+            bad = s.p_members.max(axis=1).astype(int)
+            cdf = np.cumsum(view.atom_p, dtype=float)
+            cdf /= cdf[-1]
+            s.bad_first = int(bad[0])
+            s.cuts = [(step, cut) for step, cut in zip(np.diff(bad).tolist(),
+                                                       map(word_cut, cdf[:-1]))
+                      if step and cut is not None]
     return s
 
 
@@ -374,14 +387,22 @@ def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: 
     else:
         n, m = entry["n"], cfg.params["outer_m"]
         n_col = np.full(trials, n)
-        slots = categorical(s.view.atom_p, (trials, n), rng)
-        if s.worst_atom is not None:  # the member draws would be the stream's last reads
-            worst = s.worst_atom[slots]
+        if s.cuts is not None:
+            # the words ``categorical`` would turn into slots; the member
+            # draws would be the stream's last reads.  The count over n is
+            # the mean of the slots' 0/1 losses, bit for bit
+            words = rng.bit_generator.random_raw((trials, n))
+            bad = np.full(trials, s.bad_first * n)
+            for step, cut in s.cuts:
+                bad += step * np.count_nonzero(words >= cut, axis=1)
+            mean = bad / n
         else:
+            slots = categorical(s.view.atom_p, (trials, n), rng)
             worst = np.zeros((trials, n))
             for j in range(s.p_members.shape[1]):
                 np.maximum(worst, rng.binomial(m, s.p_members[:, j][slots]) / m, out=worst)
-        devs = np.abs(worst.mean(axis=1) - s.expected)
+            mean = worst.mean(axis=1)
+        devs = np.abs(mean - s.expected)
     return {
         "grid_index": np.full(trials, g),
         "trial": np.arange(lo, hi),
@@ -426,22 +447,35 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
 
 
 def _votes(randomness: FiniteDistribution, levels: list) -> SimpleNamespace:
-    """Each level's bound on the uniforms of the fixed draws that land below it.
+    """Each level's word cut under which the fixed draws land below it.
 
     ``randomness`` has an ascending scalar support, as ``grid_randomness``
     makes it.  ``sample_indices``, like ``Generator.choice``, maps a draw's
     uniform u to support index ``cdf.searchsorted(u, "right")``, where
     ``cdf`` is the cumulative sum of the probabilities divided by its last
     entry.  So a draw lands below a level, at one of the ``under`` = J
-    support points under it, exactly when u < cdf[J - 1] (``bounds``), and
-    never when J = 0.
+    support points under it, exactly when u < cdf[J - 1], and never when
+    J = 0: when its raw word is under ``word_cut`` of that bound (``cuts``;
+    ``None`` where the bound is 1 and every draw lands below).
     """
     support = np.asarray(randomness.support)
     cdf = np.cumsum(randomness.prob_array())
     cdf /= cdf[-1]
     under = support.searchsorted(levels, "left")
     return SimpleNamespace(support=support, cdf=cdf, under=under,
-                           bounds=np.append(0.0, cdf)[under])
+                           cuts=[word_cut(b) for b in np.append(0.0, cdf)[under]])
+
+
+def _below(votes: SimpleNamespace, words: np.ndarray) -> list:
+    """Per level, how many of the draws with these raw words land below it."""
+    return [len(words) if cut is None else int(np.count_nonzero(words < cut))
+            for cut in votes.cuts]
+
+
+def _draws(votes: SimpleNamespace, words: np.ndarray) -> np.ndarray:
+    """The support points ``sample_indices`` draws from these raw words, sorted."""
+    u = (words >> np.uint64(11)) * 2.0 ** -53  # Generator.random's double
+    return np.sort(votes.support[votes.cdf.searchsorted(u, "right")])
 
 
 def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
@@ -497,21 +531,17 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
 
     A trial's t fixed draws are those the object-level
     ``derandomize_classifier``/``_certifier`` take from its stream; of their
-    uniforms only the counts under the setup's ``votes.bounds`` decide the
+    raw words only the counts under the setup's ``votes.cuts`` decide the
     vote.  The draws themselves are formed, and sorted, only for
     ``seeds_hex``.
     """
     p = s.grid[g]
-    votes = s.votes
     dump_seeds = cfg.trials * p.t_votes <= SEED_DUMP_LIMIT
     rows = []
     for trial in range(lo, hi):
-        u = seeding.stream(cfg.master_seed, g, trial).random(p.t_votes)
-        value = s.value([int(np.count_nonzero(u < b)) for b in votes.bounds], p.t_votes)
-        seeds_hex = ""
-        if dump_seeds:
-            draws = np.sort(votes.support[votes.cdf.searchsorted(u, "right")])
-            seeds_hex = ";".join(encode_seeds(draws.tolist()))
+        words = seeding.stream(cfg.master_seed, g, trial).bit_generator.random_raw(p.t_votes)
+        value = s.value(_below(s.votes, words), p.t_votes)
+        seeds_hex = ";".join(encode_seeds(_draws(s.votes, words).tolist())) if dump_seeds else ""
         rows.append({
             "grid_index": g,
             "trial": trial,

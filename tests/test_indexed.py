@@ -887,26 +887,89 @@ def outer_task(r, tables: str) -> dict:
     return {"atoms": atoms, "distributions": dists, "families": families}
 
 
+# 0/1 outer tables whose bad atoms sit at the edges of categorical's cdf or
+# around a zero-mass atom: (atom masses, which atoms the threshold gets wrong)
+EDGE_TABLES = [
+    ([0.5, 0.3, 0.2], [1, 0, 0]),
+    ([0.5, 0.3, 0.2], [0, 0, 1]),
+    ([0.2, 0.3, 0.5], [1, 0, 1]),
+    ([0.4, 0.0, 0.6], [0, 1, 0]),
+    ([0.25, 0.0, 0.25, 0.5], [1, 0, 1, 1]),
+    ([0.0, 0.5, 0.5], [1, 0, 1]),
+    ([0.5, 0.5, 0.0], [0, 1, 1]),
+    ([0.5, 0.5], [1, 1]),
+    ([1.0], [0]),
+]
+
+
+def edge_task(masses: list, bad: list) -> dict:
+    """Inline outer task: one negative atom per mass, its member on the bad side or not."""
+    return {"atoms": [[float(a), -1, p] for a, p in enumerate(masses)],
+            "distributions": {f"u{a}": [[0.75 if b else 0.25, 1.0]] for a, b in enumerate(bad)},
+            "families": [{"x": float(a), "true": [f"u{a}"], "k": 1} for a in range(len(bad))]}
+
+
+def assert_outer_chunks_match_oracle(cfg) -> bool:
+    """Check two chunks of the outer tail against the oracle; return whether the table is 0/1."""
+    s = suites._hoeffding_setup(cfg)
+    zero_one = bool(np.all((s.p_members == 0) | (s.p_members == 1)))
+    assert (s.cuts is not None) == zero_one
+    trials = suites.CHUNK + 44
+    for chunk, lo, hi in suites._chunk_ranges(trials, suites.CHUNK):
+        got = suites._hoeffding_chunk(cfg, s, 0, chunk, lo, hi)
+        devs, exceeded = outer_oracle(cfg, s, 0, chunk, lo, hi)
+        assert got["deviation"].tobytes() == devs.tobytes()
+        assert np.array_equal(got["exceeded"], exceeded)
+    return zero_one
+
+
 @pytest.mark.parametrize("tables", ["zero-one", "fractional", "mixed"])
 def test_hoeffding_outer_chunk_matches_binomial_oracle(tables):
-    # a 0/1 table reads each slot's worst loss off its atom and draws no
-    # member batch; any other table draws every member through numpy
+    # a 0/1 table counts each trial's raw words against the setup's cuts and
+    # draws no member batch; any other table draws every member through numpy
     for seed in range(8):
         r = rng_for(900 + seed)
         cfg = load_config("hoeffding", seed=seed)
         cfg.params = dict(cfg.params, outer_task={"inline": outer_task(r, tables)},
                           outer_m=int(r.choice([1, 2, 5, 40])))
         cfg.grid = [{"target": "outer", "n": int(r.choice([1, 7, 30])), "epsilon": 0.3}]
-        s = suites._hoeffding_setup(cfg)
-        zero_one = np.all((s.p_members == 0) | (s.p_members == 1))
+        zero_one = assert_outer_chunks_match_oracle(cfg)
         assert zero_one == (tables == "zero-one") or tables == "mixed"
-        assert (s.worst_atom is not None) == zero_one
-        trials = suites.CHUNK + 44
-        for chunk, lo, hi in suites._chunk_ranges(trials, suites.CHUNK):
-            got = suites._hoeffding_chunk(cfg, s, 0, chunk, lo, hi)
-            devs, exceeded = outer_oracle(cfg, s, 0, chunk, lo, hi)
-            assert got["deviation"].tobytes() == devs.tobytes()
-            assert np.array_equal(got["exceeded"], exceeded)
+    if tables == "zero-one":
+        for i, (masses, bad) in enumerate(EDGE_TABLES):
+            for n in (1, 3, 30):
+                cfg = load_config("hoeffding", seed=i)
+                cfg.params = dict(cfg.params, outer_task={"inline": edge_task(masses, bad)})
+                cfg.grid = [{"target": "outer", "n": n, "epsilon": 0.3}]
+                assert assert_outer_chunks_match_oracle(cfg)
+
+
+def test_hoeffding_outer_chunk_counts_a_word_on_a_cut_past_it(monkeypatch):
+    # choice sends a uniform equal to cdf[j] past atom j; random words almost
+    # never sit on a cut, so the chunk gets fixed words on and under each cut
+    cfg = load_config("hoeffding", seed=0)
+    cfg.params = dict(cfg.params, outer_task={"inline": edge_task([0.25, 0.25, 0.5], [1, 0, 1])})
+    cfg.grid = [{"target": "outer", "n": 4, "epsilon": 0.3}]
+    s = suites._hoeffding_setup(cfg)
+    assert [step for step, _ in s.cuts] == [-1, 1]
+    edges = [int(cut) + d for _, cut in s.cuts for d in (-1, 0)]
+    words = np.array([edges, edges[::-1], edges[:2] * 2, edges[2:] * 2, [0, 2**64 - 1] * 2],
+                     dtype=np.uint64)
+    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53  # exact: under 2**53
+
+    class Fixed(np.random.Generator):
+        def __init__(self):
+            super().__init__(np.random.Philox(0))
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            return u.reshape(size)
+
+    fixed_words = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=words.reshape))
+    monkeypatch.setattr(suites.seeding, "stream", lambda *path: fixed_words)
+    got = suites._hoeffding_chunk(cfg, s, 0, 0, 0, len(words))
+    slots = Fixed().choice(3, size=words.shape, p=s.view.atom_p)
+    assert np.array_equal(got["deviation"], np.abs(np.array([1, 0, 1])[slots].mean(axis=1)
+                                                   - s.expected))
 
 
 # Runs the CLI in a child whose address space is capped; the cap covers that

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drloss import perturb
+from drloss import perturb, seeding
 from drloss.perturb import (
     DistributionError,
     DistributionFamily,
@@ -19,9 +19,10 @@ from drloss.perturb import (
     sample,
     sample_indices,
     tv_distance,
+    word_cut,
 )
 from drloss.tasks import task_from_dict
-from drloss.xprun.suites import _votes
+from drloss.xprun.suites import _below, _draws, _votes
 
 from generators import rng_for
 
@@ -141,11 +142,12 @@ class TestSample:
 class TestVoteBounds:
     """The derand suites' vote counts against sorting the drawn points.
 
-    A draw from ascending randomness lands below a level when its uniform is
-    under that level's ``suites._votes`` bound; the count under each bound
-    must equal ``np.searchsorted`` of the level in the sorted draws of
-    ``sample_indices`` from the same stream, and the draws formed from the
-    uniforms must be those draws.
+    A draw from ascending randomness lands below a level when its raw word
+    is under that level's ``suites._votes`` cut; the count under each cut
+    (``suites._below``) must equal ``np.searchsorted`` of the level in the
+    sorted draws of ``sample_indices`` from the same stream, and the draws
+    formed from the words (``suites._draws``, the ``seeds_hex`` dump) must
+    be those draws.
     """
 
     @staticmethod
@@ -153,10 +155,9 @@ class TestVoteBounds:
         d = FiniteDistribution(support, probs)
         votes = _votes(d, levels)
         draws = np.sort(np.asarray(d.support)[sample_indices(d, count, ref_rng)])
-        u = rng.random(count)
-        below = [int(np.count_nonzero(u < b)) for b in votes.bounds]
-        assert below == np.searchsorted(draws, levels, "left").tolist()
-        assert np.array_equal(np.sort(votes.support[votes.cdf.searchsorted(u, "right")]), draws)
+        words = rng.bit_generator.random_raw(count)
+        assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+        assert np.array_equal(_draws(votes, words), draws)
         assert rng.random() == ref_rng.random()  # the same number of uniforms taken
 
     @pytest.mark.parametrize("support,probs,levels,count", [
@@ -176,6 +177,15 @@ class TestVoteBounds:
             self.assert_counts_draws_below(support, probs, levels, count,
                                            rng_for(seed), rng_for(seed))
 
+    def test_bounds_of_zero_and_one(self):
+        # a level under the support has bound 0, whose cut is word 0; one
+        # over it has bound 1, which no word reaches, so every draw counts
+        votes = _votes(FiniteDistribution([1.0, 2.0], [0.5, 0.5]), [0.0, 1.5, 3.0])
+        assert votes.cuts[0] == 0 and votes.cuts[1] == np.uint64(1 << 63) and votes.cuts[2] is None
+        words = rng_for(3).bit_generator.random_raw(40)
+        below = _below(votes, words)
+        assert below[0] == 0 and below[2] == 40 and 0 < below[1] < 40
+
     @given(st.integers(0, 10**6))
     def test_counts_match_sorted_index_draw_on_random_distributions(self, seed):
         r = rng_for(seed)
@@ -192,21 +202,72 @@ class TestVoteBounds:
 
     def test_uniform_on_a_cdf_step_lands_above_it(self):
         # choice sends a uniform equal to cdf[j] past index j; random doubles
-        # almost never hit a step, so these uniforms are fixed
+        # almost never hit a step, so the uniforms are fixed, and the words
+        # are theirs with the low 11 bits, which the double drops, set
+        u = np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])
+
         class Fixed(np.random.Generator):
             def __init__(self):
                 super().__init__(np.random.Philox(0))
 
             def random(self, size=None, dtype=np.float64, out=None):
-                return np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])[:size]
+                return u[:size]
 
         d = FiniteDistribution([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.0, 0.5])
         levels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
         draws = np.sort(np.asarray(d.support)[sample_indices(d, 6, Fixed())])
         votes = _votes(d, levels)
-        u = Fixed().random(6)
-        assert ([int(np.count_nonzero(u < b)) for b in votes.bounds]
-                == np.searchsorted(draws, levels, "left").tolist())
+        for low in (0, 2047):
+            words = ((u * 2.0 ** 53).astype(np.uint64) << np.uint64(11)) | np.uint64(low)
+            assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+            assert np.array_equal(_draws(votes, words), draws)
+
+
+class TestWordCut:
+    """Raw Philox words stand for ``Generator.random``'s doubles.
+
+    The hoeffding outer tail and the derand votes count a stream's raw words
+    against ``word_cut`` cuts in place of its doubles against thresholds.
+    """
+
+    @pytest.mark.parametrize("shape", [1, 7, (3, 5), perturb.DRAW_BLOCK + 1, 0])
+    def test_raw_words_are_the_random_doubles(self, shape):
+        for path in [(1, 0, 0), (1, 2, 5), (7, 3, 0)]:
+            rng, ref_rng = seeding.stream(*path), seeding.stream(*path)
+            words = rng.bit_generator.random_raw(shape)
+            assert words.dtype == np.uint64 and words.shape == np.empty(shape).shape
+            u = (words >> np.uint64(11)) * 2.0 ** -53
+            assert u.tobytes() == ref_rng.random(shape).tobytes()
+            assert rng.random() == ref_rng.random()  # the same state afterwards
+
+    @staticmethod
+    def double(x: int) -> float:
+        return float(np.uint64(x) >> np.uint64(11)) * 2.0 ** -53
+
+    @pytest.mark.parametrize("c", [
+        0.0, -0.0, 5e-324, 2.0 ** -60, 2.0 ** -53, 3 * 2.0 ** -54, 0.1, 0.5,
+        0.5 + 2.0 ** -53, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0, 2.0,
+    ])
+    def test_word_cut_is_exact(self, c):
+        cut = word_cut(c)
+        if cut is None:
+            assert c > 1 - 2.0 ** -53 and self.double(2 ** 64 - 1) < c
+            return
+        assert cut.dtype == np.uint64 and int(cut) % 2 ** 11 == 0
+        k0 = int(cut) >> 11
+        # the words k * 2**11 - 1 and k * 2**11 on either side of the cut
+        for k in range(max(0, k0 - 2), min(2 ** 53, k0 + 3) + 1):
+            for x in (k * 2 ** 11 - 1, k * 2 ** 11):
+                if 0 <= x < 2 ** 64:
+                    assert (self.double(x) >= c) == (np.uint64(x) >= cut), (k, x)
+
+    def test_word_cut_on_the_grid(self):
+        assert word_cut(0.0) == 0
+        assert word_cut(5e-324) == np.uint64(1 << 11)
+        assert word_cut(0.5) == np.uint64(1 << 63)
+        assert word_cut(0.5 + 2.0 ** -53) == np.uint64((1 << 63) + (1 << 11))
+        assert word_cut(1 - 2.0 ** -53) == np.uint64(2 ** 64 - 2 ** 11)
+        assert word_cut(1.0) is None
 
 
 class TestCategorical:
@@ -307,9 +368,9 @@ class TestBinomial:
     """numpy's ``Generator.binomial`` on a 0/1 table is the closed form hoeffding reads.
 
     Where every member mistake rate is exactly 0 or 1, the hoeffding suite's
-    outer chunk takes a slot's worst loss as ``p_members.max(axis=1)[slots]``
-    in place of ``rng.binomial(m, p_members[:, j][slots]) / m``.  These tests
-    hold numpy to that: its draws divided by n are p, bit for bit.
+    outer chunk counts a trial's slots at bad atoms in place of drawing
+    ``rng.binomial(m, p_members[:, j][slots]) / m``.  These tests hold numpy
+    to that: its draws divided by n are p, bit for bit.
     """
 
     @staticmethod
