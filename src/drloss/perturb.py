@@ -21,12 +21,12 @@ Point = Union[float, int, tuple]
 
 RENORMALIZE_TOL = 1e-9
 COVER_TOL = 1e-12
-# categorical() counts cdf steps for up to COUNT_MAX_K categories and at least
-# COUNT_MIN_DRAWS draws, and binary-searches otherwise; CHANGES.md (the
-# columnar-tables follow-up) has the timings they were chosen from
+# word_index() counts raw words against the cuts of up to COUNT_MAX_K
+# categories and binary-searches past that.  Per 40k words (2-core x86,
+# numpy 2.4) 2 categories count in 0.03 ms against 0.31 searched, 8 in 0.15
+# against 0.78, and counting stays ahead to about 64; per 1k words the
+# search is ahead past 2 (8: 0.028 against 0.009 ms), which bounds it
 COUNT_MAX_K = 8
-COUNT_MIN_DRAWS = 1000
-DRAW_BLOCK = 1 << 14  # uniforms per block of the counting path: 128 KiB of float64
 
 
 class DistributionError(ValueError):
@@ -37,9 +37,9 @@ class DistributionError(ValueError):
 class FiniteDistribution:
     """A probability distribution with finite support.
 
-    Probabilities must be nonnegative and sum to one within 1e-9; sums in
-    that tolerance are renormalized exactly, anything further off is
-    rejected.  Support points must be distinct and hashable (scalars or
+    Probabilities must be finite, nonnegative and sum to one within 1e-9;
+    sums in that tolerance are renormalized exactly, anything further off
+    is rejected.  Support points must be distinct and hashable (scalars or
     tuples of scalars).
     """
 
@@ -55,6 +55,8 @@ class FiniteDistribution:
             raise DistributionError("support and probs length mismatch")
         if len(set(support)) != len(support):
             raise DistributionError("support points must be distinct")
+        if not all(math.isfinite(p) for p in probs):
+            raise DistributionError("non-finite probability")
         if any(p < 0.0 for p in probs):
             raise DistributionError("negative probability")
         total = math.fsum(probs)
@@ -87,21 +89,23 @@ class FiniteDistribution:
 class GaussianDistribution:
     """Isotropic Gaussian around ``center`` with standard deviation ``sigma``.
 
-    The center is a scalar (1-d) or a tuple of scalars; draws have the same
-    shape.  Exact summation is unavailable, so any computation over a
-    Gaussian member goes through sampling.
+    The center is a scalar (1-d) or a tuple of scalars, all finite; draws
+    have the same shape.  ``sigma`` is positive and finite.  Exact
+    summation is unavailable, so any computation over a Gaussian member
+    goes through sampling.
     """
 
     center: Point
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DistributionError("sigma must be positive")
-        if isinstance(self.center, tuple):
-            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        else:
-            object.__setattr__(self, "center", float(self.center))
+        if not (0 < self.sigma < math.inf):
+            raise DistributionError("sigma must be positive and finite")
+        c = self.center
+        center = tuple(map(float, c)) if isinstance(c, tuple) else float(c)
+        if not np.all(np.isfinite(center)):
+            raise DistributionError("center must be finite")
+        object.__setattr__(self, "center", center)
 
 
 PerturbationDistribution = Union[FiniteDistribution, GaussianDistribution]
@@ -150,67 +154,57 @@ class DistributionFamily:
         raise ValueError(f"unknown view {view!r}")
 
 
-def categorical(p: np.ndarray, size, rng: np.random.Generator, out=None) -> np.ndarray:
-    """Indices of i.i.d. draws from the probabilities ``p``, of shape ``size``.
+def word_cuts(p: np.ndarray) -> np.ndarray:
+    """The ascending raw-word cuts of the probabilities ``p``, as ``np.uint64``.
 
-    The indices and the uniforms taken from ``rng`` are those of numpy's
-    ``Generator.choice`` over ``len(p)`` with these probabilities.  It maps
-    each u of ``rng.random(size)`` to ``cdf.searchsorted(u, "right")``, the
-    number of j with u >= cdf[j], where ``cdf`` is the cumulative sum of
-    ``p`` divided by its last entry.  As u < 1 = cdf[-1], for up to
-    ``COUNT_MAX_K`` categories and at least ``COUNT_MIN_DRAWS`` draws those
-    comparisons over j < K - 1 are summed directly, in the narrowest integer
-    type that holds K - 1; otherwise the binary search is faster.  Counting
-    takes the uniforms ``DRAW_BLOCK`` at a time by ``rng.random(out=...)``,
-    the same stream as one ``rng.random(size)``, into cache-sized arrays.
-    The indices are written to ``out`` (C-contiguous intp of shape
-    ``size``), or a new array, and returned.  ``p`` is taken as checked
-    (nonnegative, summing to 1).
+    ``Generator.choice`` over ``len(p)`` maps a uniform u to the index
+    ``cdf.searchsorted(u, "right")``, the number of j with u >= cdf[j],
+    where ``cdf`` is the cumulative sum of ``p`` divided by its last entry.
+    ``Generator.random`` turns each word x of ``rng.bit_generator.random_raw``
+    into the double (x >> 11) * 2**-53, one of the k * 2**-53 for k < 2**53,
+    so u >= c exactly when x >= ceil(c * 2**53) << 11 (a power-of-two
+    scaling, so exact), and no word reaches c > 1 - 2**-53.  The cuts are
+    those of cdf[:-1] that some word reaches; as the cdf does not decrease,
+    they are a prefix of it.  ``p`` is taken as checked (nonnegative,
+    summing to 1).
     """
     cdf = np.cumsum(p, dtype=float)
     cdf /= cdf[-1]
+    k = np.ceil(np.ldexp(cdf[:-1], 53))
+    return k[:np.count_nonzero(k < 2.0 ** 53)].astype(np.uint64) << np.uint64(11)
+
+
+def word_index(cuts: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
+    """The category of each raw word against ``word_cuts``: the number of cuts at or under it.
+
+    For fewer than ``COUNT_MAX_K`` cuts (up to that many categories) the
+    comparisons are summed directly, in the narrowest integer type that
+    holds their number; past that a binary search is faster.  The indices
+    are written to ``out`` (intp of the words' shape), or a new array, and
+    returned.
+    """
     if out is None:
-        out = np.empty(size, np.intp)
-    if len(cdf) > COUNT_MAX_K or out.size < COUNT_MIN_DRAWS:
-        out[...] = cdf.searchsorted(rng.random(size), "right")
+        out = np.empty(words.shape, np.intp)
+    if len(cuts) >= COUNT_MAX_K:
+        out[...] = cuts.searchsorted(words, "right")
         return out
-    flat = out.reshape(-1)
-    block = max(1, min(DRAW_BLOCK, flat.size))
-    u, hit = np.empty(block), np.empty(block, bool)
-    idx = np.empty(block, np.min_scalar_type(len(cdf) - 1))
-    for lo in range(0, flat.size, block):
-        b = min(block, flat.size - lo)
-        ub, hb, ib = u[:b], hit[:b], idx[:b]
-        rng.random(out=ub)
-        ib[...] = 0
-        for c in cdf[:-1]:
-            ib += np.greater_equal(ub, c, out=hb)
-        flat[lo:lo + b] = ib
+    idx = np.zeros(words.shape, np.min_scalar_type(len(cuts)))
+    for cut in cuts:
+        idx += words >= cut
+    out[...] = idx
     return out
 
 
-def word_cut(c: float) -> Optional[np.uint64]:
-    """The least raw 64-bit word whose uniform reaches ``c`` >= 0; ``None`` if none does.
+def categorical(p: np.ndarray, size, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Indices of i.i.d. draws from the probabilities ``p``, of shape ``size``.
 
-    ``Generator.random`` turns each word x of ``rng.bit_generator.random_raw``
-    into the double (x >> 11) * 2**-53, so for every word x that double is
-    >= c exactly when x >= the returned cut.  The doubles are k * 2**-53 for
-    k < 2**53, and c * 2**53 is exact (a power-of-two scaling), so the cut
-    is ceil(c * 2**53) << 11, and no word reaches c > 1 - 2**-53.  Counting
-    raw words against cuts takes the same words, and leaves the generator in
-    the same state, as counting ``rng.random`` doubles against ``c``.
+    The indices, and the words taken from ``rng``, are those of numpy's
+    ``Generator.choice`` over ``len(p)`` with these probabilities: one raw
+    word per draw, indexed against ``word_cuts(p)``.  The indices are
+    written to ``out`` (intp of shape ``size``), or a new array, and
+    returned.  ``p`` is taken as checked (nonnegative, summing to 1).
     """
-    k = math.ceil(math.ldexp(c, 53))
-    return np.uint64(k << 11) if k < 1 << 53 else None
-
-
-def sample_indices(dist: FiniteDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices into ``dist.support`` of ``count`` i.i.d. draws from ``dist``.
-
-    ``sample`` draws through it, and so do callers that gather from an array
-    of the support themselves, so both see the same points for one rng state.
-    """
-    return categorical(dist.prob_array(), count, rng)
+    return word_index(word_cuts(p), rng.bit_generator.random_raw(size), out)
 
 
 def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator) -> list:
@@ -218,7 +212,7 @@ def sample(dist: PerturbationDistribution, count: int, rng: np.random.Generator)
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(dist, FiniteDistribution):
-        return [dist.support[i] for i in sample_indices(dist, count, rng)]
+        return [dist.support[i] for i in categorical(dist.prob_array(), count, rng)]
     if isinstance(dist, GaussianDistribution):
         if isinstance(dist.center, tuple):
             noise = rng.standard_normal((count, len(dist.center))) * dist.sigma

@@ -140,8 +140,8 @@ class FiniteView:
         do not depend on how slots are arranged across trials.  A point-mass
         member is not drawn: numpy's multinomial returns m at its point,
         taking one uniform per batch there, or none at the last point, so
-        every batch is m times the member and ``rng.random`` advances the
-        stream past those uniforms.  The rows, in the view's scratch, are
+        every batch is m times the member and the stream only skips those
+        uniforms' raw words.  The rows, in the view's scratch, are
         gathered from ``_row_template``; only multinomial batches are written.
         """
         probs, valid = self._members[view]
@@ -162,7 +162,7 @@ class FiniteView:
                     put_member_rows(rows, j, idx, counts, self.atom_y[a] == 1, m)
                     del counts  # freed before the next multinomial allocates its own
                 elif point < self.n_points - 1:
-                    rng.random(out=self.buffer("skipped", (len(idx),), float))
+                    rng.bit_generator.random_raw(len(idx), output=False)
         return rows
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, rows: np.ndarray,

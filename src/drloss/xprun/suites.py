@@ -40,7 +40,8 @@ from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suite
     pointwise_cover_violation,
     sample,
     tv_distance,
-    word_cut,
+    word_cuts,
+    word_index,
 )
 from ..stats import (
     Assertion,
@@ -358,19 +359,17 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
         )
         # Binomial(m, p) / m is p when p is 0 or 1: a slot's worst loss is then
         # its atom's 0 or 1, so a trial counts its bad slots.  ``categorical``
-        # sends a uniform u to the atom i = #{j : u >= cdf[j]}, so atom i is
-        # bad exactly when bad_first + sum_j step_j [u >= cdf[j]] is 1, with
-        # step_j the change in badness from atom j to atom j + 1; ``cuts``
-        # keeps each nonzero step with the word cut of its cdf entry
+        # sends a raw word x to the atom i = #{j : x >= cuts[j]} over
+        # ``word_cuts``, so atom i is bad exactly when bad_first +
+        # sum_j step_j [x >= cuts[j]] is 1, with step_j the change in badness
+        # from atom j to atom j + 1; ``s.cuts`` keeps each nonzero step with
+        # its cut.  A step past the cuts sits at a cdf entry no word reaches
         s.cuts = None
         if np.all((s.p_members == 0) | (s.p_members == 1)):
             bad = s.p_members.max(axis=1).astype(int)
-            cdf = np.cumsum(view.atom_p, dtype=float)
-            cdf /= cdf[-1]
             s.bad_first = int(bad[0])
             s.cuts = [(step, cut) for step, cut in zip(np.diff(bad).tolist(),
-                                                       map(word_cut, cdf[:-1]))
-                      if step and cut is not None]
+                                                       word_cuts(view.atom_p)) if step]
     return s
 
 
@@ -450,20 +449,20 @@ def _votes(randomness: FiniteDistribution, levels: list) -> SimpleNamespace:
     """Each level's word cut under which the fixed draws land below it.
 
     ``randomness`` has an ascending scalar support, as ``grid_randomness``
-    makes it.  ``sample_indices``, like ``Generator.choice``, maps a draw's
-    uniform u to support index ``cdf.searchsorted(u, "right")``, where
-    ``cdf`` is the cumulative sum of the probabilities divided by its last
-    entry.  So a draw lands below a level, at one of the ``under`` = J
-    support points under it, exactly when u < cdf[J - 1], and never when
-    J = 0: when its raw word is under ``word_cut`` of that bound (``cuts``;
-    ``None`` where the bound is 1 and every draw lands below).
+    makes it.  ``categorical``, like ``Generator.choice``, maps a draw's raw
+    word to the support index ``word_index(draw_cuts, word)``, the number
+    of its ``word_cuts`` at or under the word.  So a draw lands below a
+    level, at one of the ``under`` = J support points under it, exactly
+    when its word is under cut J - 1, and never when J = 0 (cut 0).  Where
+    J - 1 is past the cuts no word reaches that cdf entry, and every draw
+    lands below (cut ``None``).
     """
     support = np.asarray(randomness.support)
-    cdf = np.cumsum(randomness.prob_array())
-    cdf /= cdf[-1]
+    draw_cuts = word_cuts(randomness.prob_array())
+    bounds = np.append(np.uint64(0), draw_cuts)
     under = support.searchsorted(levels, "left")
-    return SimpleNamespace(support=support, cdf=cdf, under=under,
-                           cuts=[word_cut(b) for b in np.append(0.0, cdf)[under]])
+    return SimpleNamespace(support=support, draw_cuts=draw_cuts, under=under,
+                           cuts=[bounds[j] if j < len(bounds) else None for j in under])
 
 
 def _below(votes: SimpleNamespace, words: np.ndarray) -> list:
@@ -473,9 +472,8 @@ def _below(votes: SimpleNamespace, words: np.ndarray) -> list:
 
 
 def _draws(votes: SimpleNamespace, words: np.ndarray) -> np.ndarray:
-    """The support points ``sample_indices`` draws from these raw words, sorted."""
-    u = (words >> np.uint64(11)) * 2.0 ** -53  # Generator.random's double
-    return np.sort(votes.support[votes.cdf.searchsorted(u, "right")])
+    """The support points ``categorical`` draws from these raw words, sorted."""
+    return np.sort(votes.support[word_index(votes.draw_cuts, words)])
 
 
 def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:

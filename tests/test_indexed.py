@@ -1024,9 +1024,9 @@ def test_interval_d64_fits_in_two_gib(tmp_path):
     assert len(reports[0]["rows"]) == 256
 
 
-# Slot counts that grow and shrink around the search/counting switch of
-# ``categorical`` and across several of its uniform blocks, with m changing
-# the row template (m = 2**24 + 1 switches the rows to float64)
+# Slot counts that grow and shrink past the sizes of the view's scratch,
+# with m changing the row template (m = 2**24 + 1 switches the rows to
+# float64)
 REUSE_SHAPES = [(2, 3, 5), (400, 50, 5), (1, 1, 5), (9, 7, 2), (60, 50, 3), (3, 2, (1 << 24) + 1),
                 (2, 3, 5), (401, 53, 2)]
 

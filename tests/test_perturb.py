@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,36 @@ from drloss.perturb import (
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
-    sample_indices,
     tv_distance,
-    word_cut,
+    word_cuts,
+    word_index,
 )
 from drloss.tasks import task_from_dict
 from drloss.xprun.suites import _below, _draws, _votes
 
 from generators import rng_for
+
+
+class FixedDoubles(np.random.Generator):
+    """A generator whose ``random`` returns the doubles of fixed raw words.
+
+    ``Generator.random`` turns a word x into (x >> 11) * 2**-53; ``choice``
+    on this generator is numpy's draw from those doubles, the reference for
+    feeding the same words to ``word_index``.
+    """
+
+    def __init__(self, words):
+        super().__init__(np.random.Philox(0))
+        self.u = (np.asarray(words, np.uint64) >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u.reshape(size)
+
+
+def words_on_the_cuts(cuts) -> np.ndarray:
+    """Each cut (low bits 0) and the word under it (low bits 2047), with the extremes."""
+    edges = [w for cut in map(int, cuts) for w in (cut - 1, cut) if w >= 0]
+    return np.array(edges + [0, 2 ** 64 - 1], dtype=np.uint64)
 
 
 class TestFiniteDistribution:
@@ -39,6 +62,14 @@ class TestFiniteDistribution:
     def test_rejects_negative(self):
         with pytest.raises(DistributionError):
             FiniteDistribution([0.0, 1.0], [1.2, -0.2])
+
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.inf], [-math.inf, 1.0],
+                                       [math.nan, math.nan]],
+                             ids=["nan", "inf", "minus-inf", "all-nan"])
+    def test_rejects_non_finite(self, probs):
+        # nan fails neither p < 0 nor the sum check, and would reach word_cuts
+        with pytest.raises(DistributionError, match="non-finite"):
+            FiniteDistribution([0.0, 1.0], probs)
 
     def test_rejects_duplicate_support(self):
         with pytest.raises(DistributionError):
@@ -62,6 +93,18 @@ class TestGaussian:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(DistributionError):
             GaussianDistribution(0.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(DistributionError, match="sigma"):
+            GaussianDistribution(0.0, sigma)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf, (0.0, math.nan),
+                                        (math.inf, 1.0)],
+                             ids=["nan", "inf", "minus-inf", "2-d-nan", "2-d-inf"])
+    def test_rejects_non_finite_center(self, center):
+        with pytest.raises(DistributionError, match="center"):
+            GaussianDistribution(center, 1.0)
 
     def test_dim(self):
         # the center keeps its dimension, as floats
@@ -102,7 +145,7 @@ class TestSample:
     ], ids=["scalar", "tuple"])
     def test_index_draw_gathers_what_sample_returns(self, support, probs):
         d = FiniteDistribution(support, probs)
-        gathered = np.asarray(d.support)[sample_indices(d, 500, rng_for(11))]
+        gathered = np.asarray(d.support)[categorical(d.prob_array(), 500, rng_for(11))]
         assert np.array_equal(gathered, np.asarray(sample(d, 500, rng_for(11))))
 
     def test_gaussian_vector_draws(self):
@@ -145,7 +188,7 @@ class TestVoteBounds:
     A draw from ascending randomness lands below a level when its raw word
     is under that level's ``suites._votes`` cut; the count under each cut
     (``suites._below``) must equal ``np.searchsorted`` of the level in the
-    sorted draws of ``sample_indices`` from the same stream, and the draws
+    sorted draws of ``categorical`` from the same stream, and the draws
     formed from the words (``suites._draws``, the ``seeds_hex`` dump) must
     be those draws.
     """
@@ -154,7 +197,7 @@ class TestVoteBounds:
     def assert_counts_draws_below(support, probs, levels, count, rng, ref_rng):
         d = FiniteDistribution(support, probs)
         votes = _votes(d, levels)
-        draws = np.sort(np.asarray(d.support)[sample_indices(d, count, ref_rng)])
+        draws = np.sort(np.asarray(d.support)[categorical(d.prob_array(), count, ref_rng)])
         words = rng.bit_generator.random_raw(count)
         assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
         assert np.array_equal(_draws(votes, words), draws)
@@ -201,36 +244,26 @@ class TestVoteBounds:
                                        count, rng_for(seed), rng_for(seed))
 
     def test_uniform_on_a_cdf_step_lands_above_it(self):
-        # choice sends a uniform equal to cdf[j] past index j; random doubles
-        # almost never hit a step, so the uniforms are fixed, and the words
-        # are theirs with the low 11 bits, which the double drops, set
-        u = np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])
-
-        class Fixed(np.random.Generator):
-            def __init__(self):
-                super().__init__(np.random.Philox(0))
-
-            def random(self, size=None, dtype=np.float64, out=None):
-                return u[:size]
-
+        # choice sends a uniform equal to cdf[j] past index j; random words
+        # almost never sit on a cut, so the words are fixed on and under each
         d = FiniteDistribution([0.0, 1.0, 2.0, 3.0], [0.25, 0.25, 0.0, 0.5])
         levels = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-        draws = np.sort(np.asarray(d.support)[sample_indices(d, 6, Fixed())])
         votes = _votes(d, levels)
-        for low in (0, 2047):
-            words = ((u * 2.0 ** 53).astype(np.uint64) << np.uint64(11)) | np.uint64(low)
-            assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
-            assert np.array_equal(_draws(votes, words), draws)
+        words = words_on_the_cuts(votes.draw_cuts)
+        draws = np.sort(np.asarray(d.support)[FixedDoubles(words).choice(4, len(words), p=d.probs)])
+        assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+        assert np.array_equal(_draws(votes, words), draws)
 
 
 class TestWordCut:
     """Raw Philox words stand for ``Generator.random``'s doubles.
 
     The hoeffding outer tail and the derand votes count a stream's raw words
-    against ``word_cut`` cuts in place of its doubles against thresholds.
+    against ``word_cuts`` cuts in place of its doubles against thresholds,
+    and ``categorical`` indexes the words against them.
     """
 
-    @pytest.mark.parametrize("shape", [1, 7, (3, 5), perturb.DRAW_BLOCK + 1, 0])
+    @pytest.mark.parametrize("shape", [1, 7, (3, 5), 16385, 0])
     def test_raw_words_are_the_random_doubles(self, shape):
         for path in [(1, 0, 0), (1, 2, 5), (7, 3, 0)]:
             rng, ref_rng = seeding.stream(*path), seeding.stream(*path)
@@ -249,11 +282,17 @@ class TestWordCut:
         0.5 + 2.0 ** -53, 1 - 2.0 ** -52, 1 - 2.0 ** -53, 1.0, 2.0,
     ])
     def test_word_cut_is_exact(self, c):
-        cut = word_cut(c)
-        if cut is None:
+        # two categories whose cdf is [c, 1]; the cuts are of its first entry
+        p = np.array([c, 1.0 - c])
+        cdf = np.cumsum(p)
+        assert cdf[0] / cdf[-1] == c
+        cuts = word_cuts(p)
+        assert cuts.dtype == np.uint64
+        if len(cuts) == 0:
             assert c > 1 - 2.0 ** -53 and self.double(2 ** 64 - 1) < c
             return
-        assert cut.dtype == np.uint64 and int(cut) % 2 ** 11 == 0
+        (cut,) = cuts
+        assert int(cut) % 2 ** 11 == 0
         k0 = int(cut) >> 11
         # the words k * 2**11 - 1 and k * 2**11 on either side of the cut
         for k in range(max(0, k0 - 2), min(2 ** 53, k0 + 3) + 1):
@@ -262,12 +301,18 @@ class TestWordCut:
                     assert (self.double(x) >= c) == (np.uint64(x) >= cut), (k, x)
 
     def test_word_cut_on_the_grid(self):
-        assert word_cut(0.0) == 0
-        assert word_cut(5e-324) == np.uint64(1 << 11)
-        assert word_cut(0.5) == np.uint64(1 << 63)
-        assert word_cut(0.5 + 2.0 ** -53) == np.uint64((1 << 63) + (1 << 11))
-        assert word_cut(1 - 2.0 ** -53) == np.uint64(2 ** 64 - 2 ** 11)
-        assert word_cut(1.0) is None
+        def cuts(*p):
+            return word_cuts(np.array(p)).tolist()
+        assert cuts(0.0, 1.0) == [0]
+        assert cuts(5e-324, 1.0) == [1 << 11]
+        assert cuts(0.5, 0.5) == [1 << 63]
+        assert cuts(0.5 + 2.0 ** -53, 0.5 - 2.0 ** -53) == [(1 << 63) + (1 << 11)]
+        assert cuts(1 - 2.0 ** -53, 2.0 ** -53) == [2 ** 64 - 2 ** 11]
+        assert cuts(1.0, 0.0) == []
+        # one cut per cdf entry but the last, ascending, up to the first no word reaches
+        assert cuts(0.0, 0.5, 2.0 ** -53, 0.5 - 2.0 ** -53) == [0, 1 << 63, (1 << 63) + (1 << 11)]
+        assert cuts(0.25, 0.75, 0.0, 0.0) == [1 << 62]
+        assert cuts(1.0) == []
 
 
 class TestCategorical:
@@ -286,7 +331,6 @@ class TestCategorical:
     def force(mp, count):
         """Send every draw to the counting branch, or every draw to the search."""
         mp.setattr(perturb, "COUNT_MAX_K", 10**6 if count else 0)
-        mp.setattr(perturb, "COUNT_MIN_DRAWS", 0)
 
     @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
     @pytest.mark.parametrize("p,size", [
@@ -298,9 +342,10 @@ class TestCategorical:
         ([0.1, 0.2, 0.3, 0.4], (7, 9)),
         ([0.5, 0.5], (256, 200)),
         ([1 / 300] * 300, 2000),
+        ([1 / 1000] * 1000, 8121),
         ([0.4, 0.6], 0),
     ], ids=["k1", "k2-one-draw", "zero-first", "zero-inside", "zero-last", "two-d",
-            "hoeffding-outer-chunk", "k300", "no-draws"])
+            "hoeffding-outer-chunk", "k300", "k1000-derand-check", "no-draws"])
     def test_categorical_matches_choice(self, monkeypatch, count, p, size):
         self.force(monkeypatch, count)
         for seed in range(3):
@@ -317,23 +362,22 @@ class TestCategorical:
             self.force(mp, count)
             self.assert_matches_choice(weights / weights.sum(), size, seed)
 
-    # the counting path draws its uniforms DRAW_BLOCK at a time: sizes on
-    # either side of one and two blocks, flat and 2-d
-    BLOCK_SIZES = [perturb.DRAW_BLOCK - 1, perturb.DRAW_BLOCK, perturb.DRAW_BLOCK + 1,
-                   2 * perturb.DRAW_BLOCK + 3]
+    # large draws, flat and 2-d, on the counting side (sizes around
+    # 16384 and 32768 words, which once split the draw into blocks)
+    BLOCK_SIZES = [16383, 16384, 16385, 32771]
     BLOCK_P = {2: [0.3, 0.7], 3: [0.2, 0.0, 0.8], 8: [0.05, 0.1, 0.2, 0.0, 0.15, 0.1, 0.3, 0.1]}
 
     @pytest.mark.parametrize("k", list(BLOCK_P))
     @pytest.mark.parametrize("shape", ["flat", "column", "row"])
     @pytest.mark.parametrize("total", BLOCK_SIZES)
     def test_categorical_blocks_match_choice(self, total, shape, k):
-        assert k <= perturb.COUNT_MAX_K and total >= perturb.COUNT_MIN_DRAWS  # counting path
+        assert k <= perturb.COUNT_MAX_K  # counting side
         size = {"flat": total, "column": (total, 1), "row": (1, total)}[shape]
         for seed in range(2):
             self.assert_matches_choice(self.BLOCK_P[k], size, seed)
 
     @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
-    @pytest.mark.parametrize("size", [7, perturb.DRAW_BLOCK + 1, (3, perturb.DRAW_BLOCK)])
+    @pytest.mark.parametrize("size", [7, 16385, (3, 16384)])
     def test_categorical_fills_out(self, monkeypatch, count, size):
         self.force(monkeypatch, count)
         p = [0.25, 0.5, 0.25]
@@ -345,23 +389,17 @@ class TestCategorical:
 
     @pytest.mark.parametrize("count", [False, True], ids=["search", "count"])
     def test_categorical_uniform_on_a_cdf_step_lands_above_it(self, monkeypatch, count):
+        # choice sends a uniform equal to cdf[j] past index j; random words
+        # almost never sit on a cut, so they are fixed on and under each cut
         self.force(monkeypatch, count)
-
-        class Fixed(np.random.Generator):
-            # fills ``out`` when given, as numpy does; the counting path passes it
-            def __init__(self):
-                super().__init__(np.random.Philox(0))
-
-            def random(self, size=None, dtype=np.float64, out=None):
-                u = np.array([0.5, 0.25, 0.0, 0.75, 0.5, 0.875])
-                if out is None:
-                    return u[:size]
-                out[...] = u[:out.size].reshape(out.shape)
-                return out
-
-        p = [0.25, 0.25, 0.0, 0.5]
-        assert np.array_equal(categorical(np.array(p), 6, Fixed()),
-                              Fixed().choice(4, size=6, p=p))
+        for p in ([0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.5], [1 / 3] * 3, [0.1] * 10,
+                  [1 - 2.0 ** -53, 2.0 ** -53], [0.5, 0.5 - 2.0 ** -54, 2.0 ** -54], [1.0]):
+            p = np.array(p)
+            words = words_on_the_cuts(word_cuts(p))
+            want = FixedDoubles(words).choice(len(p), size=len(words), p=p)
+            assert np.array_equal(word_index(word_cuts(p), words), want)
+            stub = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=words.reshape))
+            assert np.array_equal(categorical(p, (len(words), 1), stub), want[:, None])
 
 
 class TestBinomial:
