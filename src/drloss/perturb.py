@@ -11,6 +11,7 @@ parallel workers; sampling always takes an explicit generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -193,6 +194,112 @@ def word_index(cuts: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
         idx += words >= cut
     out[...] = idx
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _inversion_cuts(n: int, p: float) -> tuple:
+    """(word cuts, bound) of numpy's ``random_binomial_inversion(n, p)``.
+
+    numpy walks its uniform U down the pmf: X = 0, px = qn; while U > px,
+    X += 1, U -= px, px = ((n - X + 1) p px) / (X q), in doubles, redrawing
+    past ``bound``.  Each step is monotone in U, so X >= k from the least
+    word at cut k - 1; the last cut, X = bound + 1, is the redraw, and cuts
+    no word reaches are left out.  Each is bisected on the 2**53 doubles in
+    a window around the pmf's fsum, whose ends are asserted.
+    """
+    q, np_ = 1.0 - p, n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    px = [math.exp(n * math.log(q))]
+    for x in range(1, bound + 1):
+        px.append(((n - x + 1) * p * px[-1]) / (x * q))
+
+    def reaches(j: int, k: int) -> bool:  # X >= k from the double j * 2**-53
+        u = j * 2.0 ** -53
+        for step in px[:k]:
+            if not u > step:
+                return j == 1 << 53  # past every word
+            u -= step
+        return True
+
+    cuts = []
+    for k in range(1, bound + 2):
+        c = math.ceil(math.ldexp(math.fsum(px[:k]), 53))
+        lo, hi = min(max(c - k - 2, 0), (1 << 53) - 1), min(c + k + 2, 1 << 53)
+        assert not reaches(lo, k) and reaches(hi, k), (n, p, k)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reaches(mid, k) else (mid, hi)
+        if hi == 1 << 53:
+            break
+        cuts.append(hi << 11)
+    return _frozen(cuts), bound
+
+
+@functools.lru_cache(maxsize=None)
+def _first_limits(m: int, p: float):
+    """Per dn <= m, floor(qn * 2**53): past it inversion(dn, p) gives X >= 1 (``None``: no word)."""
+    lq = math.log(1.0 - p)
+    limits = [math.floor(math.ldexp(min(math.exp(dn * lq), 1.0), 53)) for dn in range(m + 1)]
+    return _frozen(limits) if min(limits[1:]) < 1 << 53 else None
+
+
+def _frozen(values: list) -> np.ndarray:
+    """A read-only uint64 array, safe to hand out from a cache."""
+    out = np.array(values, np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+def two_point_counts(m: int, p: np.ndarray, size: int, rng: np.random.Generator):
+    """Each batch's count at a of ``rng.multinomial(m, p, size=size)``, for p nonzero at a < b only.
+
+    The counts, and the state left in ``rng``, are numpy's, built from raw
+    words as its ``random_multinomial`` draws them: binomial(m, p_a) takes
+    one word (against ``_inversion_cuts``); a batch short of m at a takes
+    one more for binomial(dn, p_b / (1 - p_a)), unless b is the last
+    point, and that word must fall under its first cut (all dn at b).
+    Returns ``None`` and takes no word where numpy would leave that path:
+    a binomial past inversion (min(p, 1 - p) n > 30, numpy's BTPE), a
+    redraw or a count past b.  ``p`` is taken as checked.
+    """
+    a, b = p.nonzero()[0]
+    pa, pb = float(p[a]), float(p[b]) / (1.0 - float(p[a]))
+    flip = pa > 0.5  # numpy draws binomial(m, 1 - p_a) and takes it from m
+    pp, last = 1.0 - pa if flip else pa, b == len(p) - 1
+    if m < 1 or size < 1 or pp * m > 30.0 or not last and (pb <= 0.5 or (1.0 - pb) * m > 30.0):
+        return None
+    cuts, bound = _inversion_cuts(m, pp)
+    bitgen, state = rng.bit_generator, rng.bit_generator.state
+    words = bitgen.random_raw(size if last else 2 * size)
+    if last:
+        x = word_index(cuts, words)
+    else:
+        # count m at a takes one word, the rest two: a batch starts after a
+        # one-word first word, whatever that word's batch was, and from there
+        # every other word
+        if flip:
+            whole = words < cuts[0] if len(cuts) else np.ones(len(words), bool)
+        else:
+            whole = words >= cuts[m - 1] if len(cuts) >= m else np.zeros(len(words), bool)
+        pos = np.arange(len(words), dtype=np.int32)
+        anchor = np.zeros(len(words), np.int32)
+        np.multiply(pos[1:], whole[:-1], out=anchor[1:])
+        np.maximum.accumulate(anchor, out=anchor)
+        anchor ^= pos
+        anchor &= 1
+        starts = np.flatnonzero(anchor == 0)[:size]
+        x, two = word_index(cuts, words[starts]), ~whole[starts]
+    rare = len(cuts) > bound and x.max() > bound
+    limits = None if last else _first_limits(m, 1.0 - pb)
+    if not rare and limits is not None:
+        dn = x[two] if flip else m - x[two]
+        rare = ((words[starts[two] + 1] >> np.uint64(11)) > limits[dn]).any()
+    if rare or not last:
+        bitgen.state = state
+        if rare:
+            return None
+        bitgen.random_raw(starts[-1] + 1 + two[-1], output=False)
+    return m - x if flip else x
 
 
 def categorical(p: np.ndarray, size, rng: np.random.Generator, out=None) -> np.ndarray:

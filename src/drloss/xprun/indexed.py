@@ -26,6 +26,10 @@ the sample's points (``seen_points``) would have picked (``sample_witness``
 in ``hypo``).  The witness depends on nothing but the minimizers and the
 seen points, so the ERM suites call it once per distinct pair.
 
+Point masses and two-point members skip numpy's multinomial in
+``draw_slot_counts`` with the same counts and stream: a two-point member's
+counts come from raw words (``perturb.two_point_counts``).
+
 A view keeps named scratch arrays (``buffer``) that grow on demand, so a
 run's batches reuse one set of slot draws, member rows and ``dr_scores``
 workspace; each ``--jobs`` worker builds its own setup and view.  An array
@@ -42,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from ..loss import dr_scores, put_member_rows, row_dtype
-from ..perturb import categorical
+from ..perturb import categorical, two_point_counts
 
 
 class FiniteView:
@@ -62,6 +66,7 @@ class FiniteView:
         self.n_points = len(self.points)
         self._members = {}
         self._point_mass = {}
+        self._two_point = {}
         for view in self.views:
             sizes = [len(task.members_for(x, view)) for x in self.atom_x]
             kmax = max(sizes)
@@ -74,8 +79,10 @@ class FiniteView:
                     valid[a, j] = True
             self._members[view] = (probs, valid)
             # the point of each member that is a point mass, else -1
-            single = (np.count_nonzero(probs, axis=2) == 1) & (probs.max(axis=2) == 1.0)
+            nonzero = np.count_nonzero(probs, axis=2)
+            single = (nonzero == 1) & (probs.max(axis=2) == 1.0)
             self._point_mass[view] = np.where(single, probs.argmax(axis=2), -1)
+            self._two_point[view] = nonzero == 2
         self.max_k = {view: self._members[view][0].shape[1] for view in self.views}
         self._templates = {}
         self._scratch = {}
@@ -141,11 +148,15 @@ class FiniteView:
         member is not drawn: numpy's multinomial returns m at its point,
         taking one uniform per batch there, or none at the last point, so
         every batch is m times the member and the stream only skips those
-        uniforms' raw words.  The rows, in the view's scratch, are
-        gathered from ``_row_template``; only multinomial batches are written.
+        uniforms' raw words.  A two-point member's counts, numpy's from the
+        same raw words (``perturb.two_point_counts``), fill its two columns;
+        where numpy takes another path, as for three or more points,
+        ``rng.multinomial`` draws them.  The rows, in the view's scratch, are
+        gathered from ``_row_template``; only drawn batches are written.
         """
         probs, valid = self._members[view]
         point_mass = self._point_mass[view]
+        two_point = self._two_point[view]
         template = self._row_template(view, m)
         rows = self.buffer("rows", (template.shape[0], len(slot_atoms), self.n_points + 1),
                            template.dtype)
@@ -155,11 +166,17 @@ class FiniteView:
             idx = np.flatnonzero(slot_atoms == a)
             if len(idx) == 0:
                 continue
+            positive = self.atom_y[a] == 1
             for j in np.flatnonzero(valid[a]):
                 point = point_mass[a, j]
-                if point < 0:
+                at = two_point_counts(m, probs[a, j], len(idx), rng) if two_point[a, j] else None
+                if at is not None:
+                    pa, pb = np.flatnonzero(probs[a, j])
+                    rows[j, idx, pb] = at - m if positive else m - at
+                    rows[j, idx, pa] = -at if positive else at
+                elif point < 0:
                     counts = rng.multinomial(m, probs[a, j], size=len(idx))
-                    put_member_rows(rows, j, idx, counts, self.atom_y[a] == 1, m)
+                    put_member_rows(rows, j, idx, counts, positive, m)
                     del counts  # freed before the next multinomial allocates its own
                 elif point < self.n_points - 1:
                     rng.bit_generator.random_raw(len(idx), output=False)

@@ -326,10 +326,14 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     s = SimpleNamespace(tails=[])
     for entry in cfg.grid:
         eps = entry["epsilon"]
+        try:
+            square = eps ** 2
+        except OverflowError:
+            raise ConfigError(f"hoeffding's epsilon {eps!r} is too large to square") from None
         if entry["target"] == "inner":
-            s.tails.append((eps / 8.0, min(1.0, 2.0 * math.exp(-entry["m"] * eps ** 2 / 32.0))))
+            s.tails.append((eps / 8.0, min(1.0, 2.0 * math.exp(-entry["m"] * square / 32.0))))
         else:
-            s.tails.append((eps / 4.0, min(1.0, 2.0 * math.exp(-entry["n"] * eps ** 2 / 8.0))))
+            s.tails.append((eps / 4.0, min(1.0, 2.0 * math.exp(-entry["n"] * square / 8.0))))
     targets = {entry["target"] for entry in cfg.grid}
     if "inner" in targets:
         task = build_task(cfg.params["inner_task"])

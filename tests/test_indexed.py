@@ -772,7 +772,8 @@ class CountingMultinomial(np.random.Generator):
         return super().multinomial(*args, **kwargs)
 
 
-@pytest.mark.parametrize("m", [1, 3, 50, 200])  # m = 200 takes numpy's BTPE binomials
+# m = 200 takes numpy's BTPE binomials; past m = 60 a fair two-point member does
+@pytest.mark.parametrize("m", [1, 3, 50, 60, 61, 200])
 @pytest.mark.parametrize("case", list(MEMBER_ROWS_CASES))
 def test_multinomial_rows_match_oracle(case, m):
     build, member_view, k = MEMBER_ROWS_CASES[case]
@@ -780,6 +781,10 @@ def test_multinomial_rows_match_oracle(case, m):
     assert view.max_k[member_view] == k
     probs, valid = view._members[member_view]
     point_mass = (np.count_nonzero(probs, axis=2) == 1) & (probs.max(axis=2) == 1.0)
+    # a two-point member's batches come from raw words while numpy's first
+    # binomial inverts its cdf; only the other members call multinomial
+    first = np.take_along_axis(probs, np.argmax(probs > 0, axis=2)[:, :, None], axis=2)[:, :, 0]
+    on_words = (np.count_nonzero(probs, axis=2) == 2) & (np.minimum(first, 1 - first) * m <= 30)
     for seed in range(6):
         r = CountingMultinomial(seed)
         # one slot leaves most atoms without slots; the rest cover them all
@@ -794,7 +799,7 @@ def test_multinomial_rows_match_oracle(case, m):
         assert np.array_equal(rows, want)
         assert r.random() == ref.random()
         drawn = valid & ~point_mass & np.isin(np.arange(view.n_atoms), slots)[:, None]
-        assert r.multinomial_calls == np.count_nonzero(drawn)
+        assert r.multinomial_calls == np.count_nonzero(drawn & ~on_words)
 
 
 def test_multinomial_rows_skip_point_masses_at_every_point():

@@ -1,10 +1,11 @@
+import copy
 import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drloss import perturb, seeding
@@ -19,6 +20,7 @@ from drloss.perturb import (
     pointwise_cover_violation,
     sample,
     tv_distance,
+    two_point_counts,
     word_cuts,
     word_index,
 )
@@ -438,6 +440,150 @@ class TestBinomial:
         n = int(r.choice([1, 2, 5, 20, 60, 100, 1000]))
         shape = int(r.integers(0, 300)) if r.random() < 0.5 else tuple(r.integers(1, 30, size=2))
         self.assert_matches_numpy(n, p, r.integers(0, k, size=shape), seed)
+
+
+def numpy_inversion(u: float, n: int, p: float) -> int:
+    """numpy's ``random_binomial_inversion(n, p)`` from the uniform u, in Python floats.
+
+    Returns X, or its bound + 1 where numpy redraws.
+    """
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return x
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+class FixedWords:
+    """A bit generator stand-in serving fixed raw words; its state is the position."""
+
+    def __init__(self, words):
+        self.words, self.state = np.array(words, np.uint64), 0
+
+    def random_raw(self, size, output=True):
+        self.state += size
+        return self.words[self.state - size:self.state] if output else None
+
+
+class TestTwoPointCounts:
+    """``two_point_counts`` against ``Generator.multinomial``: counts and the next raw word."""
+
+    @staticmethod
+    def check(m, p, size, skip, seed):
+        """Assert the draw is numpy's, or ``None`` with the stream untouched; True on a draw."""
+        p = np.array(p, dtype=float)
+        rng = rng_for(seed)
+        rng.bit_generator.random_raw(skip)  # start at each of Philox's buffer offsets
+        ref = copy.deepcopy(rng)
+        got = two_point_counts(m, p, size, rng)
+        if got is None:
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            return False
+        want = ref.multinomial(m, p, size=size)
+        assert np.array_equal(got, want[:, np.flatnonzero(p)[0]])
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+        return True
+
+    @pytest.mark.parametrize("p", [
+        [0.3, 0.7], [0.7, 0.3], [0.5, 0.5], [0.0, 0.55, 0.45], [0.45, 0.0, 0.55],
+        [0.8, 0.2, 0.0], [0.0, 0.25, 0.0, 0.75, 0.0], [0.7, 0.0, 0.3, 0.0],
+        [1 / 3, 2 / 3, 0.0],
+    ], ids=["low-high", "high-low", "fair", "zero-before", "zero-between", "zero-after",
+            "zeros-around", "second-cut-reachable", "thirds"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 50, 60])
+    def test_matches_multinomial(self, m, p):
+        # the last two vectors have p_b / (1 - p_a) just below 1, so a
+        # second word could take a count past b: its first cut is reachable
+        for size in (1, 2, 3, 20000):
+            for skip in range(4):
+                assert self.check(m, p, size, skip, seed=m * size + skip)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    def test_past_inversion_draws_nothing(self, p):
+        # 61 * 1/2 > 30: numpy takes its BTPE binomial
+        for size in (1, 20000):
+            assert not self.check(61, p, size, 1, seed=size)
+
+    def test_count_past_b_falls_back(self):
+        # a vector short of 1 leaves mass past b, where numpy's second
+        # binomial often stops short of dn: such a call draws nothing
+        drawn = [self.check(m, [0.2, 0.6, 0.0], size, skip, seed)
+                 for m in (1, 3) for size in (1, 2) for skip in range(2) for seed in range(8)]
+        assert any(drawn) and not all(drawn)
+
+    @pytest.mark.parametrize("p", [[0.7, 0.0, 0.3, 0.0], [1 / 3, 2 / 3, 0.0]])
+    def test_count_past_b_on_the_largest_word(self, p):
+        # p_b / (1 - p_a) is just below 1, so numpy's second binomial, on the
+        # largest double, can stop short of dn: that batch falls back
+        p, m, fell_back = np.array(p), 3, []
+        a, b = np.flatnonzero(p)
+        flip = p[a] > 0.5
+        pp, qb = (1.0 - p[a] if flip else p[a]), 1.0 - p[b] / (1.0 - p[a])
+        for first in [0, *perturb._inversion_cuts(m, pp)[0]]:
+            x = numpy_inversion(TestWordCut.double(first), m, pp)
+            dn = x if flip else m - x
+            past_b = dn > 0 and numpy_inversion(TestWordCut.double(2 ** 64 - 1), dn, qb) > 0
+            rng = SimpleNamespace(bit_generator=FixedWords([first, 2 ** 64 - 1, 0, 0]))
+            got = two_point_counts(m, p, 1, rng)
+            assert rng.bit_generator.state == (0 if past_b else 1 + (dn > 0))
+            assert got is None if past_b else got[0] == m - dn
+            fell_back.append(past_b)
+        assert any(fell_back) and not all(fell_back)
+
+    def test_redraw_falls_back(self):
+        # binomial(1000, 0.001) redraws past its bound of 15, from the last cut
+        p = np.array([0.001, 0.999])
+        cuts, bound = perturb._inversion_cuts(1000, 0.001)
+        rng = SimpleNamespace(bit_generator=FixedWords([cuts[-1] - 2048, cuts[-1]]))
+        assert two_point_counts(1000, p, 2, rng) is None and rng.bit_generator.state == 0
+        assert two_point_counts(1000, p, 1, rng)[0] == bound == 15
+        assert rng.bit_generator.state == 1
+
+    def test_second_binomial_past_inversion_draws_nothing(self):
+        # short of 1, p_b / (1 - p_a) = 0.6 / 0.99 leaves 0.39 * 100 > 30 for
+        # numpy's BTPE, whatever the words
+        rng = SimpleNamespace(bit_generator=FixedWords([0] * 4))
+        assert two_point_counts(100, np.array([0.01, 0.6, 0.0]), 1, rng) is None
+        assert rng.bit_generator.state == 0
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.integers(0, 10**6))
+    def test_matches_multinomial_on_random_vectors(self, seed):
+        r = rng_for(seed)
+        d = int(r.integers(2, 7))
+        a, b = np.sort(r.choice(d, size=2, replace=False))
+        p = np.zeros(d)
+        p[a] = r.choice([r.random(), r.integers(1, 20) / 20])
+        p[b] = 1.0 - p[a]
+        m = int(r.choice([1, 2, 3, 5, 10, 30, 50, 60, 61, 100]))
+        size = int(r.choice([1, 2, 3, 17, 500]))
+        if p[a] > 0:
+            self.check(m, p, size, int(r.integers(0, 4)), seed)
+
+    @pytest.mark.parametrize("n,p", [
+        (1, 0.5), (2, 0.3), (3, 0.45), (10, 0.5), (50, 0.45), (60, 0.5), (60, 0.01),
+        (30, 2.0 ** -40), (1000, 0.001), (1000, 0.03),
+    ])
+    def test_cuts_are_the_inversion_loops(self, n, p):
+        # X >= k at each cut's double and X < k one double below; past the
+        # last cut the largest double stays under it.  The last of n = 1000's
+        # cuts is where numpy redraws (X past its bound)
+        cuts, bound = perturb._inversion_cuts(n, p)
+
+        def x_of(word):
+            return numpy_inversion(TestWordCut.double(word), n, p)
+
+        for k, cut in enumerate(cuts, 1):
+            assert x_of(cut) >= k and x_of(cut - 2048) < k
+        assert x_of(2 ** 64 - 1) == len(cuts)
+        assert len(cuts) == bound + 1 if (n, p) == (1000, 0.001) else len(cuts) <= bound + 1
 
 
 class TestTvDistance:

@@ -1217,6 +1217,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", [{"target": "outer", "n": 40}, {"target": "inner", "m": 40}],
+                             ids=["outer", "inner"])
+    def test_exit_two_on_epsilon_too_large_to_square(self, tmp_path, capsys, entry):
+        # epsilon ** 2 in the tail bound overflows; a crash would exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": [{**entry, "epsilon": 1e300}], "trials": 5}))
+        assert cli_main(["hoeffding", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "epsilon" in err and "Traceback" not in err
+
     def test_hoeffding_outer_mean_past_float_range(self, tmp_path, capsys):
         # math.comb(1100, 550) does not fit a float
         path = tmp_path / "cfg.json"
