@@ -110,7 +110,10 @@ def required_trials(eta: float, a_size: int, delta: float) -> int:
         raise ValueError("delta must be in (0, 1)")
     if a_size < 1:
         raise ValueError("a_size must be positive")
-    return max(1, math.ceil((100.0 / (eta * eta)) * math.log(a_size / delta)))
+    bound = (100.0 / (eta * eta)) * math.log(a_size / delta) if eta * eta else math.inf
+    if not bound < math.inf:
+        raise ValueError(f"the vote count for eta={eta!r} is {bound!r}, not a finite count")
+    return max(1, math.ceil(bound))
 
 
 def derandomize_classifier(base: RandomizedClassifier, t: int,

@@ -196,6 +196,36 @@ def word_index(cuts: np.ndarray, words: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def word_tally(p: np.ndarray, values) -> tuple:
+    """One integer (or bool) ``values`` entry per category as (first, [(step, cut), ...]).
+
+    A raw word's category is the number of ``word_cuts(p)`` at or under it,
+    so its value is ``values[0]`` plus the step values[j + 1] - values[j] of
+    each cut j at or under it.  Zero steps are left out, and so are steps
+    past the cuts, at cdf entries no word reaches.
+    """
+    values, cuts = np.asarray(values, np.int64), word_cuts(p)
+    steps = np.diff(values)[:len(cuts)]
+    at = steps.nonzero()[0]
+    return int(values[0]), list(zip(steps[at].tolist(), cuts[at]))
+
+
+def word_sum(tally: tuple, words: np.ndarray, axis=None):
+    """``values[word_index(word_cuts(p), words)].sum(axis)`` from ``word_tally(p, values)``.
+
+    One comparison count per step and no index array.  The whole array's
+    sum is a Python int; a sum over ``axis`` is an int64 array.
+    """
+    first, steps = tally
+    if axis is None:
+        return first * words.size + sum(step * int(np.count_nonzero(words >= cut))
+                                        for step, cut in steps)
+    total = np.full(np.delete(words.shape, axis), first * words.shape[axis])
+    for step, cut in steps:
+        total += step * np.count_nonzero(words >= cut, axis=axis)
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def _inversion_cuts(n: int, p: float) -> tuple:
     """(word cuts, bound) of numpy's ``random_binomial_inversion(n, p)``.

@@ -220,7 +220,10 @@ _COVER = {"cover_k": optional(positive_int)}
 _DERAND_GRID = {"eta": below_half, "delta": open_unit}
 # t null or 0: the vote count the guarantee requires
 _DERAND_OPTIONAL = {"t": (optional(count), None), **_ASSERT}
-_ATTACKS = {"a_size": positive_int, "grid_randomness": positive_int}
+# sizes a derand setup builds before any trial (at both bounds, about 1.5 s and 200 MiB)
+_ATTACKS = {"a_size": _numeric("in [1, 2**16]", lambda v: 1 <= v <= 1 << 16, integer=True),
+            "grid_randomness": _numeric("in [1, 2**20]", lambda v: 1 <= v <= 1 << 20,
+                                        integer=True)}
 
 SCHEMA = {
     "realizable": Schema({}, _ERM_GRID, _ERM_OPTIONAL),

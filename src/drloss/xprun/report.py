@@ -20,13 +20,11 @@ import csv
 import io
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
-
-from ..stats import Assertion
 
 SCHEMA_VERSION = 1
 
@@ -143,16 +141,6 @@ def _cells(col, lead: bool = False) -> list:
     return _escaped(list(map(str, col)), lead)
 
 
-def _assertion_dict(a: Assertion) -> dict:
-    return {
-        "name": a.name,
-        "observed": a.observed,
-        "bound": a.bound,
-        "slack_rule": a.slack_rule,
-        "passed": a.passed,
-    }
-
-
 def render_csv(report: ExperimentReport) -> str:
     """One file, three sections (rows, aggregates, assertions), comment-framed."""
     buf = io.StringIO()
@@ -176,7 +164,7 @@ def render_csv(report: ExperimentReport) -> str:
     table(report.agg_columns, table_from_rows(report.aggregates, report.agg_columns))
     comment("# assertions")
     acols = ["name", "observed", "bound", "slack_rule", "passed"]
-    table(acols, table_from_rows([_assertion_dict(a) for a in report.assertions], acols))
+    table(acols, table_from_rows([asdict(a) for a in report.assertions], acols))
     comment(f"# passed={1 if report.passed else 0}")
     return buf.getvalue()
 
@@ -199,7 +187,7 @@ def render_json(report: ExperimentReport) -> str:
         "rows": [],
         "agg_columns": report.agg_columns,
         "aggregates": report.aggregates,
-        "assertions": [_assertion_dict(a) for a in report.assertions],
+        "assertions": [asdict(a) for a in report.assertions],
         "passed": report.passed,
     }
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split('\n  "rows": []', 1)

@@ -42,6 +42,8 @@ from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suite
     tv_distance,
     word_cuts,
     word_index,
+    word_sum,
+    word_tally,
 )
 from ..stats import (
     Assertion,
@@ -61,6 +63,7 @@ from .report import ExperimentReport, table_from_rows
 
 CHUNK = 256
 SEED_DUMP_LIMIT = 100_000  # max trials * t for verbatim hex seed dumps
+VOTE_WORDS_MAX = 1 << 24  # max derand votes t: a trial's raw words, 128 MiB
 
 
 class Tally(NamedTuple):
@@ -362,18 +365,10 @@ def _hoeffding_setup(cfg: ExperimentConfig) -> SimpleNamespace:
             for a, us in enumerate(members)
         )
         # Binomial(m, p) / m is p when p is 0 or 1: a slot's worst loss is then
-        # its atom's 0 or 1, so a trial counts its bad slots.  ``categorical``
-        # sends a raw word x to the atom i = #{j : x >= cuts[j]} over
-        # ``word_cuts``, so atom i is bad exactly when bad_first +
-        # sum_j step_j [x >= cuts[j]] is 1, with step_j the change in badness
-        # from atom j to atom j + 1; ``s.cuts`` keeps each nonzero step with
-        # its cut.  A step past the cuts sits at a cdf entry no word reaches
-        s.cuts = None
-        if np.all((s.p_members == 0) | (s.p_members == 1)):
-            bad = s.p_members.max(axis=1).astype(int)
-            s.bad_first = int(bad[0])
-            s.cuts = [(step, cut) for step, cut in zip(np.diff(bad).tolist(),
-                                                       word_cuts(view.atom_p)) if step]
+        # its atom's 0 or 1, so a trial sums the atoms' badness over the raw
+        # words ``categorical`` would draw its slots from
+        zero_one = np.all((s.p_members == 0) | (s.p_members == 1))
+        s.tally = word_tally(view.atom_p, s.p_members.max(axis=1)) if zero_one else None
     return s
 
 
@@ -390,15 +385,11 @@ def _hoeffding_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: 
     else:
         n, m = entry["n"], cfg.params["outer_m"]
         n_col = np.full(trials, n)
-        if s.cuts is not None:
+        if s.tally is not None:
             # the words ``categorical`` would turn into slots; the member
             # draws would be the stream's last reads.  The count over n is
             # the mean of the slots' 0/1 losses, bit for bit
-            words = rng.bit_generator.random_raw((trials, n))
-            bad = np.full(trials, s.bad_first * n)
-            for step, cut in s.cuts:
-                bad += step * np.count_nonzero(words >= cut, axis=1)
-            mean = bad / n
+            mean = word_sum(s.tally, rng.bit_generator.random_raw((trials, n)), axis=1) / n
         else:
             slots = categorical(s.view.atom_p, (trials, n), rng)
             worst = np.zeros((trials, n))
@@ -440,9 +431,12 @@ def _hoeffding_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: di
 def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
     """Per grid entry: eta, delta, vote count, eps(eta) and the exceed threshold."""
     out = []
-    for entry in cfg.grid:
+    for g, entry in enumerate(cfg.grid):
         eta, delta = entry["eta"], entry["delta"]
         t_votes = entry["t"] or required_trials(eta, task.max_attack_size(), delta)
+        if t_votes > VOTE_WORDS_MAX:  # a trial reads its t words at once
+            raise ConfigError(f"grid[{g}] asks for t = {t_votes:.17g} votes, {8 * t_votes:.17g} "
+                              f"bytes of raw words per trial, past {VOTE_WORDS_MAX} words")
         eps_eta = epsilon_eta(task, point_errors, eta)
         out.append(SimpleNamespace(eta=eta, delta=delta, t_votes=t_votes, eps_eta=eps_eta,
                                    threshold=delta + eps_eta))
@@ -450,29 +444,11 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
 
 
 def _votes(randomness: FiniteDistribution, levels: list) -> SimpleNamespace:
-    """Each level's word cut under which the fixed draws land below it.
-
-    ``randomness`` has an ascending scalar support, as ``grid_randomness``
-    makes it.  ``categorical``, like ``Generator.choice``, maps a draw's raw
-    word to the support index ``word_index(draw_cuts, word)``, the number
-    of its ``word_cuts`` at or under the word.  So a draw lands below a
-    level, at one of the ``under`` = J support points under it, exactly
-    when its word is under cut J - 1, and never when J = 0 (cut 0).  Where
-    J - 1 is past the cuts no word reaches that cdf entry, and every draw
-    lands below (cut ``None``).
-    """
+    """The support, its word cuts and, per level, the ``word_tally`` of the points below it."""
     support = np.asarray(randomness.support)
-    draw_cuts = word_cuts(randomness.prob_array())
-    bounds = np.append(np.uint64(0), draw_cuts)
-    under = support.searchsorted(levels, "left")
-    return SimpleNamespace(support=support, draw_cuts=draw_cuts, under=under,
-                           cuts=[bounds[j] if j < len(bounds) else None for j in under])
-
-
-def _below(votes: SimpleNamespace, words: np.ndarray) -> list:
-    """Per level, how many of the draws with these raw words land below it."""
-    return [len(words) if cut is None else int(np.count_nonzero(words < cut))
-            for cut in votes.cuts]
+    p = randomness.prob_array()
+    return SimpleNamespace(support=support, draw_cuts=word_cuts(p),
+                           tallies=[word_tally(p, support < level) for level in levels])
 
 
 def _draws(votes: SimpleNamespace, words: np.ndarray) -> np.ndarray:
@@ -489,12 +465,12 @@ def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     atoms = task.atoms()
     # an atom's attack point of highest per-draw error level gets every draw
     # below another point's level wrong too, so it is the first one fooled
-    votes = _votes(setup.base.randomness,
-                   [max(setup.errors[xp] for xp in task.attacks[x]) for x, _, _ in atoms])
+    levels = [max(setup.errors[xp] for xp in task.attacks[x]) for x, _, _ in atoms]
+    votes = _votes(setup.base.randomness, levels)
     # its exact per-draw error: fsum rounds correctly, so over these nested
-    # prefixes it is also the largest of its points' errors
-    probs = setup.base.randomness.probs
-    errors = {(x, y): math.fsum(probs[:j]) for (x, y, _), j in zip(atoms, votes.under.tolist())}
+    # prefixes of the ascending support it is also the largest of its points' errors
+    probs, under = setup.base.randomness.probs, votes.support.searchsorted(levels).tolist()
+    errors = {(x, y): math.fsum(probs[:j]) for (x, y, _), j in zip(atoms, under)}
 
     def dr_value(below: list, t_votes: int) -> float:
         """Mass of the atoms whose worst attack point the plurality of the draws gets wrong."""
@@ -533,8 +509,8 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
 
     A trial's t fixed draws are those the object-level
     ``derandomize_classifier``/``_certifier`` take from its stream; of their
-    raw words only the counts under the setup's ``votes.cuts`` decide the
-    vote.  The draws themselves are formed, and sorted, only for
+    raw words only the ``word_sum`` of each of the setup's ``votes.tallies``
+    decides the vote.  The draws themselves are formed, and sorted, only for
     ``seeds_hex``.
     """
     p = s.grid[g]
@@ -542,7 +518,7 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
     rows = []
     for trial in range(lo, hi):
         words = seeding.stream(cfg.master_seed, g, trial).bit_generator.random_raw(p.t_votes)
-        value = s.value(_below(s.votes, words), p.t_votes)
+        value = s.value([word_sum(tally, words) for tally in s.votes.tallies], p.t_votes)
         seeds_hex = ";".join(encode_seeds(_draws(s.votes, words).tolist())) if dump_seeds else ""
         rows.append({
             "grid_index": g,

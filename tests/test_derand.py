@@ -45,6 +45,13 @@ class TestRequiredTrials:
         with pytest.raises(ValueError):
             required_trials(0.1, 0, 0.1)
 
+    @pytest.mark.parametrize("eta,delta", [(1e-200, 0.05), (1e-160, 0.05), (1e-154, 0.05),
+                                           (0.25, 5e-324)])
+    def test_rejects_a_bound_past_float_range(self, eta, delta):
+        # eta * eta underflows to 0 or 100 / eta**2 overflows, or a_size / delta does
+        with pytest.raises(ValueError, match="not a finite count"):
+            required_trials(eta, 8, delta)
+
 
 class TestVoting:
     def test_plurality_majority(self):

@@ -918,7 +918,7 @@ def assert_outer_chunks_match_oracle(cfg) -> bool:
     """Check two chunks of the outer tail against the oracle; return whether the table is 0/1."""
     s = suites._hoeffding_setup(cfg)
     zero_one = bool(np.all((s.p_members == 0) | (s.p_members == 1)))
-    assert (s.cuts is not None) == zero_one
+    assert (s.tally is not None) == zero_one
     trials = suites.CHUNK + 44
     for chunk, lo, hi in suites._chunk_ranges(trials, suites.CHUNK):
         got = suites._hoeffding_chunk(cfg, s, 0, chunk, lo, hi)
@@ -930,8 +930,8 @@ def assert_outer_chunks_match_oracle(cfg) -> bool:
 
 @pytest.mark.parametrize("tables", ["zero-one", "fractional", "mixed"])
 def test_hoeffding_outer_chunk_matches_binomial_oracle(tables):
-    # a 0/1 table counts each trial's raw words against the setup's cuts and
-    # draws no member batch; any other table draws every member through numpy
+    # a 0/1 table sums each trial's raw words over the setup's tally of bad
+    # atoms and draws no member batch; any other table draws every member through numpy
     for seed in range(8):
         r = rng_for(900 + seed)
         cfg = load_config("hoeffding", seed=seed)
@@ -956,8 +956,9 @@ def test_hoeffding_outer_chunk_counts_a_word_on_a_cut_past_it(monkeypatch):
     cfg.params = dict(cfg.params, outer_task={"inline": edge_task([0.25, 0.25, 0.5], [1, 0, 1])})
     cfg.grid = [{"target": "outer", "n": 4, "epsilon": 0.3}]
     s = suites._hoeffding_setup(cfg)
-    assert [step for step, _ in s.cuts] == [-1, 1]
-    edges = [int(cut) + d for _, cut in s.cuts for d in (-1, 0)]
+    first, steps = s.tally
+    assert first == 1 and [step for step, _ in steps] == [-1, 1]
+    edges = [int(cut) + d for _, cut in steps for d in (-1, 0)]
     words = np.array([edges, edges[::-1], edges[:2] * 2, edges[2:] * 2, [0, 2**64 - 1] * 2],
                      dtype=np.uint64)
     u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53  # exact: under 2**53

@@ -23,9 +23,11 @@ from drloss.perturb import (
     two_point_counts,
     word_cuts,
     word_index,
+    word_sum,
+    word_tally,
 )
 from drloss.tasks import task_from_dict
-from drloss.xprun.suites import _below, _draws, _votes
+from drloss.xprun.suites import _draws, _votes
 
 from generators import rng_for
 
@@ -187,21 +189,25 @@ class TestSample:
 class TestVoteBounds:
     """The derand suites' vote counts against sorting the drawn points.
 
-    A draw from ascending randomness lands below a level when its raw word
-    is under that level's ``suites._votes`` cut; the count under each cut
-    (``suites._below``) must equal ``np.searchsorted`` of the level in the
-    sorted draws of ``categorical`` from the same stream, and the draws
-    formed from the words (``suites._draws``, the ``seeds_hex`` dump) must
-    be those draws.
+    ``suites._votes`` keeps, per level, the ``word_tally`` of the support
+    points below it; its ``word_sum`` over the raw words must equal
+    ``np.searchsorted`` of the level in the sorted draws of ``categorical``
+    from the same stream, and the draws formed from the words
+    (``suites._draws``, the ``seeds_hex`` dump) must be those draws.
     """
 
     @staticmethod
-    def assert_counts_draws_below(support, probs, levels, count, rng, ref_rng):
+    def below(votes, words) -> list:
+        return [word_sum(tally, words) for tally in votes.tallies]
+
+    def assert_counts_draws_below(self, support, probs, levels, count, rng, ref_rng):
         d = FiniteDistribution(support, probs)
         votes = _votes(d, levels)
         draws = np.sort(np.asarray(d.support)[categorical(d.prob_array(), count, ref_rng)])
         words = rng.bit_generator.random_raw(count)
-        assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+        below = self.below(votes, words)
+        assert below == np.searchsorted(draws, levels, "left").tolist()
+        assert all(type(n) is int for n in below)
         assert np.array_equal(_draws(votes, words), draws)
         assert rng.random() == ref_rng.random()  # the same number of uniforms taken
 
@@ -223,12 +229,13 @@ class TestVoteBounds:
                                            rng_for(seed), rng_for(seed))
 
     def test_bounds_of_zero_and_one(self):
-        # a level under the support has bound 0, whose cut is word 0; one
-        # over it has bound 1, which no word reaches, so every draw counts
+        # a level under the support counts no draw and has no step; one over
+        # it counts every draw, its one step at the cdf's end, which no word
+        # reaches, dropped; one between steps down at the middle cut
         votes = _votes(FiniteDistribution([1.0, 2.0], [0.5, 0.5]), [0.0, 1.5, 3.0])
-        assert votes.cuts[0] == 0 and votes.cuts[1] == np.uint64(1 << 63) and votes.cuts[2] is None
+        assert votes.tallies == [(0, []), (1, [(-1, np.uint64(1 << 63))]), (1, [])]
         words = rng_for(3).bit_generator.random_raw(40)
-        below = _below(votes, words)
+        below = self.below(votes, words)
         assert below[0] == 0 and below[2] == 40 and 0 < below[1] < 40
 
     @given(st.integers(0, 10**6))
@@ -253,7 +260,7 @@ class TestVoteBounds:
         votes = _votes(d, levels)
         words = words_on_the_cuts(votes.draw_cuts)
         draws = np.sort(np.asarray(d.support)[FixedDoubles(words).choice(4, len(words), p=d.probs)])
-        assert _below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+        assert self.below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
         assert np.array_equal(_draws(votes, words), draws)
 
 
@@ -315,6 +322,67 @@ class TestWordCut:
         assert cuts(0.0, 0.5, 2.0 ** -53, 0.5 - 2.0 ** -53) == [0, 1 << 63, (1 << 63) + (1 << 11)]
         assert cuts(0.25, 0.75, 0.0, 0.0) == [1 << 62]
         assert cuts(1.0) == []
+
+
+class TestWordTally:
+    """``word_sum(word_tally(p, values), words, axis)`` against indexing the values.
+
+    The hoeffding outer tail (axis 1) and the derand votes (the whole array)
+    sum a category value over raw words through the tally's steps; the
+    reference indexes ``values`` at ``word_index(word_cuts(p), words)``.
+    """
+
+    @staticmethod
+    def assert_sums_the_indexed_values(p, values, words):
+        p, tally = np.asarray(p, dtype=float), word_tally(p, values)
+        indexed = np.asarray(values, np.int64)[word_index(word_cuts(p), words)]
+        for axis in [None] + ([1] if words.ndim == 2 else []):
+            got = word_sum(tally, words, axis)
+            if axis is None:
+                assert type(got) is int and got == indexed.sum()
+            else:
+                assert got.dtype == np.int64 and got.shape == words.shape[:1]
+                assert np.array_equal(got, indexed.sum(axis=1))
+
+    @pytest.mark.parametrize("p,values,tally", [
+        ([0.5, 0.5], [0, 1], (0, [(1, 1 << 63)])),
+        ([0.25, 0.25, 0.5], [1, 0, 1], (1, [(-1, 1 << 62), (1, 1 << 63)])),
+        ([0.25, 0.0, 0.75], [2, 5, 5], (2, [(3, 1 << 62)])),  # the step at zero mass
+        ([0.5, 0.5], [True, False], (1, [(-1, 1 << 63)])),
+        ([0.25, 0.75], [3, 3], (3, [])),
+        ([1.0, 0.0], [0, 1], (0, [])),  # no word reaches the zero-mass last category
+        ([0.25, 0.75, 0.0], [0, 1, 4], (0, [(1, 1 << 62)])),
+        ([0.0, 1.0], [1, 0], (1, [(-1, 0)])),  # every word is past cut 0
+        ([1.0], [7], (7, [])),
+    ], ids=["half", "edges", "zero-mass", "bool", "constant", "step-unreached",
+            "steps-unreached", "zero-first", "k1"])
+    def test_tally_steps_and_sums(self, p, values, tally):
+        assert word_tally(np.array(p), values) == tally
+        words = words_on_the_cuts(word_cuts(np.array(p)))
+        self.assert_sums_the_indexed_values(p, values, words)
+        self.assert_sums_the_indexed_values(p, values, np.vstack([words, words[::-1]]))
+
+    def test_a_step_free_tally_sums_each_row(self):
+        words = rng_for(1).bit_generator.random_raw((5, 3))
+        got = word_sum((2, []), words, axis=1)
+        assert got.dtype == np.int64 and got.tolist() == [6] * 5
+        assert word_sum((2, []), words) == 30 and word_sum((0, []), words[:0]) == 0
+
+    @given(st.data())
+    def test_sum_matches_indexed_values(self, data):
+        k = data.draw(st.integers(1, 12))
+        weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
+        weights[data.draw(st.integers(0, k - 1))] += 1.0  # about a quarter of the rest are zero
+        p = weights / weights.sum()
+        values = data.draw(st.one_of(
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+            st.integers(-3, 3).map(lambda v: [v] * k),
+            st.lists(st.booleans(), min_size=k, max_size=k)))
+        edges = words_on_the_cuts(word_cuts(p))
+        rows = data.draw(st.integers(0, 4))
+        random = rng_for(data.draw(st.integers(0, 10**6))).bit_generator.random_raw((rows, len(edges)))
+        self.assert_sums_the_indexed_values(p, values, edges)
+        self.assert_sums_the_indexed_values(p, values, np.vstack([edges, random]))
 
 
 class TestCategorical:

@@ -1227,6 +1227,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "epsilon" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["derand-classifier", "derand-certifier"])
+    @pytest.mark.parametrize("config,setup,message", [
+        ({"grid": [{"eta": 0.25, "delta": 0.05, "t": 1e300}]}, True,
+         "t = 1.0000000000000001e+300 votes, 8.0000000000000004e+300 bytes"),
+        ({"grid": [{"eta": 0.25, "delta": 0.05, "t": (1 << 24) + 1}]}, True,
+         f"t = {(1 << 24) + 1} votes, {(8 << 24) + 8} bytes"),
+        ({"grid": [{"eta": 1e-200, "delta": 0.05}]}, True, "is inf, not a finite count"),
+        ({"grid": [{"eta": 1e-160, "delta": 0.05}]}, True, "is inf, not a finite count"),
+        ({"params": {"a_size": 1e300}}, False, "params.a_size must be in [1, 2**16]"),
+        ({"params": {"a_size": (1 << 16) + 1}}, False, "params.a_size must be in [1, 2**16]"),
+        ({"params": {"grid_randomness": 1e300}}, False,
+         "params.grid_randomness must be in [1, 2**20]"),
+        ({"params": {"grid_randomness": (1 << 20) + 1}}, False,
+         "params.grid_randomness must be in [1, 2**20]"),
+    ], ids=["t-1e300", "t-budget-plus-one", "eta-square-underflows", "eta-bound-overflows",
+            "a-size-1e300", "a-size-bound-plus-one", "grid-1e300", "grid-bound-plus-one"])
+    def test_exit_two_on_a_derand_size_past_its_bound(self, tmp_path, capsys, monkeypatch,
+                                                      kind, config, setup, message):
+        # a crash would exit 1; nothing of the rejected size is built: no
+        # trial draws its words, and a bad a_size or grid builds no setup
+        from drloss.xprun import suites
+
+        def never(*args, **kwargs):
+            raise AssertionError("built past the bound")
+
+        monkeypatch.setattr(suites.seeding, "stream", never)
+        if not setup:
+            monkeypatch.setattr(suites, "derand_classifier_setup", never)
+            monkeypatch.setattr(suites, "derand_certifier_setup", never)
+        assert suites.VOTE_WORDS_MAX == 1 << 24
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 5, **config}))
+        assert cli_main([kind, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["derand-classifier", "derand-certifier"])
+    def test_a_vote_count_at_the_budget_is_accepted(self, kind):
+        from drloss.xprun import suites
+
+        cfg = load_config(kind)
+        cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": suites.VOTE_WORDS_MAX}]
+        assert suites._setup(check(vars(cfg))).grid[0].t_votes == suites.VOTE_WORDS_MAX
+
     def test_hoeffding_outer_mean_past_float_range(self, tmp_path, capsys):
         # math.comb(1100, 550) does not fit a float
         path = tmp_path / "cfg.json"
