@@ -118,8 +118,21 @@ def empirical_dr_loss(h, s: SampleSet) -> float:
 
 
 # byte budget for the temporaries of one block of trials in dr_scores, and
-# for the ERM suites' exact-inner gathers
-DR_S_BLOCK_BYTES = 32 << 20
+# for the ERM suites' exact-inner gathers: about one core's L2, so a block's
+# temporaries stay in cache and a run first-touches few fresh pages
+DR_S_BLOCK_BYTES = 2 << 20
+# the fewest slots in a block: a product of fewer columns runs OpenBLAS
+# sgemm at about half its speed per FLOP, and a gather of fewer is mostly
+# per-call overhead
+DR_S_MIN_SLOTS = 200
+
+
+def block_trials(n: int, trial_bytes: int) -> int:
+    """Trials per block, for trials of n slots and ``trial_bytes`` of temporaries.
+
+    As many as fit in ``DR_S_BLOCK_BYTES``, and at least ceil(``DR_S_MIN_SLOTS`` / n).
+    """
+    return max(-(-DR_S_MIN_SLOTS // n), DR_S_BLOCK_BYTES // trial_bytes)
 
 
 def row_dtype(m: int):
@@ -207,8 +220,9 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     is W == 0, and with ``ties``, ``erm_ties`` picks the minimizers from the
     least W.
     Float losses are formed only for the reports: ``loss_emp``, and with
-    ``dr`` every behavior's, summed left to right.  A block stays within
-    ``DR_S_BLOCK_BYTES``.
+    ``dr`` every behavior's, summed left to right.  ``block_trials`` sizes
+    a block: its temporaries within ``DR_S_BLOCK_BYTES``, unless a wide B
+    would leave its products fewer than ``DR_S_MIN_SLOTS`` columns.
 
     ``buffer(name, shape, dtype)`` supplies the results and each block's
     products ``worst``: the default allocates them, ``FiniteView`` hands in
@@ -223,7 +237,7 @@ def dr_scores(labels: np.ndarray, rows: np.ndarray, trials: int, n: int, m: int,
     # a block's temporaries, per slot: the worst hit row of B and, with k > 1,
     # the next member's, in the rows' dtype, then the float64 quotients of
     # the ERM candidates (every behavior at worst)
-    block = max(1, DR_S_BLOCK_BYTES // (n * n_b * (rows.itemsize * (1 + (kmax > 1)) + 8)))
+    block = block_trials(n, n * n_b * (rows.itemsize * (1 + (kmax > 1)) + 8))
     hits = buffer("hits", (n_b, trials), np.int64)
     minimizers = buffer("ties", (n_b, trials), bool) if ties else None
     loss_emp = buffer("loss_emp", (trials,), float) if ties else None

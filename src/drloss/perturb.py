@@ -280,6 +280,30 @@ def _frozen(values: list) -> np.ndarray:
     return out
 
 
+def skip_words(bitgen, count: int) -> None:
+    """Advance ``bitgen`` past ``count`` raw words, to the state ``random_raw(count)`` leaves.
+
+    An ``np.random.Philox`` skips in O(1): past the words left in its
+    buffer, the whole 4-word blocks are added to its 256-bit counter
+    through ``state`` (with the buffer spent), and the last 1-4 words are
+    read, so the buffer holds their block.  ``Philox.advance`` is not used:
+    it also drops the half word a 32-bit draw keeps (``uinteger``), which
+    reading words leaves.  Any other bit generator reads the words.
+    """
+    if isinstance(bitgen, np.random.Philox):
+        state = bitgen.state
+        rest = count - (4 - state["buffer_pos"])  # words past the buffer
+        blocks = (rest - 1) // 4  # whole blocks before the last word's
+        if blocks > 0:
+            counter = state["state"]["counter"]
+            value = sum(int(v) << 64 * i for i, v in enumerate(counter)) + blocks
+            counter[...] = [(value >> 64 * i) & ((1 << 64) - 1) for i in range(4)]
+            state["buffer_pos"] = 4
+            bitgen.state = state
+            count = rest - 4 * blocks
+    bitgen.random_raw(count, output=False)
+
+
 def two_point_counts(m: int, p: np.ndarray, size: int, rng: np.random.Generator):
     """Each batch's count at a of ``rng.multinomial(m, p, size=size)``, for p nonzero at a < b only.
 
@@ -328,7 +352,7 @@ def two_point_counts(m: int, p: np.ndarray, size: int, rng: np.random.Generator)
         bitgen.state = state
         if rare:
             return None
-        bitgen.random_raw(starts[-1] + 1 + two[-1], output=False)
+        skip_words(bitgen, int(starts[-1] + 1 + two[-1]))
     return m - x if flip else x
 
 

@@ -12,8 +12,8 @@ exactly.
 ``draw_slot_counts`` writes each multinomial batch straight into the
 member row that ``loss.dr_scores`` multiplies (signed counts and a batch
 size column, float32 while m <= 2**24: ``loss.member_rows``); no count
-tensor is kept beside the rows.  The contraction and its per-block byte
-budget ``DR_S_BLOCK_BYTES`` live in ``loss.dr_scores``, which
+tensor is kept beside the rows.  The contraction and its cache-sized
+blocks of trials (``loss.block_trials``) live in ``loss.dr_scores``, which
 ``learner.drerm`` runs too.  It decides on exact integer mistake counts W,
 summed in float32 while n * m <= 2**24 and in float64 beyond: zero training
 loss is W == 0, and each trial's ERM minimizers are the least W,
@@ -28,7 +28,8 @@ seen points, so the ERM suites call it once per distinct pair.
 
 Point masses and two-point members skip numpy's multinomial in
 ``draw_slot_counts`` with the same counts and stream: a two-point member's
-counts come from raw words (``perturb.two_point_counts``).
+counts come from raw words (``perturb.two_point_counts``), and the words a
+point mass would take are skipped in O(1) (``perturb.skip_words``).
 
 A view keeps named scratch arrays (``buffer``) that grow on demand, so a
 run's batches reuse one set of slot draws, member rows and ``dr_scores``
@@ -46,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from ..loss import dr_scores, put_member_rows, row_dtype
-from ..perturb import categorical, two_point_counts
+from ..perturb import categorical, skip_words, two_point_counts
 
 
 class FiniteView:
@@ -179,7 +180,7 @@ class FiniteView:
                     put_member_rows(rows, j, idx, counts, positive, m)
                     del counts  # freed before the next multinomial allocates its own
                 elif point < self.n_points - 1:
-                    rng.bit_generator.random_raw(len(idx), output=False)
+                    skip_words(rng.bit_generator, len(idx))
         return rows
 
     def dr_s(self, labels: np.ndarray, slot_atoms: np.ndarray, rows: np.ndarray,

@@ -31,7 +31,7 @@ from .. import seeding
 from ..derand import encode_seeds, epsilon_eta, required_trials
 from ..hypo import ThresholdClass
 from ..learner import draw_training_set, drerm
-from ..loss import DR_S_BLOCK_BYTES, member_error
+from ..loss import block_trials, member_error
 from ..perturb import (  # noqa: F401  sample: perfbench/tracer.py patches suites.sample
     FiniteDistribution,
     GaussianDistribution,
@@ -152,15 +152,19 @@ def _erm_chunk(cfg: ExperimentConfig, s, g: int, chunk: int, lo: int, hi: int) -
     slots = view.draw_clean_slots(rng, trials * n)
     if exact_inner:
         # m -> infinity: the setup's exact worst-member errors at the drawn
-        # slots, gathered a block of trials at a time within dr_scores' budget;
-        # ERM over the full-domain behaviors
+        # slots, gathered a block of trials at a time as dr_scores sizes its
+        # blocks; ERM over the full-domain behaviors
         n_b = len(s.labels)
         dr_s = np.empty((n_b, trials))
         zero_train = np.empty((n_b, trials), bool)
-        block = max(1, DR_S_BLOCK_BYTES // (n_b * n * s.train_worst.itemsize))
+        block = block_trials(n, n_b * n * s.train_worst.itemsize)
+        # a slot's gather copies one row of the (atoms, B) table; its transpose
+        # is column-ordered (B, slots), as train_worst[:, slots] is, so each
+        # mean adds the same terms in the same order
+        table = np.ascontiguousarray(s.train_worst.T)
         for t0 in range(0, trials, block):
             t1 = min(t0 + block, trials)
-            worst = s.train_worst[:, slots[t0 * n:t1 * n]].reshape(n_b, -1, n)
+            worst = table[slots[t0 * n:t1 * n]].T.reshape(n_b, -1, n)
             dr_s[:, t0:t1] = worst.mean(axis=2)
             zero_train[:, t0:t1] = ~worst.any(axis=2)
             del worst  # freed before the next block is gathered

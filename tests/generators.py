@@ -1,10 +1,23 @@
 """Seeded generators, random finite tasks and table hypotheses for the tests."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from drloss.hypo import TableHypothesis
 from drloss.loss import TaskInstance
 from drloss.perturb import DistributionFamily, FiniteDistribution
+
+
+def load_workloads():
+    """perfbench's ``workloads`` module, whose configs the ladder tests build."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # dataclasses look their module up in sys.modules
+    return module
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -1,9 +1,6 @@
-import importlib.util
 import itertools
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from drloss.xprun import load_config
 from drloss.xprun.config import check
 from drloss.xprun.suites import _finite_setup
 
-from generators import rng_for
+from generators import load_workloads, rng_for
 
 
 class TestPredict:
@@ -375,14 +372,6 @@ class TestBehaviorTables:
                 fn(points)
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # dataclasses look their module up in sys.modules
-    return module
-
-
 def finite_setup(cfg):
     """The ERM suites' setup of a loaded config, as ``run_suite`` checks and runs it."""
     return _finite_setup(check(dict(vars(cfg))))
@@ -408,7 +397,7 @@ class TestFiniteViewBehaviors:
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["threshold-128", "interval-24", "rect-4x4"])
     def test_ladder_tasks(self, tmp_path, index):
-        workloads = _load_workloads()
+        workloads = load_workloads()
         path = tmp_path / "ladder.json"
         path.write_text(json.dumps(workloads.ladder_config(*workloads.LADDER[index])))
         self.assert_setup_matches_oracle(finite_setup(load_config("realizable", path=str(path))))

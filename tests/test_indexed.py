@@ -36,10 +36,10 @@ from drloss.hypo import (
 )
 from drloss.tasks import build_task, task_from_dict, with_label_noise
 from drloss.xprun import load_config, suites
-from drloss.xprun.config import check
+from drloss.xprun.config import build_hypothesis_class, check
 from drloss.xprun.indexed import FiniteView
 
-from generators import random_finite_task, random_table_hypothesis, rng_for
+from generators import load_workloads, random_finite_task, random_table_hypothesis, rng_for
 
 
 # the float oracles' zero test: a float loss this small is a zero loss, as
@@ -281,12 +281,13 @@ def exact_inner_oracle(cfg, s, trials):
             "viol_any": np.any(zero & (s.dr_true >= level)[:, None], axis=0)}
 
 
-@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n", [1, 4, 50])
 @pytest.mark.parametrize("case", CASES)
 def test_exact_inner_chunk_matches_gathered_means(monkeypatch, case, n):
     # the chunk's block-by-block gathers, one block for every trial or one
     # or three trials a block, against worst[:, slots].reshape(B, trials,
-    # n).mean(axis=2): a (behavior, trial) mean reduces one contiguous row
+    # n).mean(axis=2); n = 50 is past numpy's 8-element pairwise-sum switch
+    monkeypatch.setattr(loss, "DR_S_MIN_SLOTS", 1)  # blocks as small as the budget asks
     zeros = 0
     for seed in range(12):
         r, task, hclass = case_task(case, 1700 + seed)
@@ -297,7 +298,7 @@ def test_exact_inner_chunk_matches_gathered_means(monkeypatch, case, n):
             cfg = erm_config(kind, n, 1, s.levels[0], True, seed)
             want = exact_inner_oracle(cfg, s, trials)
             for budget in (loss.DR_S_BLOCK_BYTES, trial_bytes, 3 * trial_bytes):
-                monkeypatch.setattr(suites, "DR_S_BLOCK_BYTES", budget)
+                monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", budget)
                 got = suites._erm_chunk(cfg, s, 0, 0, 0, trials)
                 assert got["hypothesis"] == want["hypothesis"]
                 for col in ("loss_emp", "loss_pop") + viol:
@@ -528,6 +529,7 @@ PADDED_TASK = {
 def test_dr_s_matches_dense_contraction(monkeypatch, block_bytes):
     # n = 2 and 50 sit on either side of numpy's 8-element pairwise-sum switch
     monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(loss, "DR_S_MIN_SLOTS", 1)  # blocks as small as the budget asks
     runs = []
     for seed in range(30):
         case = CASES[seed % len(CASES)]
@@ -561,6 +563,7 @@ def test_dr_scores_float32_rows_match_float64(monkeypatch, block_bytes):
     # rows built by hand over D = 17 points, so m = 2**24 needs no multinomial;
     # float32 must score exactly as float64 up to m = 2**24, then rows are float64
     monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(loss, "DR_S_MIN_SLOTS", 1)  # blocks as small as the budget asks
     r = rng_for(24)
     n_d, trials, n, kmax = 17, 6, 4, 3
     labels = r.choice(np.array([-1, 1], dtype=np.int8), size=(40, n_d))
@@ -643,6 +646,7 @@ def test_exact_scorer_matches_float_oracle(monkeypatch, block_bytes):
     # k = 1 to 3 members with padding rows, y = +-1 slots, n on either side
     # of numpy's 8-element pairwise-sum switch, and duplicate behaviors
     monkeypatch.setattr(loss, "DR_S_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(loss, "DR_S_MIN_SLOTS", 1)  # blocks as small as the budget asks
     ties = 0
     for seed in range(40):
         r = rng_for(1600 + seed)
@@ -716,6 +720,32 @@ def test_exact_scorer_allocates_no_float_quotient():
     finally:
         tracemalloc.stop()
     assert peak < len(labels) * trials * n * 8, peak
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["threshold-128", "interval-24", "rect-4x4"])
+def test_dr_scores_temporaries_stay_within_one_block(index):
+    # on the erm-ladder shapes, what dr_scores allocates past its results
+    # stays within one block's bound, below the chunk's whole
+    workloads = load_workloads()
+    cfg = workloads.ladder_config(*workloads.LADDER[index])
+    n, m, trials = cfg["grid"][0]["n"], cfg["grid"][0]["m"], cfg["trials"]
+    view = FiniteView(build_task(cfg["task"]))
+    labels, _ = view.behaviors(build_hypothesis_class(cfg["hypothesis_class"]))
+    r = rng_for(1900 + index)
+    slots = view.draw_clean_slots(r, trials * n)
+    rows = view.draw_slot_counts(r, slots, m, "true").copy()
+    tracemalloc.start()
+    try:
+        scores = loss.dr_scores(labels, rows, trials, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = sum(a.nbytes for a in scores if a is not None)
+    # per trial: the worst hits and the next member's, then the candidates' quotients
+    trial_bytes = n * len(labels) * (rows.itemsize * 2 + 8)
+    block = loss.block_trials(n, trial_bytes)
+    assert rows.shape[0] == 2 and block < trials
+    assert peak - results <= block * trial_bytes, (peak - results, block * trial_bytes)
 
 
 def test_draw_slot_counts_frees_each_batch():

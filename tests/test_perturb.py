@@ -19,6 +19,7 @@ from drloss.perturb import (
     gaussian_shift_tv,
     pointwise_cover_violation,
     sample,
+    skip_words,
     tv_distance,
     two_point_counts,
     word_cuts,
@@ -538,6 +539,64 @@ class FixedWords:
     def random_raw(self, size, output=True):
         self.state += size
         return self.words[self.state - size:self.state] if output else None
+
+
+class TestSkipWords:
+    """``skip_words`` leaves the state that reading the words with ``random_raw`` leaves."""
+
+    @staticmethod
+    def skipped_and_read(bitgen, count):
+        """The states after ``skip_words`` and after ``random_raw`` from ``bitgen``'s, as reprs."""
+        ref = copy.deepcopy(bitgen)
+        skip_words(bitgen, count)
+        ref.random_raw(count, output=False)
+        return repr(bitgen.state), repr(ref.state)
+
+    @staticmethod
+    def philox(seed, buffer_pos, counter=None):
+        """A Philox past one block, its buffer position set and its counter optionally set."""
+        bitgen = np.random.Philox(seed)
+        bitgen.random_raw(4)
+        state = bitgen.state
+        state["buffer_pos"] = buffer_pos
+        if counter is not None:
+            state["state"]["counter"][...] = counter
+        bitgen.state = state
+        return bitgen
+
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_philox_matches_random_raw(self, buffer_pos):
+        for count in range(201):
+            got, want = self.skipped_and_read(self.philox(count, buffer_pos), count)
+            assert got == want, count
+
+    @pytest.mark.parametrize("buffer_pos", [0, 4])
+    def test_counter_carries_through_every_word(self, buffer_pos):
+        top = 2 ** 64 - 1
+        for counter in ([top - 2, top, top, 5], [top - 40, 0, 0, 0], [top] * 4):
+            for count in (5, 9, 13, 64, 200):
+                bitgen = self.philox(count, buffer_pos, counter)
+                got, want = self.skipped_and_read(bitgen, count)
+                assert got == want, (counter, count)
+        # the last skip carried through all four words: from 2**256 - 1, the
+        # ceil((196 + buffer_pos) / 4) fresh blocks of 200 words wrap it to one less
+        assert bitgen.state["state"]["counter"].tolist() == [(195 + buffer_pos) // 4, 0, 0, 0]
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 150])
+    def test_keeps_a_32_bit_draws_half_word(self, count):
+        bitgen = np.random.Philox(3)
+        np.random.Generator(bitgen).integers(0, 1000, dtype=np.int32)
+        assert bitgen.state["has_uint32"] == 1
+        got, want = self.skipped_and_read(bitgen, count)
+        assert got == want
+        assert bitgen.state["has_uint32"] == 1
+
+    def test_other_bit_generators_read_the_words(self):
+        got, want = self.skipped_and_read(np.random.PCG64(5), 37)
+        assert got == want
+        fixed = FixedWords(range(50))
+        skip_words(fixed, 37)
+        assert fixed.state == 37
 
 
 class TestTwoPointCounts:
