@@ -448,11 +448,13 @@ def _derand_grid(cfg: ExperimentConfig, task, point_errors: dict) -> list:
 
 
 def _votes(randomness: FiniteDistribution, levels: list) -> SimpleNamespace:
-    """The support, its word cuts and, per level, the ``word_tally`` of the points below it."""
+    """The support, its word cuts and the ``word_tally`` of the points below each distinct
+    level, in first-seen order; ``tally_of`` maps a level to its tally's position."""
     support = np.asarray(randomness.support)
     p = randomness.prob_array()
-    return SimpleNamespace(support=support, draw_cuts=word_cuts(p),
-                           tallies=[word_tally(p, support < level) for level in levels])
+    tally_of = {level: i for i, level in enumerate(dict.fromkeys(levels))}
+    return SimpleNamespace(support=support, draw_cuts=word_cuts(p), tally_of=tally_of,
+                           tallies=[word_tally(p, support < level) for level in tally_of])
 
 
 def _draws(votes: SimpleNamespace, words: np.ndarray) -> np.ndarray:
@@ -475,15 +477,10 @@ def _classifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     # prefixes of the ascending support it is also the largest of its points' errors
     probs, under = setup.base.randomness.probs, votes.support.searchsorted(levels).tolist()
     errors = {(x, y): math.fsum(probs[:j]) for (x, y, _), j in zip(atoms, under)}
-
-    def dr_value(below: list, t_votes: int) -> float:
-        """Mass of the atoms whose worst attack point the plurality of the draws gets wrong."""
-        # a draw below the level votes wrong; a tied vote goes to -1
-        return sum((p for (_, y, p), n in zip(atoms, below)
-                    if 2 * n > t_votes or (y == 1 and 2 * n == t_votes)), 0.0)
-
+    # a draw below the level votes wrong; a tied vote goes to -1
+    fooled = [(p, votes.tally_of[level], y == 1) for (_, y, p), level in zip(atoms, levels)]
     return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, errors), votes=votes,
-                           value_key="dr_value", value=dr_value)
+                           value_key="dr_value", fooled=fooled)
 
 
 def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
@@ -495,41 +492,40 @@ def _certifier_setup(cfg: ExperimentConfig) -> SimpleNamespace:
     atoms = task.atoms()
     # every attack point's radius leaves the band exactly for a draw below 1 - q_in
     out_level = 1.0 - setup.q_in
-
-    def band_value(below: list, t_votes: int) -> float:
-        """Mass of the atoms whose lower median radius leaves the band."""
-        # it is in band iff in-band draws fill positions 0..(t-1)//2
-        return sum((p for (_, _, p), n in zip(atoms, below)
-                    if t_votes - n <= (t_votes - 1) // 2), 0.0)
-
+    # the lower median leaves the band iff most draws do; a tie leaves it in band
+    votes = _votes(setup.certifier.randomness, [out_level])
+    fooled = [(p, 0, False) for _, _, p in atoms]
     gamma = {(x, y): out_level for x, y, _ in atoms}
-    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma),
-                           votes=_votes(setup.certifier.randomness, [out_level] * len(atoms)),
-                           value_key="band_value", value=band_value)
+    return SimpleNamespace(derand=setup, grid=_derand_grid(cfg, task, gamma), votes=votes,
+                           value_key="band_value", fooled=fooled)
 
 
 def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: int) -> dict:
-    """One row per trial: the setup's ``value`` of each atom's count of draws below its level.
+    """One row per trial: the mass of the atoms that most of the t draws fool.
 
     A trial's t fixed draws are those the object-level
     ``derandomize_classifier``/``_certifier`` take from its stream; of their
     raw words only the ``word_sum`` of each of the setup's ``votes.tallies``
-    decides the vote.  The draws themselves are formed, and sorted, only for
-    ``seeds_hex``.
+    decides: an atom ``(mass, tally, tie fools)`` of ``s.fooled`` is fooled
+    when over half the draws fall below its level, or half and ties fool.
+    The draws themselves are formed, and sorted, only for ``seeds_hex``.
     """
     p = s.grid[g]
-    dump_seeds = cfg.trials * p.t_votes <= SEED_DUMP_LIMIT
+    t = p.t_votes
+    dump_seeds = cfg.trials * t <= SEED_DUMP_LIMIT
     rows = []
     for trial in range(lo, hi):
-        words = seeding.stream(cfg.master_seed, g, trial).bit_generator.random_raw(p.t_votes)
-        value = s.value([word_sum(tally, words) for tally in s.votes.tallies], p.t_votes)
+        words = seeding.stream(cfg.master_seed, g, trial).bit_generator.random_raw(t)
+        below = [2 * word_sum(tally, words) for tally in s.votes.tallies]
+        value = sum((mass for mass, i, tie in s.fooled
+                     if below[i] > t or tie and below[i] == t), 0.0)
         seeds_hex = ";".join(encode_seeds(_draws(s.votes, words).tolist())) if dump_seeds else ""
         rows.append({
             "grid_index": g,
             "trial": trial,
             "eta": p.eta,
             "delta": p.delta,
-            "t_votes": p.t_votes,
+            "t_votes": t,
             s.value_key: value,
             "threshold": p.threshold,
             "exceeded": bool(value > p.threshold),
@@ -540,6 +536,8 @@ def _derand_chunk(cfg: ExperimentConfig, s, g: int, _chunk: int, lo: int, hi: in
 
 
 def _derand_aggregate(cfg: ExperimentConfig, s, g: int, entry: dict, rows: dict) -> tuple:
+    """The exceed tally; for the classifier also the eps(eta) Markov check, asserted
+    on every entry, ``"assert": false`` included (D8), until ROADMAP item 5 decides."""
     p = s.grid[g]
     agg = {"eta": p.eta, "delta": p.delta, "t_votes": p.t_votes, "eps_eta": p.eps_eta}
     checks = [Tally(freq_at_most, f"{cfg.kind.replace('-', ' ')} exceed freq (grid {g})",

@@ -9,7 +9,9 @@ its sizes made tiny, then replaces one to three of the values that
 the result as a JSON config file.
 
 Sizes the config does not bound yet (``trials``, ``n``, ``m``, ``draws``,
-``outer_m``, ``shift_points``) only ever get tiny values.  Huge values go
+``outer_m``, ``shift_points``) only ever get tiny values: a huge one
+crashes with exit 1 or runs for minutes (D12 in ROADMAP.md, which lists
+them; try one only under ``ulimit -v``).  Huge values go
 only to the keys whose size is checked before anything of that size is
 built (the vote count ``t``, ``a_size``, ``grid_randomness``), and
 underflowing ones only to ``eta``.  ``jobs`` stays 1.

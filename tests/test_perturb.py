@@ -190,23 +190,24 @@ class TestSample:
 class TestVoteBounds:
     """The derand suites' vote counts against sorting the drawn points.
 
-    ``suites._votes`` keeps, per level, the ``word_tally`` of the support
-    points below it; its ``word_sum`` over the raw words must equal
+    ``suites._votes`` keeps, per distinct level, the ``word_tally`` of the
+    support points below it; its ``word_sum`` over the raw words must equal
     ``np.searchsorted`` of the level in the sorted draws of ``categorical``
     from the same stream, and the draws formed from the words
     (``suites._draws``, the ``seeds_hex`` dump) must be those draws.
     """
 
     @staticmethod
-    def below(votes, words) -> list:
-        return [word_sum(tally, words) for tally in votes.tallies]
+    def below(votes, words, levels) -> list:
+        return [word_sum(votes.tallies[votes.tally_of[level]], words) for level in levels]
 
     def assert_counts_draws_below(self, support, probs, levels, count, rng, ref_rng):
         d = FiniteDistribution(support, probs)
         votes = _votes(d, levels)
         draws = np.sort(np.asarray(d.support)[categorical(d.prob_array(), count, ref_rng)])
         words = rng.bit_generator.random_raw(count)
-        below = self.below(votes, words)
+        below = self.below(votes, words, levels)
+        assert len(votes.tallies) == len(set(levels))
         assert below == np.searchsorted(draws, levels, "left").tolist()
         assert all(type(n) is int for n in below)
         assert np.array_equal(_draws(votes, words), draws)
@@ -222,8 +223,9 @@ class TestVoteBounds:
         ([(i + 0.5) / 17 for i in range(17)], [1 / 17] * 17, [0.41, 0.45, 0.5, 1.0], 31),
         ([(i + 0.5) / 1000 for i in range(1000)], [0.001] * 1000,
          [0.0, 0.2, 0.2005, 0.6, 1.0], 8121),
+        ([(i + 0.5) / 5 for i in range(5)], [0.2] * 5, [0.5, 0.3, 0.5, 0.3, 1.0], 100),
     ], ids=["k1-t1", "k1-many", "zeros-between", "zeros-first", "zeros-last", "grid5-counting",
-            "grid17-renormalized", "derand-grid"])
+            "grid17-renormalized", "derand-grid", "repeated-levels"])
     def test_counts_match_sorted_index_draw(self, support, probs, levels, count):
         for seed in range(5):
             self.assert_counts_draws_below(support, probs, levels, count,
@@ -236,7 +238,7 @@ class TestVoteBounds:
         votes = _votes(FiniteDistribution([1.0, 2.0], [0.5, 0.5]), [0.0, 1.5, 3.0])
         assert votes.tallies == [(0, []), (1, [(-1, np.uint64(1 << 63))]), (1, [])]
         words = rng_for(3).bit_generator.random_raw(40)
-        below = self.below(votes, words)
+        below = self.below(votes, words, [0.0, 1.5, 3.0])
         assert below[0] == 0 and below[2] == 40 and 0 < below[1] < 40
 
     @given(st.integers(0, 10**6))
@@ -261,7 +263,7 @@ class TestVoteBounds:
         votes = _votes(d, levels)
         words = words_on_the_cuts(votes.draw_cuts)
         draws = np.sort(np.asarray(d.support)[FixedDoubles(words).choice(4, len(words), p=d.probs)])
-        assert self.below(votes, words) == np.searchsorted(draws, levels, "left").tolist()
+        assert self.below(votes, words, levels) == np.searchsorted(draws, levels, "left").tolist()
         assert np.array_equal(_draws(votes, words), draws)
 
 

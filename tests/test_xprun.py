@@ -478,14 +478,16 @@ class TestSuites:
         rep = run_suite(cfg)  # bound 2e^{-...} tiny but threshold 3/8 unreachable
         assert rep.passed
 
-    @pytest.mark.parametrize("t_votes", [31, 30])  # odd and even (tie-break path)
+    @pytest.mark.parametrize("t_votes", [1, 2, 3, 4, 20, 21, 30, 31])
     def test_derand_trial_matches_object_level_evaluation(self, t_votes):
         # the suite's vote counts must agree with DerandClassifier; at a
-        # p_err_high of one half the positive atom's votes often tie
+        # p_err_high of one half the positive atom's votes often tie, and a
+        # tie fools only a positive atom
         from drloss.derand import decode_seeds, derandomize_classifier, evaluate_derand_dr
         from drloss.tasks import derand_classifier_setup
+        ties = 0
         for p_err_high in (None, 0.5):
-            cfg = tiny_config("derand-classifier", trials=6)
+            cfg = tiny_config("derand-classifier", trials=12)
             cfg.params = dict(cfg.params, p_err_high=p_err_high)
             cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
             rep = run_suite(cfg)
@@ -496,14 +498,19 @@ class TestSuites:
                 assert row["dr_value"] == evaluate_derand_dr(det, setup.attack_task)
                 # small runs dump the fixed draws verbatim, sorted; they must reconstruct
                 assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
+                ties += any(2 * sum(r < level for r in det.seeds) == t_votes
+                            for level in set(setup.errors.values()))
+        assert ties > 0 or t_votes % 2
 
-    @pytest.mark.parametrize("t_votes", [21, 20])  # odd and even (lower median)
+    @pytest.mark.parametrize("t_votes", [1, 2, 3, 4, 20, 21, 30, 31])
     def test_cert_trial_matches_object_level_evaluation(self, t_votes):
-        # at a q_in below one half most medians leave the band
+        # at a q_in below one half most medians leave the band; at one half
+        # the in-band draws often tie, and the lower median of a tie is in band
         from drloss.derand import decode_seeds, derandomize_certifier, evaluate_cert_band
         from drloss.tasks import derand_certifier_setup
-        for q_in in (0.9, 0.45):
-            cfg = tiny_config("derand-certifier", trials=6)
+        ties = 0
+        for q_in in (0.9, 0.45, 0.5):
+            cfg = tiny_config("derand-certifier", trials=12)
             cfg.params = dict(cfg.params, q_in=q_in)
             cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t_votes, "assert": False}]
             rep = run_suite(cfg)
@@ -515,6 +522,34 @@ class TestSuites:
                                           alpha=setup.alpha, beta=setup.beta)
                 assert row["band_value"] == band.violation_mass
                 assert decode_seeds(row["seeds_hex"].split(";")) == tuple(sorted(det.seeds))
+                ties += 2 * sum(r < 1.0 - q_in for r in det.seeds) == t_votes
+        assert ties > 0 or t_votes % 2
+
+    def test_lower_median_out_of_band_iff_most_draws_are(self):
+        # the lower median, position (t - 1) // 2 of t sorted radii, is in
+        # band iff the t - n in-band draws reach it: t - n > (t - 1) // 2
+        for t in range(1, 200):
+            for n in range(t + 1):
+                assert (t - n <= (t - 1) // 2) == (2 * n > t)
+
+    @pytest.mark.parametrize("kind,params,levels", [
+        ("derand-classifier", {}, 1),
+        ("derand-certifier", {}, 1),
+        ("derand-classifier", {"p_err_high": 0.6}, 2),
+    ], ids=["classifier", "certifier", "classifier-p-err-high"])
+    def test_derand_counts_each_distinct_level_once(self, monkeypatch, kind, params, levels):
+        # both atoms of a default setup share one level, so a trial reads its
+        # words once; a second level costs one more count
+        from drloss.xprun import suites
+        calls = []
+        word_sum = suites.word_sum
+        monkeypatch.setattr(suites, "word_sum",
+                            lambda tally, words: calls.append(words.size) or word_sum(tally, words))
+        cfg = tiny_config(kind, trials=5)
+        cfg.params = dict(cfg.params, **params)
+        cfg.grid = [{"eta": 0.25, "delta": 0.05, "t": t, "assert": False} for t in (7, 8)]
+        run_suite(cfg)
+        assert calls == [7] * 5 * levels + [8] * 5 * levels
 
     @pytest.mark.parametrize("params", [
         {"p_err": 0.2, "a_size": 8, "grid_randomness": 1000, "p_err_high": None},
